@@ -17,6 +17,7 @@ from .almost import (
     is_almost_zero,
 )
 from .exponents import PExp
+from .linalg import PolyMatrix
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -135,22 +136,12 @@ def direct_sum_complex(E: ChainComplex, F: ChainComplex) -> ChainComplex:
             tgt = terms.get(d - 1)
             if tgt is None:
                 continue
-            mat = _block_diag(fe.matrix, ff.matrix, E.cfg.p)
+            A, B = fe.matrix, ff.matrix
+            mat = PolyMatrix.block(A.rows + B.rows, A.cols + B.cols, E.cfg.p,
+                                   src.modulus,
+                                   [(0, 0, A), (A.rows, A.cols, B)])
             diffs[d] = ModuleMap(src, tgt, mat, check=False)
     return ChainComplex(E.cfg, terms, diffs, check=False)
-
-
-def _block_diag(A, B, p):
-    from .linalg import PolyMatrix
-    m = A.modulus if A.modulus == B.modulus else (A.modulus or B.modulus)
-    out = PolyMatrix(A.rows + B.rows, A.cols + B.cols, p, modulus=m)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            out.entries[i][j] = list(A.entries[i][j])
-    for i in range(B.rows):
-        for j in range(B.cols):
-            out.entries[A.rows + i][A.cols + j] = list(B.entries[i][j])
-    return out
 
 
 class ChainMap:
@@ -216,68 +207,33 @@ def cone(f: ChainMap):
         dE = E.diff(d - 1).neg()
         dF = F.diff(d)
         fd = f.comp(d - 1).neg()
-        mat = _block_2x2(dE.matrix, None, fd.matrix, dF.matrix, cfg.p,
-                         tgt_e.rank, tgt_f.rank, src_e.rank, src_f.rank)
+        # [[dE, 0], [fd, dF]]
+        mat = PolyMatrix.block(
+            tgt_e.rank + tgt_f.rank, src_e.rank + src_f.rank, cfg.p,
+            terms[d].modulus,
+            [(0, 0, dE.matrix), (tgt_e.rank, 0, fd.matrix),
+             (tgt_e.rank, src_e.rank, dF.matrix)])
         diffs[d] = ModuleMap(terms[d], tgt, mat, check=False)
     C = ChainComplex(cfg, terms, diffs, check=False)
-    incl = ChainMap(F, C, {
-        d: ModuleMap(F.terms[d], C.term(d),
-                     _inject_matrix(E.term(d - 1).rank, F.term(d).rank, cfg.p,
-                                    C.term(d).modulus, top=False), check=False)
-        for d in F.terms if d in C.terms}, check=False)
+    p = cfg.p
+    incl = {}
+    for d in F.terms:
+        if d in C.terms:
+            re, rf, mod = E.term(d - 1).rank, F.term(d).rank, C.terms[d].modulus
+            I = PolyMatrix.identity(rf, p, mod)
+            incl[d] = ModuleMap(F.terms[d], C.terms[d], PolyMatrix.block(
+                re + rf, rf, p, mod, [(re, 0, I)]), check=False)
     Em1 = shift(E, 1)
-    proj = ChainMap(C, Em1, {
-        d: ModuleMap(C.terms[d], Em1.term(d),
-                     _project_matrix(E.term(d - 1).rank, F.term(d).rank, cfg.p,
-                                     C.term(d).modulus), check=False)
-        for d in C.terms if d in Em1.terms}, check=False)
+    proj = {}
+    for d in C.terms:
+        if d in Em1.terms:
+            re, rf, mod = E.term(d - 1).rank, F.term(d).rank, C.terms[d].modulus
+            I = PolyMatrix.identity(re, p, mod)
+            proj[d] = ModuleMap(C.terms[d], Em1.terms[d], PolyMatrix.block(
+                re, re + rf, p, mod, [(0, 0, I)]), check=False)
+    incl = ChainMap(F, C, incl, check=False)
+    proj = ChainMap(C, Em1, proj, check=False)
     return C, incl, proj
-
-
-def _block_2x2(A, Bz, Cm, D, p, r1, r2, c1, c2):
-    """[[A, 0], [Cm, D]] with explicit block dimensions."""
-    from .linalg import PolyMatrix
-    mod = None
-    for M in (A, Cm, D):
-        if M is not None and M.modulus is not None:
-            mod = M.modulus
-    out = PolyMatrix(r1 + r2, c1 + c2, p, modulus=mod)
-    if A is not None:
-        for i in range(A.rows):
-            for j in range(A.cols):
-                out.entries[i][j] = list(A.entries[i][j])
-    if Cm is not None:
-        for i in range(Cm.rows):
-            for j in range(Cm.cols):
-                out.entries[r1 + i][j] = list(Cm.entries[i][j])
-    if D is not None:
-        for i in range(D.rows):
-            for j in range(D.cols):
-                out.entries[r1 + i][c1 + j] = list(D.entries[i][j])
-    return out
-
-
-def _inject_matrix(re, rf, p, mod, top):
-    """Inclusion of the E-block (top) or F-block (bottom) into E + F."""
-    from .linalg import PolyMatrix
-    if top:
-        out = PolyMatrix(re + rf, re, p, modulus=mod)
-        for i in range(re):
-            out.entries[i][i] = [1]
-    else:
-        out = PolyMatrix(re + rf, rf, p, modulus=mod)
-        for i in range(rf):
-            out.entries[re + i][i] = [1]
-    return out
-
-
-def _project_matrix(re, rf, p, mod):
-    """Projection E + F -> E."""
-    from .linalg import PolyMatrix
-    out = PolyMatrix(re, re + rf, p, modulus=mod)
-    for i in range(re):
-        out.entries[i][i] = [1]
-    return out
 
 
 def cylinder(f: ChainMap):
@@ -287,6 +243,7 @@ def cylinder(f: ChainMap):
     pi o iota = f exactly (the homotopy witness is the zero homotopy)."""
     f = chain_map_at_level(f, _align(f))
     E, F = f.source, f.target
+    p = E.cfg.p
     C, _, _ = cone(f)
     Cm1 = shift(C, -1)
     # g : cone(f)[-1] -> E is the projection onto the E-block
@@ -294,21 +251,22 @@ def cylinder(f: ChainMap):
     for d in Cm1.terms:
         if d not in E.terms:
             continue
-        re = E.term(d).rank
-        rf = F.term(d + 1).rank
-        comps[d] = ModuleMap(
-            Cm1.terms[d], E.terms[d],
-            _project_matrix(re, rf, E.cfg.p, Cm1.terms[d].modulus),
-            check=False)
+        re, rf, mod = E.term(d).rank, F.term(d + 1).rank, Cm1.terms[d].modulus
+        I = PolyMatrix.identity(re, p, mod)
+        comps[d] = ModuleMap(Cm1.terms[d], E.terms[d], PolyMatrix.block(
+            re, re + rf, p, mod, [(0, 0, I)]), check=False)
     g = ChainMap(Cm1, E, comps)
     cyl, _, _ = cone(g)
     # cyl_d = (E_{d-1} + F_d) + E_d
-    iota = ChainMap(E, cyl, {
-        d: ModuleMap(E.terms[d], cyl.term(d),
-                     _inject_last(E.term(d - 1).rank + F.term(d).rank,
-                                  E.term(d).rank, E.cfg.p,
-                                  cyl.term(d).modulus), check=False)
-        for d in E.terms if d in cyl.terms}, check=False)
+    iota = {}
+    for d in E.terms:
+        if d in cyl.terms:
+            skip, re = E.term(d - 1).rank + F.term(d).rank, E.term(d).rank
+            mod = cyl.terms[d].modulus
+            I = PolyMatrix.identity(re, p, mod)
+            iota[d] = ModuleMap(E.terms[d], cyl.terms[d], PolyMatrix.block(
+                skip + re, re, p, mod, [(skip, 0, I)]), check=False)
+    iota = ChainMap(E, cyl, iota, check=False)
     pi = ChainMap(cyl, F, {
         d: _cyl_projection(f, cyl, d)
         for d in cyl.terms if d in F.terms}, check=False)
@@ -317,29 +275,17 @@ def cylinder(f: ChainMap):
     return cyl, iota, pi, homotopy
 
 
-def _inject_last(skip, rank, p, mod):
-    from .linalg import PolyMatrix
-    out = PolyMatrix(skip + rank, rank, p, modulus=mod)
-    for i in range(rank):
-        out.entries[skip + i][i] = [1]
-    return out
-
-
 def _cyl_projection(f, cyl, d):
     """pi(e', b, e) = f(e) - b on cyl_d = E_{d-1} + F_d + E_d."""
     E, F = f.source, f.target
-    from .linalg import PolyMatrix
+    p = E.cfg.p
     re1 = E.term(d - 1).rank
     rf = F.term(d).rank
     re = E.term(d).rank
     mod = cyl.terms[d].modulus
-    out = PolyMatrix(rf, re1 + rf + re, f.source.cfg.p, modulus=mod)
-    for i in range(rf):
-        out.entries[i][re1 + i] = [f.source.cfg.p - 1]
-    fm = f.comp(d).matrix
-    for i in range(fm.rows):
-        for j in range(fm.cols):
-            out.entries[i][re1 + rf + j] = list(fm.entries[i][j])
+    out = PolyMatrix.block(rf, re1 + rf + re, p, mod,
+                           [(0, re1, PolyMatrix.identity(rf, p, mod).neg()),
+                            (0, re1 + rf, f.comp(d).matrix)])
     return ModuleMap(cyl.terms[d], F.term(d), out, check=False)
 
 

@@ -63,6 +63,24 @@ class PolyMatrix:
         return m
 
     @classmethod
+    def block(cls, rows, cols, p, modulus, placements):
+        """rows x cols matrix, zero outside the placed blocks.
+
+        placements is a list of (row_offset, col_offset, matrix); each placed
+        matrix must fit and must have the target modulus.
+        """
+        out = cls(rows, cols, p, modulus=modulus)
+        for r0, c0, M in placements:
+            if M.modulus != modulus:
+                raise ValueError(
+                    f"block modulus {M.modulus} differs from target {modulus}")
+            if r0 < 0 or c0 < 0 or r0 + M.rows > rows or c0 + M.cols > cols:
+                raise ValueError("block does not fit")
+            for i, row in enumerate(M.entries):
+                out.entries[r0 + i][c0:c0 + M.cols] = [list(e) for e in row]
+        return out
+
+    @classmethod
     def from_ints(cls, grid, p, modulus=None):
         """Build from a grid of integers (constants)."""
         rows = len(grid)
@@ -112,9 +130,11 @@ class PolyMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
+        if self.modulus != other.modulus:
+            raise ValueError(
+                f"modulus mismatch {self.modulus} vs {other.modulus}")
         p = self.p
-        out = PolyMatrix(self.rows, other.cols, p,
-                         modulus=self.modulus if self.modulus == other.modulus else None)
+        out = PolyMatrix(self.rows, other.cols, p, modulus=self.modulus)
         for i in range(self.rows):
             for j in range(other.cols):
                 acc = []

@@ -207,15 +207,13 @@ def direct_sum(*mods) -> PresentedModule:
     rank = sum(m.rank for m in mods)
     p = cfg.p
     mod = ring_modulus(cfg, L)
-    cols = sum(m.relations.cols for m in mods)
-    rel = PolyMatrix(rank, cols, p, modulus=mod)
+    placements = []
     r0 = c0 = 0
     for m in mods:
-        for i in range(m.rank):
-            for j in range(m.relations.cols):
-                rel.entries[r0 + i][c0 + j] = list(m.relations.entries[i][j])
+        placements.append((r0, c0, m.relations))
         r0 += m.rank
         c0 += m.relations.cols
+    rel = PolyMatrix.block(rank, c0, p, mod, placements)
     return PresentedModule(cfg, L, rank, rel)
 
 

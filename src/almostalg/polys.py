@@ -1,28 +1,62 @@
 """Dense polynomials over F_p, lowest degree first.
 
-Backend selection: the compiled kernels in _speedups are used when the
-extension built; set ALMOSTALG_PURE=1 to force the pure-Python kernels.
-Everything above the three kernel functions (gcd, xgcd, monic, eval, ...)
-is plain Python either way.
+A polynomial is a list of ints in [0, p) with no trailing zeros; [] is the
+zero polynomial.  poly_trim, poly_add, poly_mul and poly_divmod are the hot
+inner loops; everything else (gcd, xgcd, monic, eval, ...) is built on
+them.  All of it is plain Python: there is no compiled kernel.
 """
 from __future__ import annotations
 
-import os
+# perfbench/child.py imports this for its provenance line; it is a
+# constant because there is only one kernel.
+BACKEND = "python"
 
-if os.environ.get("ALMOSTALG_PURE"):
-    from . import _pypoly as _kernel
-else:
-    try:
-        from . import _speedups as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pypoly as _kernel
 
-BACKEND = _kernel.BACKEND
+def poly_trim(a: list) -> list:
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    del a[n:]
+    return a
 
-poly_trim = _kernel.poly_trim
-poly_add = _kernel.poly_add
-poly_mul = _kernel.poly_mul
-poly_divmod = _kernel.poly_divmod
+
+def poly_add(a: list, b: list, p: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i in range(len(b)):
+        out[i] = (out[i] + b[i]) % p
+    return poly_trim(out)
+
+
+def poly_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return poly_trim(out)
+
+
+def poly_divmod(a: list, b: list, p: int) -> tuple:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    db = len(b) - 1
+    lead_inv = pow(b[db], p - 2, p)
+    if len(r) <= db:
+        return [], poly_trim(r)
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            f = (c * lead_inv) % p
+            q[i - db] = f
+            for j in range(db + 1):
+                r[i - db + j] = (r[i - db + j] - f * b[j]) % p
+    return poly_trim(q), poly_trim(r)
 
 
 def poly_zero() -> list:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from almostalg.linalg import (
@@ -107,3 +108,28 @@ def test_unimodular_detection():
     assert is_unimodular(U)
     S = PolyMatrix(2, 2, 2, [[[0, 1], []], [[], [1]]])
     assert not is_unimodular(S)
+
+
+def test_mul_rejects_modulus_mismatch():
+    A = PolyMatrix.identity(2, 3, modulus=4)
+    B = PolyMatrix.identity(2, 3)
+    assert A.mul(A) == A
+    with pytest.raises(ValueError):
+        A.mul(B)
+    with pytest.raises(ValueError):
+        B.mul(A)
+
+
+def test_block_places_blocks_and_checks_them():
+    A = PolyMatrix(1, 2, 3, [[[1], [0, 1]]], 4)
+    I = PolyMatrix.identity(2, 3, 4)
+    M = PolyMatrix.block(3, 4, 3, 4, [(0, 0, A), (1, 2, I)])
+    assert M == PolyMatrix(3, 4, 3, [[[1], [0, 1], [], []],
+                                     [[], [], [1], []],
+                                     [[], [], [], [1]]], 4)
+    M.entries[0][0].append(2)
+    assert A.entries[0][0] == [1]  # blocks are copied, not shared
+    with pytest.raises(ValueError):
+        PolyMatrix.block(3, 4, 3, None, [(0, 0, A)])
+    with pytest.raises(ValueError):
+        PolyMatrix.block(3, 4, 3, 4, [(2, 2, I)])
