@@ -83,10 +83,12 @@ class MonomialTower:
 
     lines_fn(j) -> tuple of annihilator exponents (Fraction, or None for a
     free line) at stage j; trans_fn(j) -> transition exponent (Fraction).
+    Both are evaluated at most once per stage: lines() and trans_exp()
+    keep what they return, which is immutable.
     """
 
     __slots__ = ("cfg", "lines_fn", "trans_fn", "tag", "name", "closed_form",
-                 "az_delegate", "_components")
+                 "az_delegate", "_components", "_lines", "_trans")
 
     def __init__(self, cfg, lines_fn, trans_fn, tag=None, name="",
                  closed_form=None, az_delegate=None):
@@ -102,12 +104,20 @@ class MonomialTower:
         # almost zero iff x is, since mu is an almost isomorphism)
         self.az_delegate = az_delegate
         self._components = {}
+        self._lines = {}
+        self._trans = {}
 
     def lines(self, j):
-        return tuple(self.lines_fn(j))
+        out = self._lines.get(j)
+        if out is None:
+            out = self._lines[j] = tuple(self.lines_fn(j))
+        return out
 
     def trans_exp(self, j):
-        return Fraction(self.trans_fn(j))
+        out = self._trans.get(j)
+        if out is None:
+            out = self._trans[j] = Fraction(self.trans_fn(j))
+        return out
 
     def component(self, j) -> PresentedModule:
         if j not in self._components:
@@ -187,7 +197,7 @@ def firmify(x) -> MonomialTower:
     p = t.cfg.p
     tower = MonomialTower(
         t.cfg,
-        t.lines_fn,
+        t.lines,
         lambda j: t.trans_exp(j) + _eps(p, j),
         name=f"firmify({t.name})" if t.name else "firmify",
         closed_form=t.closed_form,
@@ -348,7 +358,7 @@ def cokernel_tower(f: IndMap) -> MonomialTower:
             out.append(u if a is None else min(a, u))
         return tuple(out)
 
-    return MonomialTower(cfg, lines, tgt.trans_fn, name=f"coker({f.name})")
+    return MonomialTower(cfg, lines, tgt.trans_exp, name=f"coker({f.name})")
 
 
 # -- colimit bookkeeping ---------------------------------------------------

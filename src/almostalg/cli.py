@@ -25,6 +25,8 @@ from .tower import a_n_plus, tilt_basis_iso
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+# the primes --p and a payload's "p" may name
+PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class UsageError(Exception):
@@ -44,7 +46,7 @@ def _build_config(args) -> RingConfig:
 
 
 def _validate(args):
-    if args.p is not None and args.p not in (2, 3, 5, 7, 11, 13):
+    if args.p is not None and args.p not in PRIMES:
         raise UsageError(f"--p must be a small prime, got {args.p}")
     if args.level is not None and not 0 <= args.level <= 6:
         raise UsageError("--level must be in [0, 6]")
@@ -76,9 +78,22 @@ def _parse_entries(grid, p, modulus):
     return PolyMatrix(len(ent), len(ent[0]), p, ent, modulus)
 
 
-def _op_snf(payload, args):
+def _payload_p(payload, args):
+    """The payload's prime, held to the same set as --p: the kernels
+    assume a field."""
     p = payload.get("p", args.p or 2)
-    A = _parse_entries(payload["matrix"], p, payload.get("modulus"))
+    if type(p) is not int or p not in PRIMES:
+        raise UsageError(f"payload p must be a small prime, got {p!r}")
+    return p
+
+
+def _op_snf(payload, args):
+    p = _payload_p(payload, args)
+    modulus = payload.get("modulus")
+    if modulus is not None and (type(modulus) is not int or modulus < 1):
+        raise UsageError(
+            f"payload modulus must be a positive integer, got {modulus!r}")
+    A = _parse_entries(payload["matrix"], p, modulus)
     res = snf(A)
     return {
         "U": res.U.entries,
@@ -155,7 +170,7 @@ def _op_a_n_plus(payload, args):
 
 
 def _op_tilt_basis_iso(payload, args):
-    p = payload.get("p", args.p or 2)
+    p = _payload_p(payload, args)
     table = tilt_basis_iso(p, payload["n"], payload.get("c", 1))
     return {str(k): list(v) for k, v in table.items()}
 
@@ -235,6 +250,9 @@ def _compute_cmd(args) -> int:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON input: {exc}")
+    if not isinstance(payload, dict) and not (args.op == "firmify"
+                                              and payload == "V"):
+        raise UsageError(f"payload for {args.op} must be a JSON object")
     try:
         result = OPS[args.op](payload, args)
     except (KeyError, TypeError, ValueError) as exc:

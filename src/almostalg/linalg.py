@@ -130,9 +130,7 @@ class PolyMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch {self.modulus} vs {other.modulus}")
+        self._same_modulus(other)
         p = self.p
         out = PolyMatrix(self.rows, other.cols, p, modulus=self.modulus)
         for i in range(self.rows):
@@ -170,9 +168,15 @@ class PolyMatrix:
                 out.entries[j][i] = list(self.entries[i][j])
         return out
 
+    def _same_modulus(self, other):
+        if self.modulus != other.modulus:
+            raise ValueError(
+                f"modulus mismatch {self.modulus} vs {other.modulus}")
+
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch")
+        self._same_modulus(other)
         ent = [self.entries[i] + other.entries[i] for i in range(self.rows)]
         return PolyMatrix(self.rows, self.cols + other.cols, self.p,
                           [[list(e) for e in row] for row in ent], self.modulus)
@@ -180,6 +184,7 @@ class PolyMatrix:
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch")
+        self._same_modulus(other)
         ent = self.entries + other.entries
         return PolyMatrix(self.rows + other.rows, self.cols, self.p,
                           [[list(e) for e in row] for row in ent], self.modulus)

@@ -49,9 +49,10 @@ def lift_matrix(A: PolyMatrix, delta: int) -> PolyMatrix:
 def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """Kronecker product (A tensor B)."""
     from .polys import poly_mul
+    if A.modulus != B.modulus:
+        raise ValueError(f"modulus mismatch {A.modulus} vs {B.modulus}")
     p = A.p
-    m = A.modulus if A.modulus == B.modulus else (A.modulus or B.modulus)
-    out = PolyMatrix(A.rows * B.rows, A.cols * B.cols, p, modulus=m)
+    out = PolyMatrix(A.rows * B.rows, A.cols * B.cols, p, modulus=A.modulus)
     for i in range(A.rows):
         for j in range(A.cols):
             a = A.entries[i][j]

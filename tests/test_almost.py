@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from almostalg.almost import (
+    _LOOKAHEAD,
+    MonomialTower,
+    _residuals,
     closedify,
     colim_is_zero,
     colocal_ext_vanishing,
@@ -126,3 +130,40 @@ def test_scalar_map_is_not_almost_iso():
     M = PresentedModule.free(V2, 0, 1)
     f = ModuleMap.scalar(M, Fraction(1))
     assert not is_almost_iso(f, J).holds
+
+
+def test_tower_stages_are_evaluated_once_and_residuals_match_raw_loop():
+    def raw_lines(j):
+        return (Fraction(1, 3 ** j), None, Fraction(2) - Fraction(1, 3 ** j))
+
+    def raw_trans(j):
+        return Fraction(1, 3 ** j) - Fraction(1, 3 ** (j + 1))
+
+    calls = Counter()
+
+    def counted(kind, fn):
+        def wrapped(j):
+            calls[kind, j] += 1
+            return fn(j)
+        return wrapped
+
+    T = MonomialTower(V3, counted("lines", raw_lines),
+                      counted("trans", raw_trans))
+    assert not colim_is_zero(T, J)
+    assert not is_almost_zero(T, J).holds  # the free line survives
+    is_almost_iso(mu_map(T), J)            # kernel and cokernel towers of T
+    got = _residuals(T, J)
+    assert calls and max(calls.values()) == 1
+
+    # perfect ring: every annihilator bound is the line's own exponent
+    want = []
+    for j in range(J + 1):
+        best = [None] * len(raw_lines(j))
+        acc = Fraction(0)
+        for k in range(j, j + J + _LOOKAHEAD + 1):
+            for i, a in enumerate(raw_lines(k)[:len(best)]):
+                if a is not None and (best[i] is None or a - acc < best[i]):
+                    best[i] = a - acc
+            acc += raw_trans(k)
+        want.append(best)
+    assert got == want

@@ -121,3 +121,18 @@ def test_compute_a_n_plus(capsys, monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out)["result"]["torsion_exponents"] == ["2"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"p": 4, "matrix": [[[1, 1], [0, 1]], [[1], [1, 1]]]},
+    {"p": 0, "matrix": [[1]]},
+    [1, 2],
+    {"p": 3, "modulus": -1, "matrix": [[1]]},
+    {"p": 3, "modulus": 0, "matrix": [[1]]},
+], ids=["p4", "p0", "non-object", "modulus-1", "modulus0"])
+def test_compute_snf_rejects_bad_payload(payload, capsys, monkeypatch):
+    code, out, err = run_cli(["compute", "snf"], stdin_text=json.dumps(payload),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out

@@ -11,6 +11,7 @@ from almostalg.linalg import (
     snf,
     solve,
 )
+from almostalg.modules import kron
 from almostalg.polys import poly_divides, poly_mul, poly_valuation
 
 
@@ -133,3 +134,18 @@ def test_block_places_blocks_and_checks_them():
         PolyMatrix.block(3, 4, 3, None, [(0, 0, A)])
     with pytest.raises(ValueError):
         PolyMatrix.block(3, 4, 3, 4, [(2, 2, I)])
+
+
+def test_kron_and_stacks_reject_modulus_mismatch():
+    A = PolyMatrix(1, 1, 3, [[[0, 0, 0, 0, 0, 1]]])  # s^5 over F_3[s]
+    B = PolyMatrix.identity(1, 3, modulus=4)
+    for X, Y in ((A, B), (B, A)):
+        with pytest.raises(ValueError):
+            kron(X, Y)
+        with pytest.raises(ValueError):
+            X.hstack(Y)
+        with pytest.raises(ValueError):
+            X.vstack(Y)
+    assert kron(A, A) == PolyMatrix(1, 1, 3, [[[0] * 10 + [1]]])
+    assert B.hstack(B) == PolyMatrix(1, 2, 3, [[[1], [1]]], 4)
+    assert B.vstack(B) == PolyMatrix(2, 1, 3, [[[1]], [[1]]], 4)
