@@ -271,10 +271,6 @@ class BaseElem:
 
 # -- module-level operations per the library surface ----------------------
 
-def exp_add(a: PExp, b: PExp) -> PExp:
-    return a + b
-
-
 def elem_mul(x: BaseElem, y: BaseElem) -> BaseElem:
     return x * y
 
@@ -297,17 +293,3 @@ def divides_monomial(a: BaseElem, b: BaseElem) -> bool:
     if not (a.is_monomial() and b.is_monomial()):
         raise ValueError("divides_monomial needs monomial inputs")
     return a.monomial_exponent() <= b.monomial_exponent()
-
-
-def common_level(xs) -> int:
-    """Minimal n with every exponent of every element in (1/p^n) Z>=0."""
-    n = 0
-    for x in xs:
-        if isinstance(x, BaseElem):
-            exps = x.terms.keys()
-        else:
-            exps = [x]
-        for e in exps:
-            if e.k > n:
-                n = e.k
-    return n

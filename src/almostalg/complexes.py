@@ -467,9 +467,3 @@ def sum_perf(P: PerfPlus, Q: PerfPlus) -> PerfPlus:
                     lambda j: direct_sum_complex(P.realize(j), Q.realize(j)),
                     aperf=P.aperf and Q.aperf,
                     witness=f"sum({P.witness},{Q.witness})")
-
-
-def aperf_member(P: PerfPlus):
-    """Structural APerf membership: constructed from firmifications by
-    cones, shifts and sums.  Returns (bool, witness string)."""
-    return P.aperf, P.witness

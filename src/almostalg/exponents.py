@@ -116,11 +116,3 @@ class PExp:
 
 def pexp(p: int, num: int, k: int = 0) -> PExp:
     return PExp(p, num, k)
-
-
-def pexp_min(*xs: PExp) -> PExp:
-    return min(xs)
-
-
-def pexp_max(*xs: PExp) -> PExp:
-    return max(xs)

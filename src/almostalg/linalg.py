@@ -2,21 +2,18 @@
 
 Matrices are dense lists of dense polynomials (see polys.py).  The central
 routine is snf(), Smith normal form with tracked unimodular transforms and
-their inverses, computed by xgcd-driven elimination.  Kernels, solving and
-cokernel invariants are all derived from it.
+their inverses, computed by one elimination for both rings.  Kernels,
+solving and cokernel invariants are all derived from it.
 """
 from __future__ import annotations
 
 from .polys import (
     poly_add,
     poly_deg,
-    poly_divides,
     poly_divmod,
-    poly_monic,
     poly_monomial,
     poly_mul,
     poly_neg,
-    poly_scale,
     poly_sub,
     poly_trim,
     poly_valuation,
@@ -79,14 +76,6 @@ class PolyMatrix:
             for i, row in enumerate(M.entries):
                 out.entries[r0 + i][c0:c0 + M.cols] = [list(e) for e in row]
         return out
-
-    @classmethod
-    def from_ints(cls, grid, p, modulus=None):
-        """Build from a grid of integers (constants)."""
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        ent = [[[c % p] if c % p else [] for c in row] for row in grid]
-        return cls(rows, cols, p, ent, modulus)
 
     def copy(self):
         return PolyMatrix(
@@ -228,7 +217,8 @@ class PolyMatrix:
 
 
 class SNFResult:
-    """A = U * D * W with U, W unimodular; D diagonal, d1 | d2 | ..., monic.
+    """A = U * D * W with U, W unimodular; D diagonal, d1 | d2 | ..., each
+    nonzero d_i monic over F_p[s] and exactly s^v over the chain ring.
 
     u_inv and w_inv are carried along so callers can change basis in both
     directions without re-inverting anything.
@@ -294,13 +284,6 @@ def _col_combine(M, i, j, a, b, c, d, p, m=None):
         row[i] = _redm(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
         row[j] = _redm(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
 
-def _row_scale(M, i, c, p):
-    M.entries[i] = [poly_scale(e, c, p) for e in M.entries[i]]
-
-def _col_scale(M, j, c, p):
-    for row in M.entries:
-        row[j] = poly_scale(row[j], c, p)
-
 def _row_mulpoly(M, i, f, p, m=None):
     """row i *= f (f must be a unit in context for invertibility)."""
     M.entries[i] = [_redm(poly_mul(f, e, p), m) for e in M.entries[i]]
@@ -311,27 +294,34 @@ def _col_mulpoly(M, j, f, p, m=None):
 
 
 def snf(A: PolyMatrix) -> SNFResult:
-    """Smith normal form with tracked transforms.
+    """Smith normal form with tracked transforms, over F_p[s] or, when A has
+    a modulus m, over the chain ring F_p[s]/(s^m).
 
-    Over F_p[s] this is exact xgcd elimination with deterministic pivoting
-    (minimal degree, row-major ties).  With a modulus the computation lifts
-    to F_p[s], runs there, and reduces at the end; diagonal entries are
-    then renormalized to powers of s when the reduction demands it.
+    One deterministic elimination serves both rings: the pivot is the
+    nonzero entry of least degree over F_p[s] and of least s-valuation over
+    the chain ring (row-major ties); it is swapped into place, and its
+    column and row are cleared.  Over F_p[s] a clearing division that leaves
+    a remainder is replaced by an xgcd step, the sweep repeats until the
+    pivot divides the whole trailing block, and the pivot is made monic at
+    the end.  Over the chain ring every nonzero element is a unit times s^v,
+    so the pivot is first scaled to exactly s^v; it then divides every
+    remaining entry and all clearing divisions are exact shifts.  The result
+    is verified by _check_snf before it is returned.
     """
-    if A.modulus is not None:
-        return _snf_chain(A)
     p = A.p
+    m = A.modulus
+    key = poly_deg if m is None else poly_valuation
     D = A.copy()
     # Track L, R with D = L * A * R and their inverses; then U = Linv, W = Rinv.
-    L = PolyMatrix.identity(A.rows, p)
-    Linv = PolyMatrix.identity(A.rows, p)
-    R = PolyMatrix.identity(A.cols, p)
-    Rinv = PolyMatrix.identity(A.cols, p)
+    L = PolyMatrix.identity(A.rows, p, m)
+    Linv = PolyMatrix.identity(A.rows, p, m)
+    R = PolyMatrix.identity(A.cols, p, m)
+    Rinv = PolyMatrix.identity(A.cols, p, m)
     n = min(A.rows, A.cols)
 
     for k in range(n):
         while True:
-            piv = _find_pivot(D, k)
+            piv = _find_pivot(D, k, key)
             if piv is None:
                 break
             pi, pj = piv
@@ -343,41 +333,40 @@ def snf(A: PolyMatrix) -> SNFResult:
                 _col_swap(D, k, pj)
                 _col_swap(R, k, pj)
                 _row_swap(Rinv, k, pj)
-            if _clear_column(D, L, Linv, k, p) or _clear_row(D, R, Rinv, k, p):
+            if m is not None:
+                d = D.entries[k][k]
+                unit = d[poly_valuation(d):]
+                if unit != [1]:
+                    uin = _unit_inverse(unit, m, p)
+                    _row_mulpoly(D, k, uin, p, m)
+                    _row_mulpoly(L, k, uin, p, m)
+                    _col_mulpoly(Linv, k, unit, p, m)
+            if (_clear_column(D, L, Linv, k, p, m)
+                    or _clear_row(D, R, Rinv, k, p, m)):
                 continue
             # Row and column k are clear; enforce that the pivot divides
             # every remaining entry, else fold the offending row in.
             bad = _find_nondivisible(D, k)
             if bad is None:
                 break
-            _row_addmul(D, k, bad, [1], p)
-            _row_addmul(L, k, bad, [1], p)
-            _row_addmul_inv(Linv, k, bad, [1], p)
-        # normalize pivot monic
+            _row_addmul(D, k, bad, [1], p, m)
+            _row_addmul(L, k, bad, [1], p, m)
+            _col_addmul(Linv, bad, k, [p - 1], p, m)
+        # normalize pivot monic (over the chain ring it is already s^v)
         d = D.entries[k][k]
         if d and d[-1] != 1:
             c = d[-1]
-            cinv = pow(c, p - 2, p)
-            _row_scale(D, k, cinv, p)
-            _row_scale(L, k, cinv, p)
-            _col_scale(Linv, k, c, p)
+            cinv = [pow(c, p - 2, p)]
+            _row_mulpoly(D, k, cinv, p, m)
+            _row_mulpoly(L, k, cinv, p, m)
+            _col_mulpoly(Linv, k, [c], p, m)
 
-    U, W = Linv, Rinv
-    res = SNFResult(U, D, W, L, R)
+    res = SNFResult(Linv, D, Rinv, L, R)
     _check_snf(A, res)
     return res
 
 
-def _row_addmul_inv(Linv, i, j, f, p):
-    """Inverse tracking for 'row i += f*row j' applied on the left:
-    column j of Linv gets -f * column i."""
-    nf = poly_neg(f, p)
-    for row in Linv.entries:
-        if row[i]:
-            row[j] = poly_add(row[j], poly_mul(nf, row[i], p), p)
-
-
-def _clear_column(D, L, Linv, k, p):
+def _clear_column(D, L, Linv, k, p, m):
     """Eliminate entries below the pivot in column k.  Returns True if the
     pivot changed (degree dropped), signalling another sweep."""
     changed = False
@@ -389,23 +378,23 @@ def _clear_column(D, L, Linv, k, p):
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
-            _row_addmul(D, i, k, f, p)
-            _row_addmul(L, i, k, f, p)
-            _row_addmul_inv(Linv, i, k, f, p)
+            _row_addmul(D, i, k, f, p, m)
+            _row_addmul(L, i, k, f, p, m)
+            _col_addmul(Linv, k, i, q, p, m)
         else:
             g, u, v = poly_xgcd(a, b, p)
             aq = poly_divmod(a, g, p)[0]
             bq = poly_divmod(b, g, p)[0]
             # [[u, v], [-bq, aq]] has determinant 1
-            _row_combine(D, k, i, u, v, poly_neg(bq, p), aq, p)
-            _row_combine(L, k, i, u, v, poly_neg(bq, p), aq, p)
+            _row_combine(D, k, i, u, v, poly_neg(bq, p), aq, p, m)
+            _row_combine(L, k, i, u, v, poly_neg(bq, p), aq, p, m)
             # inverse is [[aq, -v], [bq, u]]; applied to columns of Linv
-            _col_combine(Linv, k, i, aq, bq, poly_neg(v, p), u, p)
+            _col_combine(Linv, k, i, aq, bq, poly_neg(v, p), u, p, m)
             changed = True
     return changed
 
 
-def _clear_row(D, R, Rinv, k, p):
+def _clear_row(D, R, Rinv, k, p, m):
     """Column-operation mirror of _clear_column for row k."""
     changed = False
     for j in range(k + 1, D.cols):
@@ -416,36 +405,32 @@ def _clear_row(D, R, Rinv, k, p):
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
-            _col_addmul(D, j, k, f, p)
-            _col_addmul(R, j, k, f, p)
-            # inverse on Rinv rows: row k of Rinv gets -f * ... mirrored
-            nf = q
-            ri, rk = Rinv.entries[j], Rinv.entries[k]
-            for c in range(Rinv.cols):
-                if ri[c]:
-                    rk[c] = poly_add(rk[c], poly_mul(nf, ri[c], p), p)
+            _col_addmul(D, j, k, f, p, m)
+            _col_addmul(R, j, k, f, p, m)
+            _row_addmul(Rinv, k, j, q, p, m)
         else:
             g, u, v = poly_xgcd(a, b, p)
             aq = poly_divmod(a, g, p)[0]
             bq = poly_divmod(b, g, p)[0]
-            _col_combine(D, k, j, u, v, poly_neg(bq, p), aq, p)
-            _col_combine(R, k, j, u, v, poly_neg(bq, p), aq, p)
-            _row_combine(Rinv, k, j, aq, bq, poly_neg(v, p), u, p)
+            _col_combine(D, k, j, u, v, poly_neg(bq, p), aq, p, m)
+            _col_combine(R, k, j, u, v, poly_neg(bq, p), aq, p, m)
+            _row_combine(Rinv, k, j, aq, bq, poly_neg(v, p), u, p, m)
             changed = True
     return changed
 
 
-def _find_pivot(D, k):
-    """Nonzero entry of minimal degree in the trailing block, row-major ties."""
+def _find_pivot(D, k, key):
+    """Nonzero entry of least key (degree or valuation) in the trailing
+    block, row-major ties."""
     best = None
-    best_deg = None
+    best_key = None
     for i in range(k, D.rows):
         for j in range(k, D.cols):
             e = D.entries[i][j]
             if e:
-                d = poly_deg(e)
-                if best_deg is None or d < best_deg:
-                    best, best_deg = (i, j), d
+                d = key(e)
+                if best_key is None or d < best_key:
+                    best, best_key = (i, j), d
     return best
 
 
@@ -461,95 +446,37 @@ def _find_nondivisible(D, k):
 
 
 def _check_snf(A, res):
-    prod = res.U.mul(res.D).mul(res.W)
-    if prod.entries != A.entries:
-        raise AssertionError("SNF verification failed: U*D*W != A")
+    """Exact verification of A = U * D * W: D has A's shape and is diagonal,
+    its nonzero entries are monic over F_p[s] and exactly s^v over the chain
+    ring, each divides the next and zeros come last."""
+    p = A.p
+    m = A.modulus
+    U, D, W = res.U, res.D, res.W
+    if ((U.rows, U.cols, D.rows, D.cols, W.rows, W.cols)
+            != (A.rows, A.rows, A.rows, A.cols, A.cols, A.cols)):
+        raise AssertionError("SNF verification failed: shapes")
+    if any(e and i != j for i, row in enumerate(D.entries)
+           for j, e in enumerate(row)):
+        raise AssertionError("SNF verification failed: D is not diagonal")
     facs = res.invariant_factors
+    for f in facs:
+        if f and (f[-1] != 1 or m is not None and f.count(0) != len(f) - 1):
+            raise AssertionError("SNF verification failed: invariant "
+                                 "factor not monic (s^v over the chain ring)")
     for i in range(len(facs) - 1):
         if facs[i] and facs[i + 1]:
-            if poly_divmod(facs[i + 1], facs[i], A.p)[1]:
+            if poly_divmod(facs[i + 1], facs[i], p)[1]:
                 raise AssertionError("SNF divisibility chain violated")
         elif not facs[i] and facs[i + 1]:
             raise AssertionError("zero invariant factor precedes a nonzero one")
-
-
-def _snf_chain(A: PolyMatrix) -> SNFResult:
-    """SNF over the chain ring F_p[s]/(s^m) by direct local elimination.
-
-    Every nonzero element factors as unit * s^v, so the entry of minimal
-    valuation divides the whole trailing block and all clearing divisions
-    are exact -- no xgcd needed.  The pivot is first normalized to s^v by a
-    unit row scaling, after which clearing uses plain shifts.
-    """
-    m = A.modulus
-    p = A.p
-    D = A.copy()
-    L = PolyMatrix.identity(A.rows, p, modulus=m)
-    Linv = PolyMatrix.identity(A.rows, p, modulus=m)
-    R = PolyMatrix.identity(A.cols, p, modulus=m)
-    Rinv = PolyMatrix.identity(A.cols, p, modulus=m)
-    n = min(A.rows, A.cols)
-
-    for k in range(n):
-        piv = _find_pivot_val(D, k)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != k:
-            _row_swap(D, k, pi)
-            _row_swap(L, k, pi)
-            _col_swap(Linv, k, pi)
-        if pj != k:
-            _col_swap(D, k, pj)
-            _col_swap(R, k, pj)
-            _row_swap(Rinv, k, pj)
-        d = D.entries[k][k]
-        v = poly_valuation(d)
-        unit = d[v:]
-        if unit != [1]:
-            uin = _unit_inverse(unit, m, p)
-            _row_mulpoly(D, k, uin, p, m)
-            _row_mulpoly(L, k, uin, p, m)
-            _col_mulpoly(Linv, k, unit, p, m)
-        # pivot is now exactly s^v; clear column k then row k by shifts
-        for i in range(k + 1, D.rows):
-            b = D.entries[i][k]
-            if b:
-                q = poly_neg(b[v:], p)
-                _row_addmul(D, i, k, q, p, m)
-                _row_addmul(L, i, k, q, p, m)
-                _row_addmul_inv(Linv, i, k, q, p)
-        for j in range(k + 1, D.cols):
-            b = D.entries[k][j]
-            if b:
-                q = poly_neg(b[v:], p)
-                _col_addmul(D, j, k, q, p, m)
-                _col_addmul(R, j, k, q, p, m)
-                nq = b[v:]
-                rj, rk = Rinv.entries[j], Rinv.entries[k]
-                for c in range(Rinv.cols):
-                    if rj[c]:
-                        rk[c] = _redm(poly_add(rk[c], poly_mul(nq, rj[c], p), p), m)
-
-    res = SNFResult(Linv, D, Rinv, L, R)
-    prod = Linv.mul(D).mul(Rinv)
-    if prod.entries != A.entries:
-        raise AssertionError("chain-ring SNF verification failed")
-    return res
-
-
-def _find_pivot_val(D, k):
-    """Nonzero entry of minimal s-valuation in the trailing block."""
-    best = None
-    best_v = None
-    for i in range(k, D.rows):
-        for j in range(k, D.cols):
-            e = D.entries[i][j]
-            if e:
-                v = poly_valuation(e)
-                if best_v is None or v < best_v:
-                    best, best_v = (i, j), v
-    return best
+    # D is diagonal, so U * D is U with column j scaled by d_j
+    UD = PolyMatrix(A.rows, A.cols, p, modulus=m)
+    for urow, out in zip(U.entries, UD.entries):
+        for j, d in enumerate(facs):
+            if d and urow[j]:
+                out[j] = UD._reduce(poly_mul(urow[j], d, p))
+    if UD.mul(W).entries != A.entries:
+        raise AssertionError("SNF verification failed: U*D*W != A")
 
 
 def _unit_inverse(u, m, p):
@@ -586,7 +513,7 @@ def kernel_basis(A: PolyMatrix) -> PolyMatrix:
     if not gens:
         return PolyMatrix(A.cols, 0, p, modulus=m)
     E = PolyMatrix.from_columns(gens, A.cols, p, modulus=m)
-    K = (res.w_inv.with_modulus(m) if m is not None else res.w_inv).mul(E)
+    K = res.w_inv.mul(E)
     if not A.mul(K).is_zero():
         raise AssertionError("kernel verification failed")
     return K
@@ -601,9 +528,7 @@ def solve(A: PolyMatrix, b) -> list | None:
         raise ValueError(f"vector length {len(b)} != {A.rows} rows")
     res = snf(A)
     p = A.p
-    m = A.modulus
-    u_inv = res.u_inv.with_modulus(m) if m is not None else res.u_inv
-    c = u_inv.apply_to_vector([list(e) for e in b])
+    c = res.u_inv.apply_to_vector([list(e) for e in b])
     n = min(A.rows, A.cols)
     y = [[] for _ in range(A.cols)]
     for i in range(A.rows):
@@ -615,23 +540,12 @@ def solve(A: PolyMatrix, b) -> list | None:
             continue
         if not ci:
             continue
-        if m is None:
-            q, r = poly_divmod(ci, d, p)
-            if r:
-                return None
-            y[i] = q
-        else:
-            v = poly_valuation(d)
-            if poly_valuation(ci) < v:
-                return None
-            shifted = ci[v:]
-            unit = d[v:] if len(d) > v else [1]
-            if poly_valuation(unit) != 0:
-                raise AssertionError("diagonal entry not unit times s^v")
-            uin = _unit_inverse(unit, m, p)
-            y[i] = poly_divmod(poly_mul(uin, shifted, p), poly_monomial(1, m, p), p)[1]
-    w_inv = res.w_inv.with_modulus(m) if m is not None else res.w_inv
-    x = w_inv.apply_to_vector(y)
+        # over the chain ring d = s^v, so this is c_i shifted down by v
+        q, r = poly_divmod(ci, d, p)
+        if r:
+            return None
+        y[i] = q
+    x = res.w_inv.apply_to_vector(y)
     check = A.apply_to_vector(x)
     target = [A._reduce(list(e)) for e in b]
     if check != target:

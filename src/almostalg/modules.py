@@ -85,8 +85,7 @@ class PresentedModule:
             if relations.rows != rank:
                 raise ValueError("relation matrix rows must equal ambient rank")
             if relations.modulus != m:
-                relations = relations.lift().with_modulus(m) if m is not None \
-                    else relations.lift()
+                relations = relations.with_modulus(m)
         self.relations = relations
         self._snf = snf(relations) if rank else None
 
@@ -285,7 +284,7 @@ class ModuleMap:
             raise ValueError("matrix shape does not match generators")
         m = ring_modulus(source.cfg, L)
         if matrix.modulus != m:
-            matrix = matrix.lift().with_modulus(m) if m is not None else matrix.lift()
+            matrix = matrix.with_modulus(m)
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -479,10 +478,6 @@ def free_resolution(M: PresentedModule, length: int):
     return diffs
 
 
-def _free_of(cfg, level, rank):
-    return PresentedModule.free(cfg, level, rank)
-
-
 def tor(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
     """Tor_i(M, N) for i in {0, 1, 2} from a free resolution of M."""
     if i not in (0, 1, 2):
@@ -566,5 +561,5 @@ def base_change(M: PresentedModule, target_cfg: RingConfig) -> PresentedModule:
         raise ValueError("prime mismatch")
     L = max(M.level, target_cfg.trunc.k)
     M = M.at_level(L)
-    rel = M.relations.lift().with_modulus(ring_modulus(target_cfg, L))
+    rel = M.relations.with_modulus(ring_modulus(target_cfg, L))
     return PresentedModule(target_cfg, L, M.rank, rel)

@@ -2,8 +2,8 @@
 
 A polynomial is a list of ints in [0, p) with no trailing zeros; [] is the
 zero polynomial.  poly_trim, poly_add, poly_mul and poly_divmod are the hot
-inner loops; everything else (gcd, xgcd, monic, eval, ...) is built on
-them.  All of it is plain Python: there is no compiled kernel.
+inner loops; everything else (xgcd, valuation, ...) is built on them.
+All of it is plain Python: there is no compiled kernel.
 
 Kernel contract: operands are trimmed, their coefficients lie in [0, p),
 and p is prime.  Results obey the same contract and are new lists (an
@@ -96,16 +96,6 @@ def poly_divmod(a: list, b: list, p: int) -> tuple:
     return poly_trim(q), poly_trim(r)
 
 
-def poly_zero() -> list:
-    return []
-
-def poly_one() -> list:
-    return [1]
-
-def poly_const(c: int, p: int) -> list:
-    c %= p
-    return [c] if c else []
-
 def poly_monomial(coef: int, deg: int, p: int) -> list:
     coef %= p
     if not coef:
@@ -115,9 +105,6 @@ def poly_monomial(coef: int, deg: int, p: int) -> list:
 def poly_deg(a: list) -> int:
     """Degree, with deg(0) = -1."""
     return len(a) - 1
-
-def poly_is_zero(a: list) -> bool:
-    return not a
 
 def poly_neg(a: list, p: int) -> list:
     return [(-c) % p for c in a]
@@ -133,20 +120,6 @@ def poly_scale(a: list, c: int, p: int) -> list:
 
 def poly_mod(a: list, b: list, p: int) -> list:
     return poly_divmod(a, b, p)[1]
-
-def poly_monic(a: list, p: int) -> list:
-    """Scale so the leading coefficient is 1 (zero stays zero)."""
-    if not a:
-        return []
-    lead = a[-1]
-    if lead == 1:
-        return list(a)
-    return poly_scale(a, pow(lead, p - 2, p), p)
-
-def poly_gcd(a: list, b: list, p: int) -> list:
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    return poly_monic(a, p)
 
 def poly_xgcd(a: list, b: list, p: int) -> tuple:
     """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
@@ -167,22 +140,6 @@ def poly_xgcd(a: list, b: list, p: int) -> tuple:
             v0 = poly_scale(v0, inv, p)
     return r0, u0, v0
 
-def poly_pow(a: list, n: int, p: int) -> list:
-    out = [1]
-    base = list(a)
-    while n:
-        if n & 1:
-            out = poly_mul(out, base, p)
-        base = poly_mul(base, base, p)
-        n >>= 1
-    return out
-
-def poly_eval(a: list, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
 def poly_divides(a: list, b: list, p: int) -> bool:
     """Does a divide b?  Zero divides only zero."""
     if not a:
@@ -200,9 +157,6 @@ def poly_valuation(a: list) -> int:
         if c:
             return i
     return -1
-
-def poly_derivative(a: list, p: int) -> list:
-    return poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 def poly_to_string(a: list, var: str = "s") -> str:
     if not a:

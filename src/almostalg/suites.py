@@ -51,7 +51,7 @@ from .complexes import (
 from .exponents import PExp
 from .linalg import PolyMatrix, is_unimodular, snf, solve
 from .modules import ModuleMap, PresentedModule, iso_test, ring_modulus
-from .polys import poly_divides, poly_mul, poly_sub, poly_valuation
+from .polys import poly_divides, poly_mul, poly_sub, poly_trim, poly_valuation
 
 SUITE_NAMES = ("quillen", "complexes", "k0", "algebra", "tilting", "tower")
 
@@ -534,7 +534,8 @@ def k0_suite(opts: SuiteOptions) -> SuiteReport:
 # -- algebra suite ---------------------------------------------------------
 
 def _random_element(rng, rank, p, maxdeg, mod):
-    return [[rng.randrange(p) for _ in range(rng.randint(0, maxdeg + 1))]
+    return [poly_trim([rng.randrange(p)
+                       for _ in range(rng.randint(0, maxdeg + 1))])
             for _ in range(rank)]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from almostalg import algebra as alg
 from almostalg.base_ring import BaseElem, RingConfig
 from almostalg.modules import ModuleMap, PresentedModule, ring_modulus
 from almostalg.linalg import PolyMatrix
+from almostalg.polys import poly_trim
+from almostalg.suites import _random_element
 
 V2 = RingConfig.perfect(2)
 V3 = RingConfig.perfect(3)
@@ -136,3 +139,15 @@ def test_firm_retract():
 
 def test_syntomic_certificate_required():
     assert not alg.is_almost_finite_syntomic(None, None)
+
+
+def test_random_element_is_trimmed():
+    # the unitalization axiom search multiplies these coordinates with the
+    # polynomial kernels, whose contract asks for trimmed operands; the
+    # draws themselves stay those of the untrimmed lists
+    rng = random.Random(3)
+    raw = [[rng.randrange(3) for _ in range(rng.randint(0, 4))]
+           for _ in range(200)]
+    assert any(e and not e[-1] for e in raw)
+    assert _random_element(random.Random(3), 200, 3, 3, None) \
+        == [poly_trim(e) for e in raw]

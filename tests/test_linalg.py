@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from almostalg.linalg import (
     PolyMatrix,
+    SNFResult,
+    _check_snf,
     det,
     is_unimodular,
     kernel_basis,
@@ -12,7 +14,7 @@ from almostalg.linalg import (
     solve,
 )
 from almostalg.modules import kron
-from almostalg.polys import poly_divides, poly_mul, poly_valuation
+from almostalg.polys import poly_deg, poly_divides, poly_mul, poly_valuation
 
 
 def rand_matrix(rng, rows, cols, p, maxdeg, modulus=None):
@@ -62,6 +64,52 @@ def test_snf_chain_ring():
                 for f in res.invariant_factors]
         present = [v for v in vals if v is not None]
         assert present == sorted(present)
+
+
+@pytest.mark.parametrize("D, match", [
+    # not diagonal
+    (PolyMatrix(2, 2, 3, [[[1], [0, 1]], [[], [0, 1]]]), "not diagonal"),
+    # 2 + 2s is not monic
+    (PolyMatrix(1, 1, 3, [[[2, 2]]]), "not monic"),
+    # s + s^2 = s * unit, not exactly s over F_3[s]/(s^4)
+    (PolyMatrix(1, 1, 3, [[[0, 1, 1]]], 4), "s\\^v"),
+    # s^2 does not divide s over F_3[s]/(s^4)
+    (PolyMatrix(2, 2, 3, [[[0, 0, 1], []], [[], [0, 1]]], 4), "divisibility"),
+], ids=["non-diagonal", "non-monic", "not-s^v", "chain-not-dividing"])
+def test_check_snf_rejects_a_non_smith_d(D, match):
+    # U = W = I makes U*D*W = A hold, so only the form of D can fail
+    I = PolyMatrix.identity(D.rows, 3, D.modulus)
+    with pytest.raises(AssertionError, match=match):
+        _check_snf(D, SNFResult(I, D, I, I, I))
+
+
+def test_check_snf_rejects_misshapen_transforms():
+    # the extra column of U is invisible to U*D when D is 1x1
+    A = PolyMatrix.identity(1, 3)
+    U = PolyMatrix(1, 2, 3, [[[1], [1]]])
+    with pytest.raises(AssertionError, match="shapes"):
+        _check_snf(A, SNFResult(U, A, A, A, A))
+
+
+def test_snf_chain_ring_agrees_with_lift():
+    # over F_p[s]/(s^m), coker A = coker [A_lift | s^m I] over F_p[s], so the
+    # valuations of snf(A) (zero counting as m, padded with m to A.rows) are
+    # the degrees of the monic monomial invariant factors of the lift
+    rng = random.Random(13)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        m = rng.choice((1, 2, 4, 8))
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        A = rand_matrix(rng, rows, cols, p, m - 1, m)
+        facs = snf(A).invariant_factors
+        vals = [poly_valuation(f) if f else m for f in facs]
+        vals += [m] * (rows - len(facs))
+        sm = PolyMatrix(rows, rows, p, [[[0] * m + [1] if i == j else []
+                                         for j in range(rows)]
+                                        for i in range(rows)])
+        lifted = snf(A.lift().hstack(sm)).invariant_factors
+        assert all(f[-1] == 1 and f.count(0) == len(f) - 1 for f in lifted)
+        assert [poly_deg(f) for f in lifted] == vals
 
 
 def test_kernel_basis_is_a_kernel():
