@@ -122,15 +122,19 @@ class PolyMatrix:
         self._same_modulus(other)
         p = self.p
         out = PolyMatrix(self.rows, other.cols, p, modulus=self.modulus)
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = []
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = poly_add(acc, poly_mul(a, b, p), p)
-                out.entries[i][j] = out._reduce(acc)
+        # only products of two nonzero entries contribute: pair each nonzero
+        # self[i][k] with the nonzero entries of other's row k
+        nonzero = [[(j, b) for j, b in enumerate(row) if b]
+                   for row in other.entries]
+        for row, orow in zip(self.entries, out.entries):
+            acc = {}
+            for a, bs in zip(row, nonzero):
+                if a:
+                    for j, b in bs:
+                        t = poly_mul(a, b, p)
+                        acc[j] = poly_add(acc[j], t, p) if j in acc else t
+            for j, e in acc.items():
+                orow[j] = out._reduce(e)
         return out
 
     def add(self, other):
@@ -435,8 +439,14 @@ def _find_pivot(D, k, key):
 
 
 def _find_nondivisible(D, k):
-    """Row index i > k containing an entry not divisible by the pivot."""
+    """Row index i > k containing an entry not divisible by the pivot.
+
+    No division can fail over the chain ring, where the pivot s^v has the
+    least valuation in the trailing block and exact clearing only adds
+    multiples of s^v, nor when the pivot is a nonzero constant."""
     a = D.entries[k][k]
+    if D.modulus is not None or len(a) == 1:
+        return None
     for i in range(k + 1, D.rows):
         for j in range(k + 1, D.cols):
             e = D.entries[i][j]

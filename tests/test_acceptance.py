@@ -4,9 +4,13 @@ Each test evaluates one acceptance criterion against the suite reports
 (one shared run, fixed seed) and records a PASS/FAIL line that conftest
 prints in the terminal summary.
 """
+import hashlib
+import json
+import os
+
 import pytest
 
-from almostalg.suites import SuiteOptions, run_suite
+from almostalg.suites import SUITE_NAMES, SuiteOptions, run_suite
 
 RESULTS = []
 
@@ -101,3 +105,15 @@ def test_criterion_11_nakayama_and_lift(reports):
         "nakayama-search", "lift-search"])
     record("criterion-11 Nakayama search and congruent-lift checks", ok,
            detail)
+
+
+def test_report_bytes_match_recorded(reports):
+    # serialised as `run-suite all --report` writes it; the recorded sha256
+    # is the benchmark's, so a byte change fails here as well
+    text = json.dumps([reports[n] for n in SUITE_NAMES], indent=2,
+                      sort_keys=True) + "\n"
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "expected.json")
+    with open(path) as fh:
+        want = json.load(fh)["acceptance-all"]["report_sha256"]
+    assert hashlib.sha256(text.encode()).hexdigest() == want

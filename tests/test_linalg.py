@@ -169,6 +169,59 @@ def test_mul_rejects_modulus_mismatch():
         B.mul(A)
 
 
+def _naive_mul_entries(X, Y):
+    """Triple loop with a plain coefficient convolution, reduced at the end."""
+    p, m = X.p, X.modulus
+    out = []
+    for i in range(X.rows):
+        row = []
+        for j in range(Y.cols):
+            acc = {}
+            for k in range(X.cols):
+                for da, ca in enumerate(X.entries[i][k]):
+                    for db, cb in enumerate(Y.entries[k][j]):
+                        acc[da + db] = (acc.get(da + db, 0) + ca * cb) % p
+            e = [acc.get(d, 0) for d in range(max(acc, default=-1) + 1)]
+            if m is not None:
+                e = e[:m]
+            while e and not e[-1]:
+                e.pop()
+            row.append(e)
+        out.append(row)
+    return out
+
+
+def _sparse_matrix(rng, rows, cols, p, density, modulus):
+    def entry():
+        if rng.random() >= density:
+            return []
+        return [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [
+            rng.randrange(1, p)]
+    return PolyMatrix(rows, cols, p, [[entry() for _ in range(cols)]
+                                      for _ in range(rows)], modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 1, 3])
+@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+def test_mul_matches_naive_triple_loop(modulus, density):
+    rng = random.Random(f"{modulus}-{density}")
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 4, 3), (3, 1, 2),
+              (4, 5, 3), (6, 6, 6)]
+    for _ in range(5):
+        for rows, inner, cols in shapes:
+            p = rng.choice((2, 3, 5))
+            X = _sparse_matrix(rng, rows, inner, p, density, modulus)
+            Y = _sparse_matrix(rng, inner, cols, p, density, modulus)
+            before = (X.copy(), Y.copy())
+            Z = X.mul(Y)
+            assert (Z.rows, Z.cols, Z.p, Z.modulus) == (rows, cols, p, modulus)
+            assert Z.entries == _naive_mul_entries(X, Y)
+            for row in Z.entries:  # the product shares no list with X or Y
+                for e in row:
+                    e.append(1)
+            assert (X, Y) == before
+
+
 def test_block_places_blocks_and_checks_them():
     A = PolyMatrix(1, 2, 3, [[[1], [0, 1]]], 4)
     I = PolyMatrix.identity(2, 3, 4)

@@ -1,0 +1,69 @@
+import itertools
+import random
+
+import pytest
+
+from almostalg import suites
+from almostalg.linalg import SNFResult
+from almostalg.polys import poly_add, poly_mul, poly_valuation
+
+_real_snf = suites.snf
+
+
+def _lowered_snf(A):
+    """snf(A) with the valuation of its last non-unit invariant factor
+    lowered by one (a zero factor counts as s^k over F_p[s]/(s^k))."""
+    res = _real_snf(A)
+    D = res.D.copy()
+    for d in reversed(range(min(D.rows, D.cols))):
+        f = D.entries[d][d]
+        v = poly_valuation(f) if f else A.modulus
+        if v > 0:
+            D.entries[d][d] = [0] * (v - 1) + [1]
+            break
+    return SNFResult(res.U, D, res.W, res.u_inv, res.w_inv)
+
+
+@pytest.mark.parametrize("seed, witness", [
+    (0, {"sample": 0, "pred": 1, "got": 2}),
+    (1, {"sample": 0, "pred": 2, "got": 4}),
+])
+def test_cokernel_oracle_catches_a_wrong_invariant_factor(
+        monkeypatch, seed, witness):
+    assert suites.cokernel_enumeration_oracle(seed, 5) is True
+    monkeypatch.setattr(suites, "snf", _lowered_snf)
+    assert suites.cokernel_enumeration_oracle(seed, 5) == (False, witness)
+
+
+def _naive_image(A, p, k):
+    """{A c : c in R^3}, R = F_p[s]/(s^k), as tuples of coefficient tuples."""
+    elems = []
+    for tup in itertools.product(range(p), repeat=k):
+        e = list(tup)
+        while e and not e[-1]:
+            e.pop()
+        elems.append(e)
+    image = set()
+    for c in itertools.product(elems, repeat=3):
+        vec = []
+        for row in A.entries:
+            acc = []
+            for cj, a in zip(c, row):
+                acc = poly_add(acc, poly_mul(cj, a, p), p)
+            acc = acc[:k]
+            while acc and not acc[-1]:
+                acc.pop()
+            vec.append(tuple(acc))
+        image.add(tuple(vec))
+    return image
+
+
+def test_enumerated_image_matches_naive_enumeration():
+    rng = random.Random(3)
+    for _ in range(12):
+        k = rng.randint(1, 2)
+        A = suites._random_matrix(rng, 3, 3, 2, k - 1, k)
+        elems, index, image = suites._enumerated_image(A, 2, k)
+        assert all(index[tuple(e)] == n for n, e in enumerate(elems))
+        got = {tuple(tuple(elems[n]) for n in y) for y in image}
+        assert got == _naive_image(A, 2, k)
