@@ -27,6 +27,11 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 # the primes --p and a payload's "p" may name
 PRIMES = (2, 3, 5, 7, 11, 13)
+# tilt_basis_iso builds p^n basis entries and checks p^(2n) products
+TILT_MAX_ENTRIES = 729
+# the fields a module payload may carry: rank and relations, or exponents
+# and free_rank
+MODULE_KEYS = ("p", "level", "rank", "relations", "exponents", "free_rank")
 
 
 class UsageError(Exception):
@@ -105,6 +110,19 @@ def _op_snf(payload, args):
 
 def _module_from_payload(payload, args):
     cfg = _build_config(args)
+    unknown = sorted(set(payload) - set(MODULE_KEYS))
+    if unknown:
+        raise UsageError(f"unknown module payload keys {unknown}, "
+                         f"expected some of {list(MODULE_KEYS)}")
+    if "p" in payload and payload["p"] != cfg.p:
+        raise UsageError(f"payload p {payload['p']!r} differs from the "
+                         f"configured prime {cfg.p} (--p)")
+    if ("relations" in payload) != ("rank" in payload):
+        raise UsageError("a module payload gives rank and relations together")
+    if "relations" in payload and ("exponents" in payload
+                                   or "free_rank" in payload):
+        raise UsageError("a module payload gives either rank and relations "
+                         "or exponents and free_rank")
     level = payload.get("level", args.level or 0)
     if "relations" in payload:
         rank = payload["rank"]
@@ -171,7 +189,14 @@ def _op_a_n_plus(payload, args):
 
 def _op_tilt_basis_iso(payload, args):
     p = _payload_p(payload, args)
-    table = tilt_basis_iso(p, payload["n"], payload.get("c", 1))
+    n = payload["n"]
+    if type(n) is not int or n < 0:
+        raise UsageError(f"payload n must be a non-negative integer, got {n!r}")
+    # p >= 2, so p^10 is past the limit already: no huge power is formed
+    if p ** min(n, 10) > TILT_MAX_ENTRIES:
+        raise UsageError(f"tilt_basis_iso with p^n = {p}^{n} is over the "
+                         f"limit p^n <= {TILT_MAX_ENTRIES}")
+    table = tilt_basis_iso(p, n, payload.get("c", 1))
     return {str(k): list(v) for k, v in table.items()}
 
 

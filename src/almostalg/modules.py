@@ -6,6 +6,14 @@ polynomial matrix.  Truncated configs V/(t^c) turn R_n into the chain ring
 F_p[s]/(s^(c*p^n)).  All structure (kernels, cokernels, Tor, Ext, ...) is
 computed by Smith normal form over these rings; modules at different
 levels are compared after lifting to a common level via s -> s^p.
+
+A module's invariant factors are read off its relation matrix when every
+column holds at most one nonzero entry and that entry is a monomial c*s^v
+(over the chain ring any nonzero entry is a unit times s^v): the cokernel
+is then the sum over rows of R_n/(s^v) with v the row's least valuation.
+Cyclic modules, their direct sums, level lifts and tensor products all
+have this shape.  Other relation matrices go through snf(); the full Smith
+form with its transforms is computed only on demand (PresentedModule.snf).
 """
 from __future__ import annotations
 
@@ -67,10 +75,42 @@ def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     return out
 
 
-class PresentedModule:
-    """Cokernel of a relation matrix over R_level, with cached SNF data."""
+def _column_monomial_factors(R: PolyMatrix):
+    """Nonzero invariant factors of R in divisibility order, read off the
+    columns, or None when some column has two nonzero entries or, over
+    F_p[s], a non-monomial one.
 
-    __slots__ = ("cfg", "level", "rank", "relations", "_snf")
+    Each column then relates one generator only, by s^v times a unit, so
+    coker R is the direct sum over rows of R_n/(s^(least v in the row)),
+    and rows without an entry are free."""
+    least = [None] * R.rows
+    taken = [False] * R.cols
+    for i, row in enumerate(R.entries):
+        for j, e in enumerate(row):
+            if not e:
+                continue
+            if taken[j]:
+                return None
+            taken[j] = True
+            v = len(e) - 1
+            if e.count(0) != v:
+                if R.modulus is None:
+                    return None
+                v = poly_valuation(e)
+            if least[i] is None or v < least[i]:
+                least[i] = v
+    return [poly_monomial(1, v, R.p)
+            for v in sorted(v for v in least if v is not None)]
+
+
+class PresentedModule:
+    """Cokernel of a relation matrix over R_level.
+
+    Only the nonzero invariant factors are kept (units included, so that
+    their number is the rank of the relation matrix); the full Smith form
+    is computed by snf() when a caller needs its transforms."""
+
+    __slots__ = ("cfg", "level", "rank", "relations", "_factors", "_smith")
 
     def __init__(self, cfg, level, rank, relations=None):
         if not cfg.is_char_p:
@@ -87,7 +127,11 @@ class PresentedModule:
             if relations.modulus != m:
                 relations = relations.with_modulus(m)
         self.relations = relations
-        self._snf = snf(relations) if rank else None
+        self._smith = None
+        factors = _column_monomial_factors(relations)
+        if factors is None:
+            factors = [f for f in self.snf().invariant_factors if f]
+        self._factors = factors
 
     # -- constructors ------------------------------------------------------
 
@@ -126,20 +170,18 @@ class PresentedModule:
     def modulus(self):
         return self.relations.modulus
 
+    def snf(self):
+        """Smith normal form of the relation matrix, computed once."""
+        if self._smith is None:
+            self._smith = snf(self.relations)
+        return self._smith
+
     def invariant_factors(self):
         """Nonzero non-unit invariant factors of the relation matrix."""
-        if self._snf is None:
-            return []
-        out = []
-        for f in self._snf.invariant_factors:
-            if f and len(f) > 1:
-                out.append(f)
-        return out
+        return [f for f in self._factors if len(f) > 1]
 
     def free_rank(self):
-        if self._snf is None:
-            return 0
-        return self.rank - self._snf.rank()
+        return self.rank - len(self._factors)
 
     def decompose(self):
         """Canonical decomposition: (free_rank, sorted torsion factors)."""
@@ -456,9 +498,9 @@ def free_resolution(M: PresentedModule, length: int):
     if length < 1:
         raise ValueError("resolution length must be at least 1")
     p = M.cfg.p
-    res = M._snf
-    if res is None:
+    if not M.rank:
         return []
+    res = M.snf()
     # columns U*D restricted to nonzero diagonal entries: a generating set
     # of the relation span that is independent over the domain
     cols = []

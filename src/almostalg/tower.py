@@ -355,6 +355,6 @@ def _quotient_exponent(M: PresentedModule, e) -> PresentedModule:
     k = ex.to_int_at_level(L)
     extra = PolyMatrix(Mm.rank, Mm.rank, M.cfg.p, modulus=Mm.modulus)
     for i in range(Mm.rank):
-        extra.entries[i][i] = [0] * k + [1]
+        extra.entries[i][i] = extra._reduce([0] * k + [1])
     rel = Mm.relations.hstack(extra)
     return PresentedModule(M.cfg, L, Mm.rank, rel)

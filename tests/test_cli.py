@@ -136,3 +136,45 @@ def test_compute_snf_rejects_bad_payload(payload, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not out
+
+
+@pytest.mark.parametrize("payload", [
+    {"p": 3, "matrix": [[1]]},
+    {"p": 3, "relations": [[1]]},
+    {"p": 2, "rank": 1, "relations": [[1]]},
+], ids=["unknown-key", "relations-without-rank", "p-differs"])
+def test_compute_decompose_rejects_unreadable_payload(payload, capsys,
+                                                      monkeypatch):
+    code, out, err = run_cli(["compute", "decompose", "--p", "3"],
+                             stdin_text=json.dumps(payload), capsys=capsys,
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out
+
+
+def test_compute_decompose_reads_relations(capsys, monkeypatch):
+    payload = {"p": 3, "rank": 2, "relations": [[[0, 1], []], [[], 1]]}
+    code, out, _ = run_cli(["compute", "decompose", "--p", "3"],
+                           stdin_text=json.dumps(payload), capsys=capsys,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["result"] == {"free_rank": 0,
+                                         "torsion_exponents": ["1"]}
+
+
+@pytest.mark.parametrize("p, n", [(3, 7), (2, 40)])
+def test_compute_tilt_basis_iso_refuses_past_the_cap(p, n, capsys,
+                                                     monkeypatch):
+    import almostalg.cli as cli
+
+    def never(*args):
+        raise AssertionError("tilt_basis_iso ran past the cap")
+
+    monkeypatch.setattr(cli, "tilt_basis_iso", never)
+    code, out, err = run_cli(["compute", "tilt_basis_iso"],
+                             stdin_text=json.dumps({"p": p, "n": n}),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and "729" in err
+    assert not out

@@ -1,17 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from almostalg import modules
 from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
-from almostalg.linalg import PolyMatrix
+from almostalg.linalg import PolyMatrix, snf
 from almostalg.modules import (
     ModuleMap,
     PresentedModule,
+    _column_monomial_factors,
     base_change,
     cokernel_map,
     direct_sum,
     ext,
+    free_resolution,
     hom_module,
     image_map,
     iso_test,
@@ -142,3 +146,137 @@ def test_base_change_perfect_to_truncated():
     assert N.cfg == W2
     # t^3 = 0 already in V/(t^2): the class becomes the full cyclic module
     assert N.free_rank() + len(N.decompose_exponents()) == 1
+
+
+def _column_monomial_matrix(rng, p, modulus):
+    """Random relations with at most one nonzero entry per column: c*s^v
+    over F_p[s] (c a nonzero constant), unit*s^v over F_p[s]/(s^m)."""
+    rows, cols = rng.randint(0, 4), rng.randint(0, 7)
+    ent = [[[] for _ in range(cols)] for _ in range(rows)]
+    for j in range(cols):
+        if not rows or rng.random() < 0.2:
+            continue  # zero column
+        i = rng.randrange(rows)
+        if modulus is None:
+            v = rng.choice((0, 0, 1, 2, 3, 5))
+            ent[i][j] = [0] * v + [rng.randrange(1, p)]
+        else:
+            v = rng.randrange(modulus)
+            unit = [rng.randrange(1, p)] + [rng.randrange(p)
+                                            for _ in range(rng.randint(0, 3))]
+            ent[i][j] = [0] * v + unit
+    return PolyMatrix(rows, cols, p, ent, modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("modulus", [None, 1, 2, 4, 8])
+def test_column_monomial_factors_match_snf(p, modulus):
+    rng = random.Random(f"column-monomial/{p}/{modulus}")
+    for _ in range(60):
+        R = _column_monomial_matrix(rng, p, modulus)
+        want = [f for f in snf(R).invariant_factors if f]
+        assert _column_monomial_factors(R) == want, R
+
+
+def test_column_monomial_factors_take_each_rows_least_valuation():
+    # row 0 holds s^3, 2s and s^2; row 1 nothing; row 2 the unit 2
+    R = PolyMatrix(3, 4, 3, [[[0, 0, 0, 1], [0, 2], [], [0, 0, 1]],
+                             [[], [], [], []],
+                             [[], [], [2], []]])
+    assert _column_monomial_factors(R) == [[1], [0, 1]]
+
+
+def test_column_monomial_factors_refuse_other_shapes():
+    two_in_a_column = [[[0, 1]], [[0, 0, 1]]]
+    for m in (None, 4):
+        assert _column_monomial_factors(
+            PolyMatrix(2, 1, 2, two_in_a_column, m)) is None
+    # 1 + s is not a monomial over F_p[s], but a unit mod s^m
+    one_plus_s = [[[1, 1]]]
+    assert _column_monomial_factors(PolyMatrix(1, 1, 3, one_plus_s)) is None
+    assert _column_monomial_factors(
+        PolyMatrix(1, 1, 3, one_plus_s, 4)) == [[1]]
+
+
+def _count_snf_calls(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(modules, "snf", counted)
+    return calls
+
+
+def test_structural_constructors_run_no_snf(monkeypatch):
+    calls = _count_snf_calls(monkeypatch)
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    # over V/(t) the summand V/(t^2) is the whole ring, hence free
+    for cfg, sum_torsion, sum_free in [
+            (RingConfig.perfect(3), [third, two_thirds, Fraction(2)], 3),
+            (RingConfig.truncated(3, 1), [third, two_thirds], 4)]:
+        M = PresentedModule.from_factors(
+            cfg, 1, [PExp(3, 1, 1), PExp(3, 2, 0)], 1)
+        N = PresentedModule.from_factors(cfg, 1, [PExp(3, 2, 1)], 0)
+        S = direct_sum(M, N, PresentedModule.free(cfg, 0, 2))
+        T = tensor(M, N)
+        for X in (S, S.at_level(3)):
+            assert X.free_rank() == sum_free
+            assert [e.as_fraction() for e in X.decompose_exponents()] == \
+                sum_torsion
+        # V/t^a tensor V/t^b = V/t^min(a, b), one factor per pair
+        assert T.free_rank() == 0
+        assert [e.as_fraction() for e in T.decompose_exponents()] == [
+            third, two_thirds, two_thirds]
+    assert calls == []
+
+
+def test_snf_is_computed_once_on_demand(monkeypatch):
+    calls = _count_snf_calls(monkeypatch)
+    M = PresentedModule.from_factors(V2, 1, [PExp(2, 1, 1)], 1)
+    assert calls == []
+    res = M.snf()
+    assert M.snf() is res and len(calls) == 1
+    assert [f for f in res.invariant_factors if f] == [[0, 1]]
+
+
+# (decompose(), rank, relation columns) of Tor_i(M, N) and Ext^i(M, N) for
+# the modules of test_tor_ext_of_diagonal_modules, as computed by a full
+# Smith form of every relation matrix
+TOR_EXT = {
+    "char-p-perfect": [
+        ((0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 5,
+         (0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 3),
+        ((0, [[0, 1], [0, 0, 1]]), 2, 2, (0, [[0, 1], [0, 0, 1]]), 2, 5),
+        ((0, []), 0, 0, (0, []), 0, 0),
+    ],
+    "char-p-truncated": [
+        ((0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 5,
+         (0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 4, 5),
+        ((0, [[0, 1]]), 4, 6, (0, [[0, 1]]), 2, 5),
+        ((0, [[0, 1]]), 2, 3, (0, [[0, 1]]), 2, 4),
+    ],
+}
+RESOLUTIONS = {
+    "char-p-perfect": [[[[0, 1], []], [[], [0, 0, 0, 0, 0, 0, 1]],
+                        [[], []]]],
+    "char-p-truncated": [[[[0, 1]], [[]], [[]]], [[[0, 0, 1]]],
+                         [[[0, 1]]]],
+}
+
+
+@pytest.mark.parametrize("cfg", [RingConfig.perfect(3),
+                                 RingConfig.truncated(3, 1)],
+                         ids=["perfect", "truncated"])
+def test_tor_ext_of_diagonal_modules(cfg):
+    M = PresentedModule.from_factors(
+        cfg, 1, [PExp(3, 1, 1), PExp(3, 2, 0)], 1)
+    N = PresentedModule.from_factors(cfg, 1, [PExp(3, 2, 1)], 0)
+    assert [d.entries for d in free_resolution(M, 3)] == \
+        RESOLUTIONS[cfg.mode]
+    for i, want in enumerate(TOR_EXT[cfg.mode]):
+        T, E = tor(M, N, i), ext(M, N, i)
+        got = (T.decompose(), T.rank, T.relations.cols,
+               E.decompose(), E.rank, E.relations.cols)
+        assert got == want

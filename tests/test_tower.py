@@ -88,3 +88,14 @@ def test_tower_spec_json():
     spec = TowerSpec(V3, 1, 4)
     again = TowerSpec.from_json(spec.to_json())
     assert again.cfg == spec.cfg and again.depth == spec.depth
+
+
+def test_quotient_by_a_power_past_the_truncation_is_the_module():
+    # over V/(t^2), t^3 = 0: M / t^3 M = M, and the relation t^3 is stored
+    # reduced to zero like every PolyMatrix entry
+    from almostalg.modules import PresentedModule
+    from almostalg.tower import _quotient_exponent
+    W = RingConfig.truncated(2, 2)
+    Q = _quotient_exponent(PresentedModule.free(W, 1, 1), 3)
+    assert Q.relations.entries == [[[]]]
+    assert Q.free_rank() == 1 and not Q.invariant_factors()
