@@ -288,7 +288,8 @@ def b_shriek_shriek(B: PresentedModule, j: int, unit_index: int = 0):
     L = tgt.level
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(tgt.rank, 1, p, modulus=mod)
-    mat.entries[0][0] = [0] * PExp(p, 1, j).to_int_at_level(L) + [1]
+    k = PExp(p, 1, j).to_int_at_level(L)
+    mat.entries[0][0] = mat._reduce([0] * k + [1])  # 0 once k reaches mod
     mat.entries[1 + unit_index][0] = [p - 1]
     diag = ModuleMap(src.at_level(L), tgt, mat, check=False)
     Q, proj = cokernel_map(diag)
@@ -317,7 +318,7 @@ def _theta_map(B: PresentedModule, j: int):
     L = Q.level
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(Bj.rank, Q.rank, p, modulus=mod)
-    tw = [0] * PExp(p, 1, j).to_int_at_level(L) + [1]
+    tw = mat._reduce([0] * PExp(p, 1, j).to_int_at_level(L) + [1])
     mat.entries[0][0] = [1]
     for i in range(Bj.rank):
         mat.entries[i][1 + i] = list(tw)

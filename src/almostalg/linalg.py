@@ -45,18 +45,6 @@ class PolyMatrix:
                 raise ValueError("entry grid does not match dimensions")
             self.entries = [[self._reduce(list(e)) for e in row] for row in entries]
 
-    @classmethod
-    def _canonical(cls, rows, cols, p, entries, modulus=None):
-        """Wrap fresh entry lists that are already trimmed and reduced mod
-        s^modulus, without checking or reducing them again."""
-        out = cls.__new__(cls)
-        out.rows = rows
-        out.cols = cols
-        out.p = p
-        out.modulus = modulus
-        out.entries = entries
-        return out
-
     def _reduce(self, e):
         poly_trim(e)
         if self.modulus is not None and len(e) > self.modulus:
@@ -89,25 +77,26 @@ class PolyMatrix:
                 out.entries[r0 + i][c0:c0 + M.cols] = [list(e) for e in row]
         return out
 
-    def _copied_entries(self):
-        return [[list(e) for e in row] for row in self.entries]
-
     def copy(self):
-        return PolyMatrix._canonical(self.rows, self.cols, self.p,
-                                     self._copied_entries(), self.modulus)
+        return PolyMatrix(
+            self.rows, self.cols, self.p,
+            [[list(e) for e in row] for row in self.entries],
+            self.modulus,
+        )
 
     def lift(self):
         """Same entries viewed over F_p[s] (drop the modulus)."""
-        return PolyMatrix._canonical(self.rows, self.cols, self.p,
-                                     self._copied_entries())
+        return PolyMatrix(
+            self.rows, self.cols, self.p,
+            [[list(e) for e in row] for row in self.entries],
+        )
 
     def with_modulus(self, m):
-        if m is not None and (self.modulus is None or m < self.modulus):
-            # a smaller modulus truncates entries
-            return PolyMatrix(self.rows, self.cols, self.p,
-                              self.entries, m)
-        return PolyMatrix._canonical(self.rows, self.cols, self.p,
-                                     self._copied_entries(), m)
+        return PolyMatrix(
+            self.rows, self.cols, self.p,
+            [[list(e) for e in row] for row in self.entries],
+            m,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -181,18 +170,17 @@ class PolyMatrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch")
         self._same_modulus(other)
-        ent = [[list(e) for e in row + orow]
-               for row, orow in zip(self.entries, other.entries)]
-        return PolyMatrix._canonical(self.rows, self.cols + other.cols,
-                                     self.p, ent, self.modulus)
+        ent = [self.entries[i] + other.entries[i] for i in range(self.rows)]
+        return PolyMatrix(self.rows, self.cols + other.cols, self.p,
+                          [[list(e) for e in row] for row in ent], self.modulus)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch")
         self._same_modulus(other)
-        ent = [[list(e) for e in row] for row in self.entries + other.entries]
-        return PolyMatrix._canonical(self.rows + other.rows, self.cols,
-                                     self.p, ent, self.modulus)
+        ent = self.entries + other.entries
+        return PolyMatrix(self.rows + other.rows, self.cols, self.p,
+                          [[list(e) for e in row] for row in ent], self.modulus)
 
     def column(self, j):
         return [list(self.entries[i][j]) for i in range(self.rows)]

@@ -83,20 +83,23 @@ def _column_monomial_factors(R: PolyMatrix):
     Each column then relates one generator only, by s^v times a unit, so
     coker R is the direct sum over rows of R_n/(s^(least v in the row)),
     and rows without an entry are free."""
+    m = R.modulus
     least = [None] * R.rows
     taken = [False] * R.cols
     for i, row in enumerate(R.entries):
         for j, e in enumerate(row):
             if not e:
                 continue
+            v = len(e) - 1
+            if e.count(0) != v:
+                if m is None:
+                    return None
+                v = poly_valuation(e)
+            if m is not None and v >= m:
+                continue  # an unreduced entry that is 0 mod s^m
             if taken[j]:
                 return None
             taken[j] = True
-            v = len(e) - 1
-            if e.count(0) != v:
-                if R.modulus is None:
-                    return None
-                v = poly_valuation(e)
             if least[i] is None or v < least[i]:
                 least[i] = v
     return [poly_monomial(1, v, R.p)

@@ -164,7 +164,8 @@ def a_n_plus(A_rank: int, n, j: int, cfg: RingConfig):
     src = src.at_level(L)
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(tgt.rank, 1, p, modulus=mod)
-    mat.entries[0][0] = [0] * PExp(p, 1, j).to_int_at_level(L) + [1]
+    k = PExp(p, 1, j).to_int_at_level(L)
+    mat.entries[0][0] = mat._reduce([0] * k + [1])  # 0 once k reaches mod
     mat.entries[1][0] = [p - 1]
     diag = ModuleMap(src, tgt, mat)
     Q, proj = cokernel_map(diag)

@@ -54,6 +54,23 @@ def test_theta_is_almost_iso():
         assert alg.shriek_almost_iso_check(B, 5)
 
 
+def test_shriek_maps_at_stage_zero_over_the_residue_ring():
+    # over V/(t), t^(1/p^0) = t = 0: the t^(1/p^j) entries of the diagonal
+    # and of theta are zero, so theta misses the B_! block at stage 0 and
+    # is an almost isomorphism only from stage 1 on
+    W = RingConfig.truncated(2, 1)
+    B = PresentedModule.free(W, 0, 2)
+    Q, diag, proj = alg.b_shriek_shriek(B, 0)
+    assert diag.matrix.entries == [[[]], [[1]], [[]]]
+    assert (Q.level, Q.rank, Q.free_rank()) == (0, 3, 2)
+    assert not Q.invariant_factors()
+    theta, _ = alg._theta_map(B, 0)
+    assert theta.matrix.entries == [[[1], [], []], [[], [], []]]
+    assert alg.shriek_sequence_check(B, 0)
+    assert not alg.shriek_almost_iso_check(B, 1)
+    assert alg.shriek_almost_iso_check(B, 2)
+
+
 def test_shriek_split_after_firm_twist():
     assert alg.shriek_split_check(PresentedModule.free(V2, 0, 1), 8)
     assert alg.shriek_split_check(PresentedModule.cyclic(V3, Fraction(2)), 8)

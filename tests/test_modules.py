@@ -198,6 +198,18 @@ def test_column_monomial_factors_refuse_other_shapes():
         PolyMatrix(1, 1, 3, one_plus_s, 4)) == [[1]]
 
 
+def test_column_monomial_factors_drop_entries_that_vanish_mod_the_modulus():
+    # written past the PolyMatrix constructor, s^2 over F_2[s]/(s^2) is the
+    # zero relation, not a torsion factor s^2
+    R = PolyMatrix(2, 2, 2, modulus=2)
+    R.entries[0][0] = [0, 0, 1]
+    assert _column_monomial_factors(R) == []
+    R.entries[1][1] = [0, 1]
+    assert _column_monomial_factors(R) == [[0, 1]]
+    assert PresentedModule(RingConfig.truncated(2, 1), 1, 2, R).free_rank() \
+        == 1
+
+
 def _count_snf_calls(monkeypatch):
     calls = []
 

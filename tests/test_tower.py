@@ -99,3 +99,15 @@ def test_quotient_by_a_power_past_the_truncation_is_the_module():
     Q = _quotient_exponent(PresentedModule.free(W, 1, 1), 3)
     assert Q.relations.entries == [[[]]]
     assert Q.free_rank() == 1 and not Q.invariant_factors()
+
+
+def test_a_n_plus_at_stage_zero_over_the_residue_ring():
+    # over V/(t), t^(1/p^0) = t = 0: the left leg of the diagonal is zero,
+    # stored as the zero entry, and only the unit leg kills a generator
+    W = RingConfig.truncated(2, 1)
+    for rank in (1, 2):
+        Q, diag, proj = a_n_plus(rank, 1, 0, W)
+        assert diag.matrix.entries[0][0] == []
+        assert (Q.level, Q.rank) == (1, rank + 1)
+        assert Q.free_rank() == rank and Q.decompose_exponents() == []
+        assert proj.compose(diag).is_zero_map()
