@@ -17,7 +17,7 @@ from .almost import MonomialTower, _eps, colim_is_zero
 from .base_ring import BaseElem, RingConfig
 from .complexes import ChainComplex
 from .exponents import PExp
-from .linalg import PolyMatrix, det as poly_det
+from .linalg import PolyMatrix, det as poly_det, kron, reduce_mod
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -26,12 +26,11 @@ from .modules import (
     image_map,
     iso_test,
     kernel_map,
-    kron,
     ring_modulus,
     solve,
     tensor,
 )
-from .polys import poly_valuation
+from .polys import poly_mul, poly_valuation
 
 
 def baseelem_to_poly(x: BaseElem, level: int):
@@ -55,7 +54,7 @@ def _swap_matrix(r, p, mod):
     S = PolyMatrix(r * r, r * r, p, modulus=mod)
     for i in range(r):
         for j in range(r):
-            S.entries[j * r + i][i * r + j] = [1]
+            S.set(j * r + i, i * r + j, [1])
     return S
 
 
@@ -119,9 +118,8 @@ class UnitalAlgebra:
         m = self.mult
         mod = ring_modulus(C.cfg, m.level)
         # 1 * e_j = e_j: columns 0*r + j of the structure matrix
-        sel = PolyMatrix(r * r, r, C.cfg.p, modulus=mod)
-        for j in range(r):
-            sel.entries[j][j] = [1]
+        sel = PolyMatrix.block(r * r, r, C.cfg.p, mod,
+                               [(0, 0, PolyMatrix.identity(r, C.cfg.p, mod))])
         prod = ModuleMap(C.at_level(m.level), m.target, m.matrix.mul(sel),
                          check=False)
         return prod.equals(ModuleMap.identity(C.at_level(m.level)))
@@ -130,8 +128,9 @@ class UnitalAlgebra:
         """Projection onto the unit coordinate, x -> coefficient of 1."""
         C = self.carrier
         V = PresentedModule.free(C.cfg, C.level, 1)
-        mat = PolyMatrix(1, C.rank, C.cfg.p, modulus=C.modulus)
-        mat.entries[0][0] = [1]
+        mat = PolyMatrix.block(
+            1, C.rank, C.cfg.p, C.modulus,
+            [(0, 0, PolyMatrix.identity(1, C.cfg.p, C.modulus))])
         return ModuleMap(C, V, mat, check=False)
 
 
@@ -152,16 +151,12 @@ def unitalize(B: NonUnitalAlgebra) -> UnitalAlgebra:
     for a in range(n):
         for b in range(n):
             col = a * n + b
-            if a == 0 and b == 0:
-                mat.entries[0][col] = [1]
-            elif a == 0:
-                mat.entries[b][col] = [1]
-            elif b == 0:
-                mat.entries[a][col] = [1]
+            if a == 0 or b == 0:
+                mat.set(a + b, col, [1])
             else:
                 src_col = (a - 1) * r + (b - 1)
                 for i in range(r):
-                    mat.entries[1 + i][col] = list(m.matrix.entries[i][src_col])
+                    mat.set(1 + i, col, m.matrix.entries[i][src_col])
     sq = tensor(carrier, carrier)
     return UnitalAlgebra(carrier, ModuleMap(sq, carrier, mat, check=False))
 
@@ -186,11 +181,10 @@ def augmentation_ideal(C: UnitalAlgebra, aug: ModuleMap) -> NonUnitalAlgebra:
     incl = incl.at_level(L)
     m = C.mult.at_level(L)
     mod = ring_modulus(cfg, L)
-    mat = PolyMatrix(r, r * r, cfg.p, modulus=mod)
+    cols = []
     n = C.carrier.at_level(L).rank
     for i in range(r):
         for j in range(r):
-            pair = [0] * (n * n)
             ci = incl.matrix.column(i)
             cj = incl.matrix.column(j)
             kvec = _kron_vec(ci, cj, n, cfg.p, mod)
@@ -198,25 +192,16 @@ def augmentation_ideal(C: UnitalAlgebra, aug: ModuleMap) -> NonUnitalAlgebra:
             coords = _factor_through(incl, v)
             if coords is None:
                 raise ValueError("multiplication does not preserve the kernel")
-            for t in range(r):
-                mat.entries[t][i * r + j] = list(coords[t])
+            cols.append(coords)
+    mat = PolyMatrix.from_columns(cols, r, cfg.p, mod)
     sq = tensor(K.at_level(L), K.at_level(L))
     return NonUnitalAlgebra(K.at_level(L), ModuleMap(sq, K.at_level(L), mat,
                                                      check=False))
 
 
 def _kron_vec(u, v, n, p, mod):
-    from .polys import poly_mul
-    out = []
-    for a in range(n):
-        for b in range(n):
-            w = poly_mul(u[a], v[b], p)
-            if mod is not None:
-                w = w[:mod]
-                while w and w[-1] == 0:
-                    w.pop()
-            out.append(w)
-    return out
+    return [reduce_mod(poly_mul(u[a], v[b], p), mod)
+            for a in range(n) for b in range(n)]
 
 
 def algebras_isomorphic(B1: NonUnitalAlgebra, B2: NonUnitalAlgebra,
@@ -256,10 +241,7 @@ def unitalize_roundtrip_check(B: NonUnitalAlgebra) -> bool:
         if coords is None:
             return False
         cols.append(coords)
-    mat = PolyMatrix(A.carrier.rank, C.rank, C.cfg.p, modulus=mod)
-    for j, coords in enumerate(cols):
-        for i in range(A.carrier.rank):
-            mat.entries[i][j] = list(coords[i])
+    mat = PolyMatrix.from_columns(cols, A.carrier.rank, C.cfg.p, mod)
     phi = ModuleMap(C.at_level(L), A.carrier.at_level(L), mat, check=False)
     return algebras_isomorphic(B, A, phi)
 
@@ -289,8 +271,8 @@ def b_shriek_shriek(B: PresentedModule, j: int, unit_index: int = 0):
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(tgt.rank, 1, p, modulus=mod)
     k = PExp(p, 1, j).to_int_at_level(L)
-    mat.entries[0][0] = mat._reduce([0] * k + [1])  # 0 once k reaches mod
-    mat.entries[1 + unit_index][0] = [p - 1]
+    mat.set(0, 0, [0] * k + [1])  # 0 once k reaches mod
+    mat.set(1 + unit_index, 0, [p - 1])
     diag = ModuleMap(src.at_level(L), tgt, mat, check=False)
     Q, proj = cokernel_map(diag)
     return Q, diag, proj
@@ -318,10 +300,10 @@ def _theta_map(B: PresentedModule, j: int):
     L = Q.level
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(Bj.rank, Q.rank, p, modulus=mod)
-    tw = mat._reduce([0] * PExp(p, 1, j).to_int_at_level(L) + [1])
-    mat.entries[0][0] = [1]
+    tw = [0] * PExp(p, 1, j).to_int_at_level(L) + [1]  # 0 once it reaches mod
+    mat.set(0, 0, [1])
     for i in range(Bj.rank):
-        mat.entries[i][1 + i] = list(tw)
+        mat.set(i, 1 + i, tw)
     return ModuleMap(Q, Bj, mat, check=False), Q
 
 
@@ -371,9 +353,8 @@ def _bshriek_inclusion(B, j, Q, proj):
     cfg = B.cfg
     Bj = b_shriek(B, j).at_level(Q.level)
     mod = ring_modulus(cfg, Q.level)
-    mat = PolyMatrix(Q.rank, Bj.rank, cfg.p, modulus=mod)
-    for i in range(Bj.rank):
-        mat.entries[1 + i][i] = [1]
+    mat = PolyMatrix.block(Q.rank, Bj.rank, cfg.p, mod,
+                           [(1, 0, PolyMatrix.identity(Bj.rank, cfg.p, mod))])
     return ModuleMap(Bj, Q, mat, check=False)
 
 
@@ -408,10 +389,9 @@ def firm_retract_check(cfg: RingConfig, j: int) -> bool:
     X = PresentedModule.free(cfg, j, 1)
     Y = PresentedModule.free(cfg, j, 2)
     mod = ring_modulus(cfg, j)
-    inc = PolyMatrix(2, 1, cfg.p, modulus=mod)
-    inc.entries[1][0] = [1]
-    ret = PolyMatrix(1, 2, cfg.p, modulus=mod)
-    ret.entries[0][1] = [1]
+    one = PolyMatrix.identity(1, cfg.p, mod)
+    inc = PolyMatrix.block(2, 1, cfg.p, mod, [(1, 0, one)])
+    ret = PolyMatrix.block(1, 2, cfg.p, mod, [(0, 1, one)])
     i = ModuleMap(X, Y, inc, check=False)
     r = ModuleMap(Y, X, ret, check=False)
     return r.compose(i).equals(ModuleMap.identity(X))
@@ -481,13 +461,9 @@ def almost_lift_check(f: ModuleMap, gens) -> bool:
     # determinants are taken on lifted representatives; unit-ness over the
     # chain ring only depends on the valuation of the representative
     A = f.matrix.lift()
-    red = A.copy()
-    for i in range(red.rows):
-        for j in range(red.cols):
-            e = red.entries[i][j][:cut]
-            while e and e[-1] == 0:
-                e.pop()
-            red.entries[i][j] = e
+    red = PolyMatrix(A.rows, A.cols, A.p,
+                     [[reduce_mod(list(e), cut) for e in row]
+                      for row in A.entries])
     dr = poly_det(red)
     if not dr or poly_valuation(dr) != 0:
         raise ValueError("f is not an isomorphism mod I")
@@ -531,7 +507,7 @@ class AlgebraPresentation:
             out = [b + (i,) for b in out for i in range(d)]
         return out
 
-    def _reduce(self, poly):
+    def _rewrite(self, poly):
         """Rewrite any x_j^(deg f_j) through its relation."""
         ring = self.cfg
         work = dict(poly)
@@ -574,9 +550,8 @@ class AlgebraPresentation:
             for mono, coef in elem.items():
                 m = tuple(x + y for x, y in zip(mono, b))
                 prod[m] = prod.get(m, BaseElem.zero(ring)) + coef
-            for mono, coef in self._reduce(prod).items():
-                out.entries[index[mono]][col] = out._reduce(
-                    baseelem_to_poly(coef, level))
+            for mono, coef in self._rewrite(prod).items():
+                out.set(index[mono], col, baseelem_to_poly(coef, level))
         return out
 
     def _needed_level(self, elem):
@@ -614,13 +589,9 @@ def naive_cotangent(P: AlgebraPresentation, level=None) -> ChainComplex:
         level = P._needed_level({})
     blocks = [P.mult_operator(P.jacobian_entry(j), level) for j in range(k)]
     n = k * P.rank
-    mod = ring_modulus(cfg, level)
-    mat = PolyMatrix(n, n, cfg.p, modulus=mod)
-    for j, B in enumerate(blocks):
-        off = j * P.rank
-        for a in range(P.rank):
-            for b in range(P.rank):
-                mat.entries[off + a][off + b] = list(B.entries[a][b])
+    mat = PolyMatrix.block(n, n, cfg.p, ring_modulus(cfg, level),
+                           [(j * P.rank, j * P.rank, B)
+                            for j, B in enumerate(blocks)])
     M0 = PresentedModule.free(cfg, level, n)
     M1 = PresentedModule.free(cfg, level, n)
     d0 = ModuleMap(M0, M1, mat, check=False)

@@ -145,7 +145,7 @@ class MonomialTower:
         from .polys import poly_monomial
         mat = PolyMatrix(tgt.rank, src.rank, self.cfg.p, modulus=src.modulus)
         for i in range(min(src.rank, tgt.rank)):
-            mat.entries[i][i] = mat._reduce(poly_monomial(1, e, self.cfg.p))
+            mat.set(i, i, poly_monomial(1, e, self.cfg.p))
         return ModuleMap(src, tgt, mat)
 
     def __repr__(self):

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .base_ring import RingConfig
+from .exponents import PExp
 from .linalg import PolyMatrix, snf
 from .modules import PresentedModule
 from .almost import firmify
@@ -53,8 +55,10 @@ def _build_config(args) -> RingConfig:
 def _validate(args):
     if args.p is not None and args.p not in PRIMES:
         raise UsageError(f"--p must be a small prime, got {args.p}")
-    if args.level is not None and not 0 <= args.level <= 6:
-        raise UsageError("--level must be in [0, 6]")
+    if args.command == "compute":
+        if args.level is not None and not 0 <= args.level <= 6:
+            raise UsageError("--level must be in [0, 6]")
+        return
     if args.depth is not None and not 1 <= args.depth <= 6:
         raise UsageError("--depth must be in [1, 6]")
     if args.working_level is not None and not 1 <= args.working_level <= 10:
@@ -123,7 +127,11 @@ def _module_from_payload(payload, args):
                                    or "free_rank" in payload):
         raise UsageError("a module payload gives either rank and relations "
                          "or exponents and free_rank")
-    level = payload.get("level", args.level or 0)
+    exps = [PExp.from_fraction(cfg.p, Fraction(e))
+            for e in payload.get("exponents", [])]
+    level = payload.get("level", args.level)
+    if level is None:
+        level = max([0] + [e.k for e in exps])
     if "relations" in payload:
         rank = payload["rank"]
         rel = _parse_entries(payload["relations"], cfg.p,
@@ -132,11 +140,8 @@ def _module_from_payload(payload, args):
         from .modules import ring_modulus
         rel = rel.with_modulus(ring_modulus(cfg, level))
         return PresentedModule(cfg, level, rank, rel)
-    exps = [Fraction(e) for e in payload.get("exponents", [])]
-    from .exponents import PExp
-    return PresentedModule.from_factors(
-        cfg, level, [PExp.from_fraction(cfg.p, e) for e in exps],
-        payload.get("free_rank", 0))
+    return PresentedModule.from_factors(cfg, level, exps,
+                                        payload.get("free_rank", 0))
 
 
 def _op_decompose(payload, args):
@@ -218,29 +223,49 @@ def _parser():
 
     def common(sp):
         sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--mode", choices=("perfect", "truncated", "mixed"),
-                        default=None)
-        sp.add_argument("--level", type=int, default=None)
-        sp.add_argument("--truncation", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--working-level", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--report", type=str, default=None,
                         help="write the JSON report to this path")
-        sp.add_argument("--corpus-size", type=int, default=None)
-        sp.add_argument("--time", action="store_true",
-                        help="record per-check wall time in the report")
 
     rs = sub.add_parser("run-suite", help="run a verification suite")
     rs.add_argument("suite", help="one of %s or 'all'" % (SUITE_NAMES,))
     common(rs)
+    rs.add_argument("--depth", type=int, default=None)
+    rs.add_argument("--working-level", type=int, default=None)
+    rs.add_argument("--corpus-size", type=int, default=None)
+    rs.add_argument("--time", action="store_true",
+                    help="record per-check wall time in the report")
 
     cp = sub.add_parser("compute", help="run a single operation")
     cp.add_argument("op", help="one of %s" % (tuple(OPS),))
     cp.add_argument("--input", type=str, default=None,
                     help="JSON payload file (default: stdin)")
     common(cp)
+    cp.add_argument("--mode", choices=("perfect", "truncated", "mixed"),
+                    default=None)
+    cp.add_argument("--level", type=int, default=None)
+    cp.add_argument("--truncation", type=int, default=None)
     return ap
+
+
+def _emit(text, report):
+    """Write the report file, then print text.  A stdout that cannot be
+    written (closed pipe, full disk) is an input error: stdout is pointed
+    at os.devnull, so that the interpreter's final flush prints nothing."""
+    if report:
+        with open(report, "w") as fh:
+            fh.write(text + "\n")
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # no file descriptor behind stdout
+            pass
+        os.close(devnull)
+        raise UsageError(f"cannot write to stdout: {exc}")
 
 
 def _run_suite_cmd(args) -> int:
@@ -259,10 +284,7 @@ def _run_suite_cmd(args) -> int:
     doc = [r.to_json() for r in reports]
     text = json.dumps(doc if args.suite == "all" else doc[0], indent=2,
                       sort_keys=True)
-    print(text)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+    _emit(text, args.report)
     return 0 if all(r.ok for r in reports) else CHECK_FAILURE
 
 
@@ -283,11 +305,7 @@ def _compute_cmd(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad payload for {args.op}: {exc}")
     doc = {"op": args.op, "seed": args.seed, "result": result}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+    _emit(json.dumps(doc, indent=2, sort_keys=True), args.report)
     return 0
 
 

@@ -4,6 +4,13 @@ Matrices are dense lists of dense polynomials (see polys.py).  The central
 routine is snf(), Smith normal form with tracked unimodular transforms and
 their inverses, computed by one elimination for both rings.  Kernels,
 solving and cokernel invariants are all derived from it.
+
+Every PolyMatrix entry is canonical: a trimmed coefficient list, of degree
+below the modulus when the matrix has one.  This module is the only one
+that writes entries.  The constructor, from_columns and set() reduce what
+they are given through reduce_mod; copies (copy, lift, transpose, hstack,
+vstack, block, and with_modulus to a modulus that is not smaller) take
+entries as they are.
 """
 from __future__ import annotations
 
@@ -22,11 +29,18 @@ from .polys import (
 )
 
 
+def reduce_mod(e, m):
+    """Reduce the coefficient list e in place mod s^m (m=None: just trim)."""
+    if m is not None and len(e) > m:
+        del e[m:]
+    return poly_trim(e)
+
+
 class PolyMatrix:
     """Dense matrix over F_p[s], optionally reduced mod s^modulus.
 
-    entries[i][j] is a coefficient list; when modulus is set every entry is
-    kept with degree < modulus.
+    entries[i][j] is a canonical coefficient list (see the module
+    docstring); write one through set().
     """
 
     __slots__ = ("rows", "cols", "p", "modulus", "entries")
@@ -43,14 +57,20 @@ class PolyMatrix:
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match dimensions")
-            self.entries = [[self._reduce(list(e)) for e in row] for row in entries]
+            self.entries = [[reduce_mod(list(e), modulus) for e in row]
+                            for row in entries]
 
-    def _reduce(self, e):
-        poly_trim(e)
-        if self.modulus is not None and len(e) > self.modulus:
-            del e[self.modulus:]
-            poly_trim(e)
-        return e
+    @classmethod
+    def _of(cls, rows, cols, p, entries, modulus):
+        """Wrap a fresh grid of canonical entries as it is."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.p = rows, cols, p
+        out.modulus, out.entries = modulus, entries
+        return out
+
+    def set(self, i, j, e):
+        """Write a copy of e, reduced, as entry (i, j)."""
+        self.entries[i][j] = reduce_mod(list(e), self.modulus)
 
     @classmethod
     def identity(cls, n, p, modulus=None):
@@ -77,26 +97,23 @@ class PolyMatrix:
                 out.entries[r0 + i][c0:c0 + M.cols] = [list(e) for e in row]
         return out
 
+    def _copy(self, modulus):
+        return PolyMatrix._of(self.rows, self.cols, self.p,
+                              [[list(e) for e in row] for row in self.entries],
+                              modulus)
+
     def copy(self):
-        return PolyMatrix(
-            self.rows, self.cols, self.p,
-            [[list(e) for e in row] for row in self.entries],
-            self.modulus,
-        )
+        return self._copy(self.modulus)
 
     def lift(self):
         """Same entries viewed over F_p[s] (drop the modulus)."""
-        return PolyMatrix(
-            self.rows, self.cols, self.p,
-            [[list(e) for e in row] for row in self.entries],
-        )
+        return self._copy(None)
 
     def with_modulus(self, m):
-        return PolyMatrix(
-            self.rows, self.cols, self.p,
-            [[list(e) for e in row] for row in self.entries],
-            m,
-        )
+        """The same entries mod s^m; reduced only when m is smaller."""
+        if m is not None and (self.modulus is None or m < self.modulus):
+            return PolyMatrix(self.rows, self.cols, self.p, self.entries, m)
+        return self._copy(m)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -134,7 +151,7 @@ class PolyMatrix:
                         t = poly_mul(a, b, p)
                         acc[j] = poly_add(acc[j], t, p) if j in acc else t
             for j, e in acc.items():
-                orow[j] = out._reduce(e)
+                orow[j] = reduce_mod(e, out.modulus)
         return out
 
     def add(self, other):
@@ -143,8 +160,9 @@ class PolyMatrix:
         out = self.copy()
         for i in range(self.rows):
             for j in range(self.cols):
-                out.entries[i][j] = out._reduce(
-                    poly_add(out.entries[i][j], other.entries[i][j], self.p))
+                out.entries[i][j] = reduce_mod(
+                    poly_add(out.entries[i][j], other.entries[i][j], self.p),
+                    self.modulus)
         return out
 
     def neg(self):
@@ -155,11 +173,10 @@ class PolyMatrix:
         return out
 
     def transpose(self):
-        out = PolyMatrix(self.cols, self.rows, self.p, modulus=self.modulus)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j][i] = list(self.entries[i][j])
-        return out
+        return PolyMatrix._of(
+            self.cols, self.rows, self.p,
+            [[list(row[j]) for row in self.entries] for j in range(self.cols)],
+            self.modulus)
 
     def _same_modulus(self, other):
         if self.modulus != other.modulus:
@@ -171,16 +188,18 @@ class PolyMatrix:
             raise ValueError("row mismatch")
         self._same_modulus(other)
         ent = [self.entries[i] + other.entries[i] for i in range(self.rows)]
-        return PolyMatrix(self.rows, self.cols + other.cols, self.p,
-                          [[list(e) for e in row] for row in ent], self.modulus)
+        return PolyMatrix._of(self.rows, self.cols + other.cols, self.p,
+                              [[list(e) for e in row] for row in ent],
+                              self.modulus)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch")
         self._same_modulus(other)
         ent = self.entries + other.entries
-        return PolyMatrix(self.rows + other.rows, self.cols, self.p,
-                          [[list(e) for e in row] for row in ent], self.modulus)
+        return PolyMatrix._of(self.rows + other.rows, self.cols, self.p,
+                              [[list(e) for e in row] for row in ent],
+                              self.modulus)
 
     def column(self, j):
         return [list(self.entries[i][j]) for i in range(self.rows)]
@@ -195,7 +214,7 @@ class PolyMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for i in range(rows):
-                m.entries[i][j] = m._reduce(list(col[i]))
+                m.entries[i][j] = reduce_mod(list(col[i]), modulus)
         return m
 
     def apply_to_vector(self, vec):
@@ -210,7 +229,7 @@ class PolyMatrix:
                 a = self.entries[i][k]
                 if a and vec[k]:
                     acc = poly_add(acc, poly_mul(a, vec[k], p), p)
-            out.append(self._reduce(acc))
+            out.append(reduce_mod(acc, self.modulus))
         return out
 
     def __repr__(self):
@@ -218,6 +237,24 @@ class PolyMatrix:
             ", ".join(poly_to_string(e) for e in row) for row in self.entries)
         tail = f" mod s^{self.modulus}" if self.modulus is not None else ""
         return f"<{self.rows}x{self.cols} [{body}]{tail}>"
+
+
+def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """Kronecker product (A tensor B)."""
+    A._same_modulus(B)
+    p = A.p
+    out = PolyMatrix(A.rows * B.rows, A.cols * B.cols, p, modulus=A.modulus)
+    for i, arow in enumerate(A.entries):
+        for j, a in enumerate(arow):
+            if not a:
+                continue
+            for k, brow in enumerate(B.entries):
+                orow = out.entries[i * B.rows + k]
+                for l, b in enumerate(brow):
+                    if b:
+                        orow[j * B.cols + l] = reduce_mod(poly_mul(a, b, p),
+                                                          out.modulus)
+    return out
 
 
 class SNFResult:
@@ -240,12 +277,6 @@ class SNFResult:
         self.invariant_factors = [list(D.entries[i][i]) for i in range(n)]
 
 
-def _redm(e, m):
-    """Reduce a coefficient list mod s^m (m=None: just trim)."""
-    if m is not None and len(e) > m:
-        del e[m:]
-    return poly_trim(e)
-
 def _row_swap(M, i, j):
     M.entries[i], M.entries[j] = M.entries[j], M.entries[i]
 
@@ -260,7 +291,7 @@ def _row_addmul(M, i, j, f, p, m=None):
     ri, rj = M.entries[i], M.entries[j]
     for c in range(M.cols):
         if rj[c]:
-            ri[c] = _redm(poly_add(ri[c], poly_mul(f, rj[c], p), p), m)
+            ri[c] = reduce_mod(poly_add(ri[c], poly_mul(f, rj[c], p), p), m)
 
 def _col_addmul(M, i, j, f, p, m=None):
     """col i += f * col j"""
@@ -268,30 +299,30 @@ def _col_addmul(M, i, j, f, p, m=None):
         return
     for row in M.entries:
         if row[j]:
-            row[i] = _redm(poly_add(row[i], poly_mul(f, row[j], p), p), m)
+            row[i] = reduce_mod(poly_add(row[i], poly_mul(f, row[j], p), p), m)
 
 def _row_combine(M, i, j, a, b, c, d, p, m=None):
     """(row i, row j) <- (a*ri + b*rj, c*ri + d*rj)"""
     ri, rj = M.entries[i], M.entries[j]
     for k in range(M.cols):
         x, y = ri[k], rj[k]
-        ri[k] = _redm(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
-        rj[k] = _redm(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
+        ri[k] = reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
+        rj[k] = reduce_mod(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
 
 def _col_combine(M, i, j, a, b, c, d, p, m=None):
     """(col i, col j) <- (a*ci + b*cj, c*ci + d*cj)"""
     for row in M.entries:
         x, y = row[i], row[j]
-        row[i] = _redm(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
-        row[j] = _redm(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
+        row[i] = reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
+        row[j] = reduce_mod(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
 
 def _row_mulpoly(M, i, f, p, m=None):
     """row i *= f (f must be a unit in context for invertibility)."""
-    M.entries[i] = [_redm(poly_mul(f, e, p), m) for e in M.entries[i]]
+    M.entries[i] = [reduce_mod(poly_mul(f, e, p), m) for e in M.entries[i]]
 
 def _col_mulpoly(M, j, f, p, m=None):
     for row in M.entries:
-        row[j] = _redm(poly_mul(f, row[j], p), m)
+        row[j] = reduce_mod(poly_mul(f, row[j], p), m)
 
 
 def snf(A: PolyMatrix) -> SNFResult:
@@ -481,7 +512,7 @@ def _check_snf(A, res):
     for urow, out in zip(U.entries, UD.entries):
         for j, d in enumerate(facs):
             if d and urow[j]:
-                out[j] = UD._reduce(poly_mul(urow[j], d, p))
+                out[j] = reduce_mod(poly_mul(urow[j], d, p), m)
     if UD.mul(W).entries != A.entries:
         raise AssertionError("SNF verification failed: U*D*W != A")
 
@@ -554,7 +585,7 @@ def solve(A: PolyMatrix, b) -> list | None:
         y[i] = q
     x = res.w_inv.apply_to_vector(y)
     check = A.apply_to_vector(x)
-    target = [A._reduce(list(e)) for e in b]
+    target = [reduce_mod(list(e), A.modulus) for e in b]
     if check != target:
         return None
     return x

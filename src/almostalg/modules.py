@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp, pexp
-from .linalg import PolyMatrix, kernel_basis, snf, solve
+from .linalg import PolyMatrix, kernel_basis, kron, snf, solve
 from .polys import poly_monomial, poly_to_string, poly_trim, poly_valuation
 
 
@@ -52,27 +52,6 @@ def lift_matrix(A: PolyMatrix, delta: int) -> PolyMatrix:
     m = A.modulus * (p ** delta) if A.modulus is not None else None
     ent = [[lift_poly(e, delta, p) for e in row] for row in A.entries]
     return PolyMatrix(A.rows, A.cols, p, ent, m)
-
-
-def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    """Kronecker product (A tensor B)."""
-    from .polys import poly_mul
-    if A.modulus != B.modulus:
-        raise ValueError(f"modulus mismatch {A.modulus} vs {B.modulus}")
-    p = A.p
-    out = PolyMatrix(A.rows * B.rows, A.cols * B.cols, p, modulus=A.modulus)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            a = A.entries[i][j]
-            if not a:
-                continue
-            for k in range(B.rows):
-                for l in range(B.cols):
-                    b = B.entries[k][l]
-                    if b:
-                        out.entries[i * B.rows + k][j * B.cols + l] = \
-                            out._reduce(poly_mul(a, b, p))
-    return out
 
 
 def _column_monomial_factors(R: PolyMatrix):
@@ -377,7 +356,7 @@ class ModuleMap:
         p = M.cfg.p
         mat = PolyMatrix(M.rank, M.rank, p, modulus=M.modulus)
         for i in range(M.rank):
-            mat.entries[i][i] = mat._reduce(poly_monomial(1, e, p))
+            mat.set(i, i, poly_monomial(1, e, p))
         return cls(M, M, mat, check=False)
 
     def at_level(self, level):
@@ -428,11 +407,7 @@ def preimage_gens(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
         return K
     stacked = A.hstack(B.neg())
     K = kernel_basis(stacked)
-    out = PolyMatrix(A.cols, K.cols, A.p, modulus=A.modulus)
-    for i in range(A.cols):
-        for j in range(K.cols):
-            out.entries[i][j] = list(K.entries[i][j])
-    return out
+    return PolyMatrix(A.cols, K.cols, A.p, K.entries[:A.cols], A.modulus)
 
 
 def _subquotient(cfg, level, gens: PolyMatrix, mod_out: PolyMatrix):

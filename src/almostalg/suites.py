@@ -644,7 +644,7 @@ def lift_search(seed, instances=100) -> bool:
                                     for _ in range(rng.randint(0, 2))]
                 if i == j:
                     tail[0] = 1  # identity plus an entry of valuation >= cut
-                mat.entries[i][j] = mat._reduce(tail)
+                mat.set(i, j, tail)
         f = ModuleMap(F, F, mat, check=False)
         if not alg.almost_lift_check(f, [gen]):
             return False

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 
@@ -178,3 +179,105 @@ def test_compute_tilt_basis_iso_refuses_past_the_cap(p, n, capsys,
     assert code == 2
     assert err.startswith("error:") and "729" in err
     assert not out
+
+
+class _UnwritableStdout(io.StringIO):
+    """A stdout whose reader has gone (closed pipe) or whose disk is full."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["closed-pipe", "full-disk"])
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["compute", "tilt_basis_iso"], '{"p": 2, "n": 2}'),
+    (["run-suite", "complexes"], None),
+], ids=["compute", "run-suite"])
+def test_unwritable_stdout_is_one_error_line(argv, stdin_text, error,
+                                            capsys, monkeypatch):
+    if stdin_text is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    monkeypatch.setattr("sys.stdout", _UnwritableStdout(error))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write to stdout")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_report_is_written_when_stdout_is_closed(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "report.json"
+    monkeypatch.setattr("sys.stdout",
+                        _UnwritableStdout(BrokenPipeError(errno.EPIPE, "")))
+    code = main(["run-suite", "complexes", "--seed", "1",
+                 "--report", str(path)])
+    assert code == 2
+    assert json.loads(path.read_text())["overall"] == "pass"
+
+
+@pytest.mark.parametrize("argv, payload, level", [
+    ([], {"exponents": ["1/3"], "free_rank": 1}, 1),
+    ([], {"exponents": ["2", "1/9", "1/3"]}, 2),
+    (["--level", "3"], {"exponents": ["1/3"]}, 3),
+    ([], {"exponents": ["1/3"], "level": 2}, 2),
+], ids=["finest-exponent", "several", "flag", "payload-level"])
+def test_compute_decompose_defaults_to_the_exponents_level(
+        argv, payload, level, capsys, monkeypatch):
+    import almostalg.cli as cli
+    levels = []
+    real = cli._module_from_payload
+
+    def spy(payload, args):
+        M = real(payload, args)
+        levels.append(M.level)
+        return M
+
+    monkeypatch.setattr(cli, "_module_from_payload", spy)
+    code, out, _ = run_cli(["compute", "decompose", "--p", "3"] + argv,
+                           stdin_text=json.dumps(payload), capsys=capsys,
+                           monkeypatch=monkeypatch)
+    assert code == 0 and levels == [level]
+    result = json.loads(out)["result"]
+    assert result["free_rank"] == payload.get("free_rank", 0)
+    assert sorted(result["torsion_exponents"]) == sorted(payload["exponents"])
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["--level", "0"], {"exponents": ["1/3"], "free_rank": 1}),
+    ([], {"exponents": ["1/9"], "level": 1}),
+], ids=["flag", "payload-level"])
+def test_compute_decompose_refuses_a_level_coarser_than_an_exponent(
+        argv, payload, capsys, monkeypatch):
+    code, out, err = run_cli(["compute", "decompose", "--p", "3"] + argv,
+                             stdin_text=json.dumps(payload), capsys=capsys,
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and "does not live at level" in err
+    assert not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-suite", "complexes", "--mode", "truncated"],
+    ["run-suite", "complexes", "--level", "1"],
+    ["run-suite", "complexes", "--truncation", "2"],
+    ["compute", "snf", "--depth", "2"],
+    ["compute", "snf", "--working-level", "4"],
+    ["compute", "snf", "--corpus-size", "5"],
+    ["compute", "snf", "--time"],
+], ids=["run-suite-mode", "run-suite-level", "run-suite-truncation",
+        "compute-depth", "compute-working-level", "compute-corpus-size",
+        "compute-time"])
+def test_subcommand_refuses_a_flag_it_does_not_read(argv, capsys,
+                                                    monkeypatch):
+    code, out, err = run_cli(argv, stdin_text='{"p": 2, "matrix": [[1]]}',
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert "unrecognized arguments" in err and not out

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -250,3 +252,100 @@ def test_kron_and_stacks_reject_modulus_mismatch():
     assert kron(A, A) == PolyMatrix(1, 1, 3, [[[0] * 10 + [1]]])
     assert B.hstack(B) == PolyMatrix(1, 2, 3, [[[1], [1]]], 4)
     assert B.vstack(B) == PolyMatrix(2, 1, 3, [[[1]], [[1]]], 4)
+
+
+def test_only_linalg_writes_or_reduces_entries():
+    # every PolyMatrix entry is canonical because linalg.py alone writes
+    # and reduces entries; the other modules build through its API
+    import almostalg
+    found = []
+    for path in sorted(pathlib.Path(almostalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "entries"
+                   for t in targets for sub in ast.walk(t)):
+                found.append(f"{path.name}:{node.lineno} writes entries")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_reduce"):
+                found.append(f"{path.name}:{node.lineno} calls _reduce")
+    assert found == []
+
+
+def _assert_canonical(M):
+    """Trimmed entries of degree < modulus, as the reducing constructor
+    would store them."""
+    assert len(M.entries) == M.rows
+    for row in M.entries:
+        assert len(row) == M.cols
+        for e in row:
+            assert not e or e[-1] != 0, M
+            assert M.modulus is None or len(e) <= M.modulus, M
+    assert M.entries == PolyMatrix(M.rows, M.cols, M.p, M.entries,
+                                   M.modulus).entries
+
+
+def _raw_entry(rng, p):
+    """A coefficient list, often untrimmed or longer than the modulus."""
+    if rng.random() < 0.3:
+        return []
+    return [rng.randrange(p) for _ in range(rng.randint(1, 10))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("modulus", [None, 1, 3, 8])
+def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
+    rng = random.Random(f"canonical-{p}-{modulus}")
+
+    def raw(rows, cols):
+        return [[_raw_entry(rng, p) for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(20):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        A = PolyMatrix(r, c, p, raw(r, c), modulus)
+        B = PolyMatrix(r, c, p, raw(r, c), modulus)
+        C = PolyMatrix(c, r, p, raw(c, r), modulus)
+        _assert_canonical(A)
+        shrink = 2 if modulus is None else max(1, modulus - 2)
+        grow = None if modulus is None else modulus + 3
+        results = [
+            A.copy(), A.lift(), A.transpose(), A.hstack(B), A.vstack(B),
+            A.with_modulus(shrink), A.with_modulus(grow),
+            A.with_modulus(None), A.with_modulus(modulus),
+            PolyMatrix.block(r + c, c + r, p, modulus,
+                             [(0, 0, A), (r, c, C)]),
+            PolyMatrix.from_columns([[_raw_entry(rng, p) for _ in range(r)]
+                                     for _ in range(c)], r, p, modulus),
+            A.mul(C), A.add(B), A.neg(), kron(A, C),
+        ]
+        assert results[5].entries == PolyMatrix(r, c, p, A.entries,
+                                                shrink).entries
+        S = PolyMatrix(r, c, p, modulus=modulus)
+        for i in range(r):
+            for j in range(c):
+                S.set(i, j, _raw_entry(rng, p))
+        results.append(S)
+        before = A.copy()
+        for M in results:
+            _assert_canonical(M)
+            for row in M.entries:  # no result shares an entry list with A
+                for e in row:
+                    e.append(0)
+        assert A == before
+
+
+def test_set_stores_s_to_the_modulus_as_zero():
+    # over V/(t) at stage 0, t^(1/p^0) = s^m is zero in F_p[s]/(s^m)
+    for p, m in ((2, 2), (3, 3), (5, 1)):
+        M = PolyMatrix(2, 1, p, modulus=m)
+        M.set(0, 0, [0] * m + [1])
+        M.set(1, 0, [p - 1, 0, 0])
+        assert M.entries == [[[]], [[p - 1]]]
+        assert M.copy().entries == M.with_modulus(m + 1).entries \
+            == M.entries
