@@ -16,6 +16,7 @@ verdicts say so explicitly (see AlmostCertificate).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
@@ -367,25 +368,38 @@ def _residuals(tower: MonomialTower, J: int):
     """For each stage j <= J and line i: min over k in [j, j+J+lookahead] of
     (annihilator at stage k) - (accumulated transition exponent j -> k).
     <= 0 means the generator dies exactly; small positive means it dies up
-    to that exponent."""
+    to that exponent.
+
+    Every stage k <= J+horizon is read once and its exponents are scaled to
+    integers over their common denominator L.  With A_k a line's scaled
+    annihilator at stage k and S_k the scaled sum of the transition
+    exponents below stage k, the residual at (j, k) is A_k - (S_k - S_j),
+    so best_j = S_j + min over k of (A_k - S_k)."""
     cfg = tower.cfg
-    out = []
     horizon = J + _LOOKAHEAD
+    lines, trans = [], []
+    for k in range(J + horizon + 1):
+        lines.append([_clamp_ann(a, cfg) for a in tower.lines(k)])
+        trans.append(tower.trans_exp(k))
+    L = math.lcm(*(x.denominator for x in trans),
+                 *(a.denominator for row in lines for a in row
+                   if a is not None))
+    S = [0]
+    for x in trans:
+        S.append(S[-1] + x.numerator * (L // x.denominator))
+    # scaled A_k - S_k per line; None = no annihilator bound
+    shifted = [[None if a is None else a.numerator * (L // a.denominator) - s
+                for a in row] for row, s in zip(lines, S)]
+    out = []
     for j in range(J + 1):
-        nlines = len(tower.lines(j))
+        nlines = len(lines[j])
         best = [None] * nlines  # None = +infinity
-        acc = Fraction(0)
-        for k in range(j, j + horizon + 1):
-            lines_k = tower.lines(k)
-            for i in range(min(nlines, len(lines_k))):
-                a = _clamp_ann(lines_k[i], cfg)
-                if a is None:
-                    continue
-                r = a - acc
-                if best[i] is None or r < best[i]:
-                    best[i] = r
-            acc += tower.trans_exp(k)
-        out.append(best)
+        for row in shifted[j:j + horizon + 1]:
+            for i, b in enumerate(row[:nlines]):
+                if b is not None and (best[i] is None or b < best[i]):
+                    best[i] = b
+        out.append([None if b is None else Fraction(b + S[j], L)
+                    for b in best])
     return out
 
 

@@ -10,6 +10,7 @@ timings are only recorded with --time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,12 @@ OPS = {
 
 # -- entry point -----------------------------------------------------------
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and shared by every
+    later main() in the process: parse_args keeps no state between calls
+    (defaults are immutable, each parse fills a fresh namespace, and usage
+    and error text go to the sys.stdout/sys.stderr of the moment)."""
     ap = argparse.ArgumentParser(prog="almostalg", description=__doc__)
     sub = ap.add_subparsers(dest="command")
 
@@ -253,8 +259,11 @@ def _emit(text, report):
     written (closed pipe, full disk) is an input error: stdout is pointed
     at os.devnull, so that the interpreter's final flush prints nothing."""
     if report:
-        with open(report, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(report, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a directory, no permission, a full disk
+            raise UsageError(exc)
     try:
         print(text)
         sys.stdout.flush()
@@ -288,11 +297,24 @@ def _run_suite_cmd(args) -> int:
     return 0 if all(r.ok for r in reports) else CHECK_FAILURE
 
 
+def _read_input(path):
+    """The payload text from path, or from stdin when no path is given."""
+    try:
+        if not path:
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:  # missing, a directory, no permission
+        raise UsageError(exc)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot decode {path or 'stdin'}: {exc}")
+
+
 def _compute_cmd(args) -> int:
     _validate(args)
     if args.op not in OPS:
         raise UsageError(f"unknown op {args.op!r}")
-    raw = open(args.input).read() if args.input else sys.stdin.read()
+    raw = _read_input(args.input)
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -324,9 +346,6 @@ def main(argv=None) -> int:
             return _run_suite_cmd(args)
         return _compute_cmd(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -9,8 +9,8 @@ Every PolyMatrix entry is canonical: a trimmed coefficient list, of degree
 below the modulus when the matrix has one.  This module is the only one
 that writes entries.  The constructor, from_columns and set() reduce what
 they are given through reduce_mod; copies (copy, lift, transpose, hstack,
-vstack, block, and with_modulus to a modulus that is not smaller) take
-entries as they are.
+vstack, top_rows, block, lift_matrix, and with_modulus to a modulus that is
+not smaller) take entries as they are.
 """
 from __future__ import annotations
 
@@ -201,6 +201,13 @@ class PolyMatrix:
                               [[list(e) for e in row] for row in ent],
                               self.modulus)
 
+    def top_rows(self, n):
+        """The first n rows, entries as they are."""
+        return PolyMatrix._of(n, self.cols, self.p,
+                              [[list(e) for e in row]
+                               for row in self.entries[:n]],
+                              self.modulus)
+
     def column(self, j):
         return [list(self.entries[i][j]) for i in range(self.rows)]
 
@@ -255,6 +262,30 @@ def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
                         orow[j * B.cols + l] = reduce_mod(poly_mul(a, b, p),
                                                           out.modulus)
     return out
+
+
+def lift_poly(f, delta, p):
+    """Rewrite a level-n polynomial at level n+delta: s -> s^(p^delta)."""
+    if delta == 0:
+        return list(f)
+    step = p ** delta
+    out = [0] * (len(f) * step)
+    for i, c in enumerate(f):
+        out[i * step] = c
+    return poly_trim(out)
+
+
+def lift_matrix(A: PolyMatrix, delta: int) -> PolyMatrix:
+    """A at level n+delta: every entry lifted by lift_poly, modulus times
+    p^delta.  A canonical entry of degree d < m lifts to degree d*p^delta
+    < m*p^delta, so the lifted entries are canonical as they are."""
+    if delta == 0:
+        return A
+    p = A.p
+    m = A.modulus * (p ** delta) if A.modulus is not None else None
+    return PolyMatrix._of(A.rows, A.cols, p,
+                          [[lift_poly(e, delta, p) for e in row]
+                           for row in A.entries], m)
 
 
 class SNFResult:

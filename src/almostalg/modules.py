@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp, pexp
-from .linalg import PolyMatrix, kernel_basis, kron, snf, solve
-from .polys import poly_monomial, poly_to_string, poly_trim, poly_valuation
+from .linalg import (PolyMatrix, kernel_basis, kron, lift_matrix, lift_poly,
+                     snf, solve)
+from .polys import poly_monomial, poly_to_string, poly_valuation
 
 
 def ring_modulus(cfg: RingConfig, level: int):
@@ -32,26 +33,6 @@ def ring_modulus(cfg: RingConfig, level: int):
     if cfg.mode == CHAR_P_PERFECT:
         return None
     raise ValueError("module theory is restricted to char-p configs")
-
-
-def lift_poly(f, delta, p):
-    """Rewrite a level-n polynomial at level n+delta: s -> s^(p^delta)."""
-    if delta == 0:
-        return list(f)
-    step = p ** delta
-    out = [0] * (len(f) * step)
-    for i, c in enumerate(f):
-        out[i * step] = c
-    return poly_trim(out)
-
-
-def lift_matrix(A: PolyMatrix, delta: int) -> PolyMatrix:
-    if delta == 0:
-        return A
-    p = A.p
-    m = A.modulus * (p ** delta) if A.modulus is not None else None
-    ent = [[lift_poly(e, delta, p) for e in row] for row in A.entries]
-    return PolyMatrix(A.rows, A.cols, p, ent, m)
 
 
 def _column_monomial_factors(R: PolyMatrix):
@@ -407,7 +388,7 @@ def preimage_gens(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
         return K
     stacked = A.hstack(B.neg())
     K = kernel_basis(stacked)
-    return PolyMatrix(A.cols, K.cols, A.p, K.entries[:A.cols], A.modulus)
+    return K.top_rows(A.cols)
 
 
 def _subquotient(cfg, level, gens: PolyMatrix, mod_out: PolyMatrix):

@@ -1,9 +1,15 @@
+import argparse
 import errno
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import almostalg
 from almostalg.cli import main
 
 
@@ -281,3 +287,68 @@ def test_subcommand_refuses_a_flag_it_does_not_read(argv, capsys,
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
     assert "unrecognized arguments" in err and not out
+
+
+@pytest.mark.parametrize("argv, stdin_bytes", [
+    (["compute", "snf", "--report", "{dir}"], b'{"p": 2, "matrix": [[1]]}'),
+    (["run-suite", "complexes", "--report", "{dir}"], None),
+    (["compute", "snf", "--input", "{dir}"], None),
+    (["compute", "snf", "--input", "{undecodable}"], None),
+    (["compute", "snf"], b"\xff\xfe{"),
+], ids=["compute-report-dir", "run-suite-report-dir", "input-dir",
+        "input-undecodable", "stdin-undecodable"])
+def test_unreadable_or_unwritable_path_is_one_error_line(
+        argv, stdin_bytes, tmp_path, capsys, monkeypatch):
+    undecodable = tmp_path / "payload.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    argv = [a.format(dir=tmp_path, undecodable=undecodable) for a in argv]
+    if stdin_bytes is not None:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(stdin_bytes), encoding="utf-8"))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and not out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "almostalg":  # not a subcommand's parser
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(10):
+        code, _, _ = run_cli(["compute", "snf"],
+                             stdin_text='{"p": 2, "matrix": [[1]]}',
+                             capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+    assert len(built) <= 1
+
+
+def test_reused_parser_answers_as_a_fresh_process(capsys, monkeypatch):
+    # one process, one parser: every answer equals that of a new process
+    snf = (["compute", "snf"],
+           '{"p": 3, "matrix": [[[1, 2], [0, 1]], [[2], [1, 1, 1]]]}')
+    sequence = [
+        snf,
+        (["compute", "snf", "--depth", "3"], ""),
+        (["--help"], ""),
+        (["compute", "snf"], '{"p": 2}'),
+        (["run-suite", "complexes", "--mode", "truncated"], ""),
+        snf,
+    ]
+    src = str(pathlib.Path(almostalg.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap width
+    for argv, stdin_text in sequence:
+        got = run_cli(argv, stdin_text=stdin_text, capsys=capsys,
+                      monkeypatch=monkeypatch)
+        proc = subprocess.run([sys.executable, "-m", "almostalg.cli"] + argv,
+                              input=stdin_text, capture_output=True,
+                              text=True, env=env)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

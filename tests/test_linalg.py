@@ -12,6 +12,8 @@ from almostalg.linalg import (
     det,
     is_unimodular,
     kernel_basis,
+    lift_matrix,
+    lift_poly,
     snf,
     solve,
 )
@@ -326,6 +328,20 @@ def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
         ]
         assert results[5].entries == PolyMatrix(r, c, p, A.entries,
                                                 shrink).entries
+        # level lifts and row slices take entries as they are; the reducing
+        # constructor would store the same
+        for d in (1, 2):
+            L = lift_matrix(A, d)
+            assert L == PolyMatrix(
+                r, c, p, [[lift_poly(e, d, p) for e in row]
+                          for row in A.entries],
+                None if modulus is None else modulus * p ** d)
+            results.append(L)
+        n = rng.randint(0, r)
+        T = A.top_rows(n)
+        assert T == PolyMatrix(n, c, p, A.entries[:n], modulus)
+        assert A.vstack(B).top_rows(r) == A
+        results.append(T)
         S = PolyMatrix(r, c, p, modulus=modulus)
         for i in range(r):
             for j in range(c):
