@@ -11,8 +11,6 @@ Jacobian of the presentation is block diagonal.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .almost import MonomialTower, _eps, colim_is_zero
 from .base_ring import BaseElem, RingConfig
 from .complexes import ChainComplex
@@ -330,17 +328,16 @@ def shriek_split_check(B: PresentedModule, J: int, probe: int = None) -> bool:
                              ("ker", kernel_map(incl))):
             if M.free_rank() > 0:
                 return False
-            measured[kind].append(
-                tuple(a.as_fraction() for a in M.decompose_exponents()))
+            measured[kind].append(tuple(M.decompose_exponents()))
 
     for kind in ("coker", "ker"):
         base = measured[kind][0]
         for j, exps in enumerate(measured[kind]):
-            if exps != tuple(e / p ** j for e in base):
+            if exps != tuple(e.scale_pow(-j) for e in base):
                 return False
         tower = MonomialTower(
             cfg,
-            lambda j, base=base: tuple(e / Fraction(p) ** j for e in base),
+            lambda j, base=base: tuple(e.scale_pow(-j) for e in base),
             lambda j: _eps(cfg.p, j),
             name=f"shriek-{kind}")
         if not colim_is_zero(tower, J):
@@ -402,8 +399,8 @@ def firm_retract_check(cfg: RingConfig, j: int) -> bool:
 def _check_radical(gens, cfg):
     if cfg.mode != "char-p-truncated":
         raise ValueError("radical machinery runs over truncated bases")
-    exps = [Fraction(g) for g in gens]
-    if not exps or any(e <= 0 for e in exps):
+    exps = [PExp.from_fraction(cfg.p, g) for g in gens]
+    if not exps or any(e.is_zero() for e in exps):
         raise ValueError("ideal not inside the radical")
     return exps
 
@@ -414,11 +411,10 @@ def is_tight(gens, cfg: RingConfig):
     Monomial ideals in the radical are always tight with witness
     (n = 1, m0 = I); larger n is reported when I^n already vanishes."""
     exps = _check_radical(gens, cfg)
-    c = cfg.trunc.as_fraction()
     e_min = min(exps)
-    out = {"tight": True, "n": 1, "m0": [str(e) for e in exps]}
+    out = {"tight": True, "n": 1, "m0": [str(e.as_fraction()) for e in exps]}
     for n in range(1, 5):
-        if n * e_min >= c:
+        if n * e_min >= cfg.trunc:
             out["vanishes_at"] = n
             break
     return out
@@ -426,8 +422,7 @@ def is_tight(gens, cfg: RingConfig):
 
 def ideal_times(M: PresentedModule, gens):
     """I*M as the image of the sum of the scalar multiplications."""
-    exps = [Fraction(g) for g in gens]
-    maps = [ModuleMap.scalar(M, e) for e in exps]
+    maps = [ModuleMap.scalar(M, g) for g in gens]
     L = max(f.level for f in maps)
     maps = [f.at_level(L) for f in maps]
     mat = maps[0].matrix
@@ -457,7 +452,7 @@ def almost_lift_check(f: ModuleMap, gens) -> bool:
     determinant upstairs."""
     exps = _check_radical(gens, f.cfg)
     L = f.level
-    cut = PExp.from_fraction(f.cfg.p, min(exps)).to_int_at_level(L)
+    cut = min(exps).to_int_at_level(L)
     # determinants are taken on lifted representatives; unit-ness over the
     # chain ring only depends on the valuation of the representative
     A = f.matrix.lift()
@@ -620,9 +615,9 @@ def tor_amplitude_check(E: ChainComplex, lo: int, hi: int,
     cfg = E.cfg
     p = cfg.p
     if battery is None:
-        exps = [Fraction(1), Fraction(1, p), Fraction(2), Fraction(1, p * p)]
+        exps = [PExp(p, 1), PExp(p, 1, 1), PExp(p, 2), PExp(p, 1, 2)]
         battery = [PresentedModule.free(cfg, 1, 1)]
-        cmax = cfg.trunc.as_fraction() if cfg.mode == "char-p-truncated" else None
+        cmax = cfg.trunc  # None over the perfect ring
         for e in exps:
             if cmax is not None and e >= cmax:
                 continue
@@ -690,8 +685,9 @@ class IntervalAlgebra:
     __slots__ = ("cfg", "lo", "hi")
 
     def __init__(self, cfg, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not 0 < lo < hi:
+        lo = PExp.from_fraction(cfg.p, lo)
+        hi = PExp.from_fraction(cfg.p, hi)
+        if lo.is_zero() or not lo < hi:
             raise ValueError("need 0 < lo < hi")
         self.cfg = cfg
         self.lo = lo
@@ -713,7 +709,7 @@ class IntervalAlgebra:
         return NonUnitalAlgebra(M.at_level(mult.level), mult)
 
     def contains_exponent(self, e) -> bool:
-        return self.lo <= Fraction(e) < self.hi
+        return self.lo <= PExp.from_fraction(self.cfg.p, e) < self.hi
 
 
 def _one_by_one_shift(sc: ModuleMap):
@@ -727,11 +723,12 @@ def n_to_1_check(n: int, m: int, cfg: RingConfig, J: int = 6) -> bool:
     interval algebra onto the level-n one, compatibly with the shriek
     closure."""
     p = cfg.p
-    u = Fraction(1, p ** m)
-    A1 = IntervalAlgebra(cfg, 1 + u, 2 + u)
-    An = IntervalAlgebra(cfg, n + u, n + 1 + u)
+    u = PExp(p, 1, m)
+    A1 = IntervalAlgebra(cfg, PExp(p, 1) + u, PExp(p, 2) + u)
+    An = IntervalAlgebra(cfg, PExp(p, n) + u, PExp(p, n + 1) + u)
     # exponent bookkeeping: the shift by n - 1 matches the intervals
-    if A1.lo + (n - 1) != An.lo or A1.hi + (n - 1) != An.hi:
+    shift = PExp(p, n - 1)
+    if A1.lo + shift != An.lo or A1.hi + shift != An.hi:
         return False
     M1, Mn = A1.module(), An.module()
     if not iso_test(M1, Mn):
@@ -763,7 +760,7 @@ def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):
     out = []
     for n in range(0, n_max + 1):
         for m in range(0, m_max + 1):
-            u = Fraction(1, cfg.p ** m)
+            u = PExp(cfg.p, 1, m)
             entry = {"n": n, "m": m}
             if n == 0:
                 entry["degenerate"] = True
@@ -771,12 +768,13 @@ def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):
                 entry["rank"] = 1
                 out.append(entry)
                 continue
-            src = IntervalAlgebra(cfg, n + u, n + 1 + u)
-            tgt = IntervalAlgebra(cfg, u, n + 1 + u)
+            lo = PExp(cfg.p, n) + u
+            src = IntervalAlgebra(cfg, lo, PExp(cfg.p, n + 1) + u)
+            tgt = IntervalAlgebra(cfg, u, PExp(cfg.p, n + 1) + u)
             # x = t^(1/p^m) satisfies x^(n p^m + 1) = t^n x inside the target
             deg = n * cfg.p ** m + 1
-            assert Fraction(deg, cfg.p ** m) == n + u
-            if not tgt.contains_exponent(n + u):
+            assert PExp(cfg.p, deg, m) == lo
+            if not tgt.contains_exponent(lo):
                 entry["syntomic"] = False
                 out.append(entry)
                 continue

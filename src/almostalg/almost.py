@@ -16,9 +16,6 @@ verdicts say so explicitly (see AlmostCertificate).
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .modules import (
@@ -72,20 +69,17 @@ class AlmostCertificate:
 
 def _eps(p, j):
     """1/p^j - 1/p^(j+1), the inclusion exponent of the j-th stage of m."""
-    return Fraction(1, p**j) - Fraction(1, p**(j + 1))
-
-
-def _inv_p(p, j):
-    return Fraction(1, p**j)
+    return PExp(p, p - 1, j + 1)
 
 
 class MonomialTower:
     """Ind-module with monomial stages and scalar monomial transitions.
 
-    lines_fn(j) -> tuple of annihilator exponents (Fraction, or None for a
-    free line) at stage j; trans_fn(j) -> transition exponent (Fraction).
-    Both are evaluated at most once per stage: lines() and trans_exp()
-    keep what they return, which is immutable.
+    lines_fn(j) -> annihilator exponents at stage j, None for a free line;
+    trans_fn(j) -> transition exponent.  Each exponent is read through
+    PExp.from_fraction, so a PExp, an int or a Fraction will do.  Both
+    functions are evaluated at most once per stage: lines() and
+    trans_exp() keep the PExp values, which are immutable.
     """
 
     __slots__ = ("cfg", "lines_fn", "trans_fn", "tag", "name", "closed_form",
@@ -111,37 +105,34 @@ class MonomialTower:
     def lines(self, j):
         out = self._lines.get(j)
         if out is None:
-            out = self._lines[j] = tuple(self.lines_fn(j))
+            p = self.cfg.p
+            out = self._lines[j] = tuple(
+                None if a is None else PExp.from_fraction(p, a)
+                for a in self.lines_fn(j))
         return out
 
     def trans_exp(self, j):
         out = self._trans.get(j)
         if out is None:
-            out = self._trans[j] = Fraction(self.trans_fn(j))
+            out = self._trans[j] = PExp.from_fraction(self.cfg.p,
+                                                      self.trans_fn(j))
         return out
 
     def component(self, j) -> PresentedModule:
         if j not in self._components:
-            exps = []
-            free = 0
-            for a in self.lines(j):
-                if a is None:
-                    free += 1
-                else:
-                    exps.append(PExp.from_fraction(self.cfg.p, a))
+            lines = self.lines(j)
+            exps = [a for a in lines if a is not None]
             level = max([j + 1] + [e.k for e in exps])
             self._components[j] = PresentedModule.from_factors(
-                self.cfg, level, exps, free)
+                self.cfg, level, exps, len(lines) - len(exps))
         return self._components[j]
 
     def transition(self, j) -> ModuleMap:
         c = self.trans_exp(j)
-        if c < 0:
-            raise ValueError("negative transition exponent cannot be realized")
         src, tgt = self.component(j), self.component(j + 1)
-        L = max(src.level, tgt.level, PExp.from_fraction(self.cfg.p, c).k)
+        L = max(src.level, tgt.level, c.k)
         src, tgt = src.at_level(L), tgt.at_level(L)
-        e = PExp.from_fraction(self.cfg.p, c).to_int_at_level(L)
+        e = c.to_int_at_level(L)
         from .linalg import PolyMatrix
         from .polys import poly_monomial
         mat = PolyMatrix(tgt.rank, src.rank, self.cfg.p, modulus=src.modulus)
@@ -157,9 +148,7 @@ class MonomialTower:
 # -- tower constructors ----------------------------------------------------
 
 def _line_of_module(M: PresentedModule):
-    out = [a.as_fraction() for a in M.decompose_exponents()]
-    out += [None] * M.free_rank()
-    return tuple(out)
+    return tuple(M.decompose_exponents()) + (None,) * M.free_rank()
 
 
 def ideal_m(cfg: RingConfig) -> MonomialTower:
@@ -173,14 +162,14 @@ def ideal_m(cfg: RingConfig) -> MonomialTower:
 def residue(cfg: RingConfig) -> MonomialTower:
     """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps."""
     p = cfg.p
-    return MonomialTower(cfg, lambda j: (_inv_p(p, j),), lambda j: Fraction(0),
+    return MonomialTower(cfg, lambda j: (PExp(p, 1, j),), lambda j: 0,
                          tag=RESIDUE, name="V/m",
                          closed_form=PresentedModule.zero(cfg))
 
 
 def const_tower(M: PresentedModule) -> MonomialTower:
     line = _line_of_module(M)
-    return MonomialTower(M.cfg, lambda j: line, lambda j: Fraction(0),
+    return MonomialTower(M.cfg, lambda j: line, lambda j: 0,
                          name=f"const({M!r})", closed_form=M, az_delegate=M)
 
 
@@ -244,7 +233,7 @@ class IndMap:
         self.name = name
 
     def u(self, j):
-        return Fraction(self.u_fn(j))
+        return PExp.from_fraction(self.source.cfg.p, self.u_fn(j))
 
     def check_commutes(self, upto):
         """Naturality: target transition after map = map after source
@@ -260,7 +249,7 @@ def mu_map(x) -> IndMap:
     """mu: m tensor x -> x (stage j: multiplication by t^(1/p^j))."""
     t = as_tower(x)
     p = t.cfg.p
-    return IndMap(firmify(t), t, lambda j: _inv_p(p, j), name="mu")
+    return IndMap(firmify(t), t, lambda j: PExp(p, 1, j), name="mu")
 
 
 class ProMuPrime:
@@ -297,18 +286,19 @@ def _clamp_ann(a, cfg):
     """Effective annihilator bound of a line: None = no bound (free over
     the domain); truncated frees are bounded by the truncation."""
     if a is None and cfg.mode == CHAR_P_TRUNCATED:
-        return cfg.trunc.as_fraction()
+        return cfg.trunc
     return a
 
 
 def kernel_tower(f: IndMap) -> MonomialTower:
     """Kernel of a scalar map family, line by line.
 
-    ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(max(a-u,0)); the
+    ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(a-min(a,u)); the
     generator offsets shift the effective transition exponents.
     """
     src = f.source
     cfg = src.cfg
+    zero = PExp(cfg.p, 0)
 
     def lines(j):
         u = f.u(j)
@@ -316,7 +306,7 @@ def kernel_tower(f: IndMap) -> MonomialTower:
         for a in src.lines(j):
             a = _clamp_ann(a, cfg)
             if a is None:
-                out.append(Fraction(0))  # free line over the domain: kernel 0
+                out.append(zero)  # free line over the domain: kernel 0
             else:
                 out.append(min(u, a))
         return tuple(out)
@@ -331,18 +321,19 @@ def kernel_tower(f: IndMap) -> MonomialTower:
 
 
 def _offset(f, j):
-    """Common generator offset max(a-u, 0); 0 for free lines."""
+    """Common generator offset a - min(a, u); 0 for free lines."""
+    cfg = f.source.cfg
     u = f.u(j)
     offs = set()
     for a in f.source.lines(j):
-        a = _clamp_ann(a, f.source.cfg)
+        a = _clamp_ann(a, cfg)
         if a is not None:
-            offs.add(max(a - u, Fraction(0)))
+            offs.add(a - min(a, u))
     if len(offs) > 1:
         # mixed offsets: be conservative, take the smallest shift so death
         # is never overstated
         return min(offs)
-    return offs.pop() if offs else Fraction(0)
+    return offs.pop() if offs else PExp(cfg.p, 0)
 
 
 def cokernel_tower(f: IndMap) -> MonomialTower:
@@ -366,29 +357,30 @@ def cokernel_tower(f: IndMap) -> MonomialTower:
 
 def _residuals(tower: MonomialTower, J: int):
     """For each stage j <= J and line i: min over k in [j, j+J+lookahead] of
-    (annihilator at stage k) - (accumulated transition exponent j -> k).
-    <= 0 means the generator dies exactly; small positive means it dies up
-    to that exponent.
+    (annihilator at stage k) - (accumulated transition exponent j -> k),
+    as a PExp, or None for a line with no annihilator bound.  0 means the
+    generator dies exactly (a difference below 0 is reported as 0); small
+    positive means it dies up to that exponent.
 
     Every stage k <= J+horizon is read once and its exponents are scaled to
-    integers over their common denominator L.  With A_k a line's scaled
-    annihilator at stage k and S_k the scaled sum of the transition
-    exponents below stage k, the residual at (j, k) is A_k - (S_k - S_j),
-    so best_j = S_j + min over k of (A_k - S_k)."""
+    integers by p^K, K the largest denominator exponent among them.  With
+    A_k a line's scaled annihilator at stage k and S_k the scaled sum of
+    the transition exponents below stage k, the residual at (j, k) is
+    A_k - (S_k - S_j), so best_j = S_j + min over k of (A_k - S_k)."""
     cfg = tower.cfg
+    p = cfg.p
     horizon = J + _LOOKAHEAD
     lines, trans = [], []
     for k in range(J + horizon + 1):
         lines.append([_clamp_ann(a, cfg) for a in tower.lines(k)])
         trans.append(tower.trans_exp(k))
-    L = math.lcm(*(x.denominator for x in trans),
-                 *(a.denominator for row in lines for a in row
-                   if a is not None))
+    K = max([x.k for x in trans]
+            + [a.k for row in lines for a in row if a is not None])
     S = [0]
     for x in trans:
-        S.append(S[-1] + x.numerator * (L // x.denominator))
+        S.append(S[-1] + x.to_int_at_level(K))
     # scaled A_k - S_k per line; None = no annihilator bound
-    shifted = [[None if a is None else a.numerator * (L // a.denominator) - s
+    shifted = [[None if a is None else a.to_int_at_level(K) - s
                 for a in row] for row, s in zip(lines, S)]
     out = []
     for j in range(J + 1):
@@ -398,7 +390,7 @@ def _residuals(tower: MonomialTower, J: int):
             for i, b in enumerate(row[:nlines]):
                 if b is not None and (best[i] is None or b < best[i]):
                     best[i] = b
-        out.append([None if b is None else Fraction(b + S[j], L)
+        out.append([None if b is None else PExp(p, max(b + S[j], 0), K)
                     for b in best])
     return out
 
@@ -407,7 +399,7 @@ def colim_is_zero(tower: MonomialTower, J: int) -> bool:
     """Every generator of every tested stage dies exactly."""
     for best in _residuals(tower, J):
         for r in best:
-            if r is None or r > 0:
+            if r is None or not r.is_zero():
                 return False
     return True
 
@@ -424,14 +416,13 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
         inner = is_almost_zero(t.az_delegate, J)
         return AlmostCertificate(inner.verdict, inner.holds, J,
                                  {"via": "firm twist base", **inner.witness})
-    p = t.cfg.p
-    margin = _inv_p(p, J)
+    margin = PExp(t.cfg.p, 1, J)
     residuals = _residuals(t, J)
     stage_worst = []
     witness_stage = None
-    worst = Fraction(0)
+    worst = zero = PExp(t.cfg.p, 0)
     for j, best in enumerate(residuals):
-        wj = Fraction(0)
+        wj = zero
         for i, r in enumerate(best):
             if r is None:
                 return AlmostCertificate(
@@ -444,7 +435,7 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
                 witness_stage = (j, i)
         stage_worst.append(wj)
     monotone = all(b <= a for a, b in zip(stage_worst, stage_worst[1:]))
-    if worst <= 0:
+    if worst.is_zero():
         verdict = "certified-structural" if monotone else "holds-at-level"
         return AlmostCertificate(verdict, True, J,
                                  {"reason": "all tested generators die exactly"})
@@ -456,11 +447,11 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
                                      {"reason": "annihilator exponents "
                                                 "tend to zero"})
         return AlmostCertificate("holds-at-level", True, J,
-                                 {"max_residual": worst})
+                                 {"max_residual": worst.as_fraction()})
     return AlmostCertificate("fails", False, J,
                              {"stage": witness_stage[0],
                               "line": witness_stage[1],
-                              "residual": worst})
+                              "residual": worst.as_fraction()})
 
 
 def _fp_almost_zero(M: PresentedModule, J: int) -> AlmostCertificate:
@@ -553,7 +544,7 @@ def is_closed(x, J: int) -> AlmostCertificate:
     if t.closed_form is not None and t.tag != IDEAL_M:
         cz = is_almost_zero(t, J)
         if cz.verdict == "certified-structural" and not cz.holds \
-                and t.trans_exp(0) == 0:
+                and t.trans_exp(0).is_zero():
             # constant tower of a module: same verdict as the module
             return is_closed(t.closed_form, J)
     raise ValueError(f"is_closed is not decidable for {t!r}")
@@ -573,7 +564,7 @@ def colocal_ext_vanishing(M, N, J: int,
     # Hom: if every transition exponent of M is positive and N is killed by
     # every positive power, any map vanishes stage by stage:
     # phi(x_j) = t^(c_j) phi(x_{j+1}) = 0.
-    pos = all(Mt.trans_exp(j) > 0 for j in range(J + _LOOKAHEAD))
+    pos = all(not Mt.trans_exp(j).is_zero() for j in range(J + _LOOKAHEAD))
     n_az = is_almost_zero(Nt if isinstance(Nt, MonomialTower) else N, J)
     if pos and n_az.holds and n_az.verdict == "certified-structural":
         hom_ok = AlmostCertificate("certified-structural", True, J,
@@ -637,7 +628,9 @@ def compactness_check(exponents, J: int, cfg=None) -> bool:
     the check verifies the telescoping compatibility of the induced maps
     and the final isomorphism.
     """
-    exps = [Fraction(e) for e in exponents]
+    if cfg is None:
+        cfg = RingConfig.perfect(2)
+    exps = [PExp.from_fraction(cfg.p, e) for e in exponents]
     if not exps:
         raise ValueError("empty chain")
     for a, b in zip(exps, exps[1:]):
@@ -645,12 +638,10 @@ def compactness_check(exponents, J: int, cfg=None) -> bool:
             raise ValueError("chain must be a chain of inclusions")
     # induced maps on Hom(m-tilde, -): multiplication by the same exponents;
     # composite from stage 0 must equal the direct inclusion exponent
-    total = sum((a - b for a, b in zip(exps, exps[1:])), Fraction(0))
+    total = sum((a - b for a, b in zip(exps, exps[1:])), PExp(cfg.p, 0))
     if total != exps[0] - exps[-1]:
         return False
     # both sides are V; verify via the module layer at level J
-    if cfg is None:
-        cfg = RingConfig.perfect(2)
     lhs = closedify(PresentedModule.free(cfg, 0, 1))
     rhs = closedify(PresentedModule.free(cfg, 0, 1))
     return iso_test(lhs, rhs)

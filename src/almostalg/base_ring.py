@@ -13,8 +13,6 @@ Elements are finite maps exponent -> coefficient with no zero coefficients.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exponents import PExp, pexp
 
 CHAR_P_PERFECT = "char-p-perfect"
@@ -50,8 +48,7 @@ class RingConfig:
         elif mode == CHAR_P_TRUNCATED:
             if trunc is None:
                 raise ValueError("truncated mode needs a truncation bound")
-            if not isinstance(trunc, PExp):
-                trunc = PExp.from_fraction(p, Fraction(trunc))
+            trunc = PExp.from_fraction(p, trunc)
             if trunc.is_zero():
                 raise ValueError("truncation bound must be positive")
             level_n = None
@@ -133,8 +130,7 @@ class BaseElem:
         clean = {}
         q = ring.coef_modulus()
         for e, c in terms.items():
-            if not isinstance(e, PExp):
-                e = PExp.from_fraction(ring.p, Fraction(e))
+            e = PExp.from_fraction(ring.p, e)
             c %= q
             if c == 0:
                 continue
@@ -162,9 +158,7 @@ class BaseElem:
 
     @classmethod
     def monomial(cls, ring, e, coef=1):
-        if not isinstance(e, PExp):
-            e = PExp.from_fraction(ring.p, Fraction(e))
-        return cls(ring, {e: coef})
+        return cls(ring, {PExp.from_fraction(ring.p, e): coef})
 
     # -- ring operations ---------------------------------------------------
 

@@ -14,9 +14,8 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .base_ring import RingConfig
+from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .linalg import PolyMatrix, snf
 from .modules import PresentedModule
@@ -32,6 +31,9 @@ CHECK_FAILURE = 1
 PRIMES = (2, 3, 5, 7, 11, 13)
 # tilt_basis_iso builds p^n basis entries and checks p^(2n) products
 TILT_MAX_ENTRIES = 729
+# a module payload may ask for rank * (rank + d) <= this, with d the largest
+# s-degree of its factors and of a truncated ring's modulus
+MODULE_MAX_SIZE = 1 << 20
 # the fields a module payload may carry: rank and relations, or exponents
 # and free_rank
 MODULE_KEYS = ("p", "level", "rank", "relations", "exponents", "free_rank")
@@ -113,6 +115,24 @@ def _op_snf(payload, args):
     }
 
 
+def _check_module_size(cfg, level, rank, exps):
+    """Refuse a module of this rank with factors t^e, e in exps, at this
+    level before it is built.  The s-degree e * p^level is found by exponent
+    arithmetic: p^cap is past the limit, so no larger power is formed.
+    Factors finer than the level are left to the builder, which refuses
+    them."""
+    if type(level) is not int or level < 0:
+        raise UsageError(f"level must be a non-negative integer, got {level!r}")
+    if cfg.mode == CHAR_P_TRUNCATED:
+        exps = [*exps, cfg.trunc]
+    cap = MODULE_MAX_SIZE.bit_length()
+    degree = max([e.num * cfg.p ** min(level - e.k, cap)
+                  for e in exps if e.k <= level], default=0)
+    if rank * (rank + degree) > MODULE_MAX_SIZE:
+        raise UsageError(f"module too large: rank * (rank + s-degree) is "
+                         f"over the limit {MODULE_MAX_SIZE}")
+
+
 def _module_from_payload(payload, args):
     cfg = _build_config(args)
     unknown = sorted(set(payload) - set(MODULE_KEYS))
@@ -128,30 +148,34 @@ def _module_from_payload(payload, args):
                                    or "free_rank" in payload):
         raise UsageError("a module payload gives either rank and relations "
                          "or exponents and free_rank")
-    exps = [PExp.from_fraction(cfg.p, Fraction(e))
-            for e in payload.get("exponents", [])]
+    exps = [PExp.from_fraction(cfg.p, e) for e in payload.get("exponents", [])]
     level = payload.get("level", args.level)
     if level is None:
         level = max([0] + [e.k for e in exps])
     if "relations" in payload:
         rank = payload["rank"]
+        _check_module_size(cfg, level, rank, [])
         rel = _parse_entries(payload["relations"], cfg.p,
                              None) if payload["relations"] else \
             PolyMatrix(rank, 0, cfg.p)
         from .modules import ring_modulus
         rel = rel.with_modulus(ring_modulus(cfg, level))
         return PresentedModule(cfg, level, rank, rel)
-    return PresentedModule.from_factors(cfg, level, exps,
-                                        payload.get("free_rank", 0))
+    free_rank = payload.get("free_rank", 0)
+    _check_module_size(cfg, level, len(exps) + free_rank, exps)
+    return PresentedModule.from_factors(cfg, level, exps, free_rank)
 
 
-def _op_decompose(payload, args):
-    M = _module_from_payload(payload, args)
+def _decomposition(M):
     return {
         "free_rank": M.free_rank(),
         "torsion_exponents": [str(e.as_fraction())
                               for e in M.decompose_exponents()],
     }
+
+
+def _op_decompose(payload, args):
+    return _decomposition(_module_from_payload(payload, args))
 
 
 def _op_firmify(payload, args):
@@ -184,13 +208,11 @@ def _op_a_n_plus(payload, args):
     cfg = _build_config(args)
     if not cfg.is_char_p:
         raise UsageError("a_n_plus needs a char-p config")
-    Q, diag, proj = a_n_plus(payload.get("rank", 1), payload["n"],
-                             payload.get("stage", 3), cfg)
-    return {
-        "free_rank": Q.free_rank(),
-        "torsion_exponents": [str(e.as_fraction())
-                              for e in Q.decompose_exponents()],
-    }
+    rank, stage = payload.get("rank", 1), payload.get("stage", 3)
+    n = PExp.from_fraction(cfg.p, payload["n"])
+    # rank + 1 generators, each related by t^n at level max(stage, 1)
+    _check_module_size(cfg, max(stage, 1), rank + 1, [n])
+    return _decomposition(a_n_plus(rank, n, stage, cfg)[0])
 
 
 def _op_tilt_basis_iso(payload, args):
@@ -299,6 +321,8 @@ def _run_suite_cmd(args) -> int:
 
 def _read_input(path):
     """The payload text from path, or from stdin when no path is given."""
+    if not path and sys.stdin is None:
+        raise UsageError("stdin is closed; give the payload with --input")
     try:
         if not path:
             return sys.stdin.read()

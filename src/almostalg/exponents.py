@@ -37,7 +37,13 @@ class PExp:
         self.k = k
 
     @classmethod
-    def from_fraction(cls, p: int, q: Fraction | int) -> "PExp":
+    def from_fraction(cls, p: int, q) -> "PExp":
+        """Parse q (a PExp, an int, a Fraction or a string such as "3/4")
+        as an exponent for the prime p; a PExp is returned as it is."""
+        if isinstance(q, PExp):
+            if q.p != p:
+                raise ValueError(f"mixed primes {q.p} and {p}")
+            return q
         q = Fraction(q)
         if q < 0:
             raise ValueError(f"negative exponent {q}")

@@ -10,8 +10,6 @@ the tests check the constructions against.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .base_ring import RingConfig
 from .complexes import (
     ChainComplex,
@@ -249,7 +247,7 @@ def gersten_check(cfg: RingConfig, level: int = 3) -> bool:
     if _rank_over_fraction_field(PresentedModule.zero(cfg, level)) != 0:
         return False
     # torsion dies: V/(t) has fraction-field rank 0
-    tors = PresentedModule.cyclic(cfg, Fraction(1), level=level)
+    tors = PresentedModule.cyclic(cfg, 1, level=level)
     if _rank_over_fraction_field(tors) != 0:
         return False
     return True

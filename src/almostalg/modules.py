@@ -17,8 +17,6 @@ form with its transforms is computed only on demand (PresentedModule.snf).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp, pexp
 from .linalg import (PolyMatrix, kernel_basis, kron, lift_matrix, lift_poly,
@@ -111,8 +109,7 @@ class PresentedModule:
         """V/(t^exponent) (or its truncated image); exponent None gives V."""
         if exponent is None:
             return cls(cfg, level if level is not None else 0, 1)
-        if not isinstance(exponent, PExp):
-            exponent = PExp.from_fraction(cfg.p, Fraction(exponent))
+        exponent = PExp.from_fraction(cfg.p, exponent)
         if level is None:
             level = exponent.k
         e = exponent.to_int_at_level(level)
@@ -329,8 +326,7 @@ class ModuleMap:
     @classmethod
     def scalar(cls, M, exponent):
         """Multiplication by t^exponent on M (level raised if needed)."""
-        if not isinstance(exponent, PExp):
-            exponent = PExp.from_fraction(M.cfg.p, Fraction(exponent))
+        exponent = PExp.from_fraction(M.cfg.p, exponent)
         L = max(M.level, exponent.k)
         M = M.at_level(L)
         e = exponent.to_int_at_level(L)

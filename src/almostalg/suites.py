@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from fractions import Fraction
 
 from . import algebra as alg
 from . import k0 as k0mod
@@ -136,17 +135,15 @@ def monomial_corpus(seed, size, primes=(2, 3)):
         cfg = cfgs[i % len(cfgs)]
         p = cfg.p
         level = rng.randint(1, 3)
-        cmax = cfg.trunc.as_fraction() if cfg.mode == "char-p-truncated" else None
+        cmax = cfg.trunc  # None over the perfect ring
         nfac = rng.randint(0, 3)
         exps = []
         for _ in range(nfac):
             k = rng.randint(0, level)
             num = rng.randint(1, 2 * p ** k)
-            e = Fraction(num, p ** k)
-            if cmax is not None:
-                if e >= cmax:
-                    continue
-            exps.append(PExp.from_fraction(p, e))
+            e = PExp(p, num, k)
+            if cmax is None or e < cmax:
+                exps.append(e)
         free = rng.randint(0, 2)
         if not exps and free == 0:
             free = 1
@@ -220,8 +217,7 @@ def quillen_suite(opts: SuiteOptions) -> SuiteReport:
         return True
 
     def compact():
-        chains = [[Fraction(2), Fraction(1), Fraction(1, 2)],
-                  [Fraction(1)], [Fraction(3, 2), Fraction(3, 2)]]
+        chains = [[2, 1, PExp(2, 1, 1)], [1], [PExp(2, 3, 1), PExp(2, 3, 1)]]
         return all(compactness_check(ch, J) for ch in chains)
 
     rep.add("mu-almost-iso", mu_all)
@@ -380,9 +376,9 @@ def complexes_suite(opts: SuiteOptions) -> SuiteReport:
         cfg = RingConfig.perfect(2)
         V = PresentedModule.free(cfg, 0, 1)
         E = ChainComplex.from_module(V)
-        f = ChainMap(E, E, {0: ModuleMap.scalar(V, Fraction(1))})
+        f = ChainMap(E, E, {0: ModuleMap.scalar(V, 1)})
         C, _, _ = cone(f)
-        return (iso_test(homology(C, 0), PresentedModule.cyclic(cfg, Fraction(1)))
+        return (iso_test(homology(C, 0), PresentedModule.cyclic(cfg, 1))
                 and homology(C, 1).is_zero_module())
 
     def cylinder_factorization():
@@ -424,14 +420,14 @@ def complexes_suite(opts: SuiteOptions) -> SuiteReport:
         cfg = RingConfig.perfect(2)
         V = PresentedModule.free(cfg, 0, 1)
         E = ChainComplex.from_module(V)
-        f = ChainMap(E, E, {0: ModuleMap.scalar(V, Fraction(1))})
+        f = ChainMap(E, E, {0: ModuleMap.scalar(V, 1)})
         return not is_almost_qis(f, J).holds
 
     def shift_signs():
         cfg = RingConfig.perfect(3)
         V = PresentedModule.free(cfg, 0, 1)
         E = ChainComplex.from_module(V)
-        f = ChainMap(E, E, {0: ModuleMap.scalar(V, Fraction(2))})
+        f = ChainMap(E, E, {0: ModuleMap.scalar(V, 2)})
         C, _, _ = cone(f)
         S = shift(C, 2)
         return iso_test(homology(S, 2), homology(C, 0))
@@ -568,14 +564,14 @@ def unitalization_axiom_search(seed, triples=1000, primes=(2, 3)) -> bool:
     algebras = []
     for p in primes:
         cfg = RingConfig.perfect(p)
-        for carrier in (PresentedModule.cyclic(cfg, Fraction(1)),
+        for carrier in (PresentedModule.cyclic(cfg, 1),
                         PresentedModule.free(cfg, 1, 1),
                         PresentedModule.from_factors(
                             cfg, 1, [PExp(p, 1, 1)], 1)):
             algebras.append(alg.unitalize(
                 alg.NonUnitalAlgebra.zero_square(carrier)))
         algebras.append(alg.unitalize(
-            alg.IntervalAlgebra(cfg, Fraction(1, p), 2).nonunital()))
+            alg.IntervalAlgebra(cfg, PExp(p, 1, 1), 2).nonunital()))
     per = triples // len(algebras) + 1
     for U in algebras:
         C = U.carrier.at_level(U.mult.level)
@@ -606,18 +602,18 @@ def nakayama_search(seed, instances=500) -> bool:
         p = rng.choice((2, 3))
         c = rng.choice((1, 2))
         cfg = RingConfig.truncated(p, c)
-        cmax = Fraction(c)
-        pool = [Fraction(1, p), Fraction(1, p * p), Fraction(1),
-                Fraction(p - 1, p), Fraction(p + 1, p)]
+        cmax = cfg.trunc
+        pool = [PExp(p, 1, 1), PExp(p, 1, 2), PExp(p, 1),
+                PExp(p, p - 1, 1), PExp(p, p + 1, 1)]
         gens = [e for e in rng.sample(pool, rng.randint(1, 3)) if e < cmax]
         if not gens:
-            gens = [cmax / p]
+            gens = [cmax.scale_pow(-1)]
         nfac = rng.randint(0, 2)
         exps = []
         for _ in range(nfac):
             e = rng.choice(pool)
             if e < cmax:
-                exps.append(PExp.from_fraction(p, e))
+                exps.append(e)
         M = PresentedModule.from_factors(cfg, 2, exps, rng.randint(0, 2))
         if not alg.almost_nakayama(M, gens):
             return False
@@ -631,9 +627,9 @@ def lift_search(seed, instances=100) -> bool:
         p = rng.choice((2, 3))
         c = rng.choice((1, 2))
         cfg = RingConfig.truncated(p, c)
-        gen = Fraction(1, p)
+        gen = PExp(p, 1, 1)
         L = 2
-        cut = PExp.from_fraction(p, gen).to_int_at_level(L)
+        cut = gen.to_int_at_level(L)
         mod = ring_modulus(cfg, L)
         r = rng.randint(1, 3)
         F = PresentedModule.free(cfg, L, r)
@@ -658,7 +654,7 @@ def algebra_suite(opts: SuiteOptions) -> SuiteReport:
     def roundtrips():
         for p in opts.primes:
             cfg = RingConfig.perfect(p)
-            for carrier in (PresentedModule.cyclic(cfg, Fraction(1)),
+            for carrier in (PresentedModule.cyclic(cfg, 1),
                             PresentedModule.free(cfg, 0, 1)):
                 B = alg.NonUnitalAlgebra.zero_square(carrier)
                 if not alg.unitalize_roundtrip_check(B):
@@ -672,8 +668,8 @@ def algebra_suite(opts: SuiteOptions) -> SuiteReport:
         for p in opts.primes:
             cfg = RingConfig.perfect(p)
             for B in (PresentedModule.free(cfg, 0, 1),
-                      PresentedModule.cyclic(cfg, Fraction(2)),
-                      PresentedModule.cyclic(cfg, Fraction(1, p * p))):
+                      PresentedModule.cyclic(cfg, 2),
+                      PresentedModule.cyclic(cfg, PExp(p, 1, 2))):
                 if not alg.monoidal_equiv_check(B, Jc):
                     return False
         return True
@@ -689,7 +685,7 @@ def algebra_suite(opts: SuiteOptions) -> SuiteReport:
         return True
 
     def tight():
-        w = alg.is_tight([Fraction(1, 2)], RingConfig.truncated(2, 1))
+        w = alg.is_tight([PExp(2, 1, 1)], RingConfig.truncated(2, 1))
         return w["tight"] and w["n"] == 1
 
     def retract():

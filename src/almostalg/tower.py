@@ -7,8 +7,6 @@ limits are computed as honest compatible-tuple kernels.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import b_shriek_shriek
 from .base_ring import BaseElem, RingConfig
 from .exponents import PExp
@@ -31,12 +29,12 @@ class TowerSpec:
     __slots__ = ("cfg", "omega", "depth")
 
     def __init__(self, cfg, omega, depth):
-        omega = Fraction(omega)
-        if omega <= 0:
+        omega = PExp.from_fraction(cfg.p, omega)
+        if omega.is_zero():
             raise ValueError("pseudouniformizer must be a positive monomial")
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        if cfg.mode == "char-p-truncated" and depth * omega > cfg.trunc.as_fraction():
+        if cfg.mode == "char-p-truncated" and depth * omega > cfg.trunc:
             raise ValueError("depth exceeds the truncation")
         self.cfg = cfg
         self.omega = omega
@@ -44,7 +42,7 @@ class TowerSpec:
 
     def to_json(self):
         return {"p": self.cfg.p, "mode": self.cfg.mode,
-                "omega": str(self.omega), "depth": self.depth}
+                "omega": str(self.omega.as_fraction()), "depth": self.depth}
 
     @classmethod
     def from_json(cls, d):
@@ -52,25 +50,20 @@ class TowerSpec:
             cfg = RingConfig.perfect(d["p"])
         else:
             raise ValueError("tower specs are instantiated over the perfect base")
-        num, _, den = d["omega"].partition("/")
-        return cls(cfg, Fraction(int(num), int(den or 1)), d["depth"])
+        return cls(cfg, d["omega"], d["depth"])
 
 
 # -- Frobenius on truncations ---------------------------------------------
 
-def _lattice(p, n, lo, hi):
-    """Exponents k/p^n in [lo, hi)."""
-    step = Fraction(1, p ** n)
+def _lattice(p, n, hi):
+    """Exponents k/p^n in [0, hi)."""
     out = []
-    k = 0
-    while k * step < hi:
-        if k * step >= lo:
-            out.append(k * step)
-        k += 1
+    while (e := PExp(p, len(out), n)) < hi:
+        out.append(e)
     return out
 
 
-def frobenius_iso_check(cfg: RingConfig, omega=Fraction(1),
+def frobenius_iso_check(cfg: RingConfig, omega=1,
                         subring_level=None, working_level=4) -> bool:
     """Frobenius A/omega^(1/p) -> A/omega bijective, decided by exact
     basis matching.
@@ -78,33 +71,33 @@ def frobenius_iso_check(cfg: RingConfig, omega=Fraction(1),
     For the perfect ring the source basis is drawn one level deeper; a
     fixed finite-level subring has no fresh p-th roots and fails."""
     p = cfg.p
-    omega = Fraction(omega)
+    omega = PExp.from_fraction(p, omega)
     if subring_level is not None:
         # A = F_p[t^(1/p^subring_level)]: fixed exponent lattice
         n = subring_level
-        if omega / p not in set(_lattice(p, n, 0, omega + 1)):
+        if omega.scale_pow(-1) not in set(_lattice(p, n, omega + PExp(p, 1))):
             return False
-        src = _lattice(p, n, 0, omega / p)
+        src = _lattice(p, n, omega.scale_pow(-1))
         img = sorted(p * e for e in src)
-        tgt = _lattice(p, n, 0, omega)
+        tgt = _lattice(p, n, omega)
         return img == tgt
     if not cfg.is_char_p:
         # mixed mock at finite level: x has no p-th root in the basis
         return False
-    cmax = cfg.trunc.as_fraction() if cfg.mode == "char-p-truncated" else None
+    cmax = cfg.trunc  # None over the perfect ring
     for L in range(1, working_level + 1):
-        hi_s = omega / p
+        hi_s = omega.scale_pow(-1)
         hi_t = omega
         if cmax is not None:
             hi_s = min(hi_s, cmax)
             hi_t = min(hi_t, cmax)
-        src = _lattice(p, L + 1, 0, hi_s)
+        src = _lattice(p, L + 1, hi_s)
         img = sorted(p * e for e in src)
-        tgt = _lattice(p, L, 0, min(hi_t, p * hi_s))
+        tgt = _lattice(p, L, min(hi_t, p * hi_s))
         if cmax is not None and p * hi_s < hi_t:
             # deep truncation: Frobenius lands in the cut-down range and
             # the quotient collapses the rest; restrict the match
-            tgt = _lattice(p, L, 0, p * hi_s)
+            tgt = _lattice(p, L, p * hi_s)
         if img != tgt:
             return False
     return True
@@ -152,7 +145,6 @@ def a_n_plus(A_rank: int, n, j: int, cfg: RingConfig):
     for A free of rank A_rank over V with unit generator 0.
 
     Returns (module, diag, proj)."""
-    n = Fraction(n)
     p = cfg.p
     Vn = PresentedModule.cyclic(cfg, n, level=max(j, 1))
     An_block = direct_sum(*[PresentedModule.cyclic(cfg, n, level=max(j, 1))
@@ -176,7 +168,6 @@ def a_n_plus_checks(n, j: int, cfg: RingConfig) -> bool:
     """The construction collapses the diagonal (m-multiples die) and both
     squares of the defining diagram push out: quotienting A_n^+ by the
     m-tensor block recovers coker(m/omega^n -> V/omega^n)."""
-    n = Fraction(n)
     Q, diag, proj = a_n_plus(1, n, j, cfg)
     if not proj.compose(diag).is_zero_map():
         return False
@@ -209,7 +200,6 @@ def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6,
 
     The two sides come from disjoint pipelines (shriek closure of the
     truncated module vs the direct cokernel of the defining diagram)."""
-    n = Fraction(n)
     p = cfg.p
     stages = (J - 1, J)
     plus_decomps = []
@@ -218,8 +208,7 @@ def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6,
                           for _ in range(A_rank)])
         Qb, _, _ = b_shriek_shriek(An, j)
         Qp, _, _ = a_n_plus(A_rank, n, j, cfg)
-        plus_decomps.append(tuple(e.as_fraction()
-                                  for e in Qp.decompose_exponents()))
+        plus_decomps.append(tuple(Qp.decompose_exponents()))
         # canonical map: V-coordinate to V-coordinate, block to block
         L = max(Qb.level, Qp.level)
         Qb, Qp = Qb.at_level(L), Qp.at_level(L)
@@ -291,8 +280,8 @@ def tilting_zigzag_mixed(p: int, n: int, J: int = 6) -> bool:
 
 def _tower_member(spec: TowerSpec, rank: int, n: int, level: int):
     """P tensor A/omega^n as a module over the depth-c ring."""
-    e = PExp.from_fraction(spec.cfg.p, n * spec.omega)
-    return PresentedModule.from_factors(spec.cfg, level, [e] * rank)
+    return PresentedModule.from_factors(spec.cfg, level,
+                                        [n * spec.omega] * rank)
 
 
 def tower_roundtrip(spec: TowerSpec, rank: int, firm_stage=None,

@@ -166,4 +166,7 @@ def test_tower_stages_are_evaluated_once_and_residuals_match_raw_loop():
                     best[i] = a - acc
             acc += raw_trans(k)
         want.append(best)
-    assert got == want
+    # a residual <= 0 (dies exactly) is reported as 0
+    assert [[None if r is None else r.as_fraction() for r in row]
+            for row in got] == \
+        [[None if r is None else max(r, 0) for r in row] for row in want]

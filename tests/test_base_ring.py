@@ -36,15 +36,29 @@ def test_pexp_canonical_form():
         PExp(2, -1, 0)
 
 
-@given(st.integers(0, 40), st.integers(0, 3), st.integers(0, 40),
-       st.integers(0, 3))
-def test_pexp_arith_matches_fractions(a, i, b, j):
-    p = 3
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 40), st.integers(0, 3),
+       st.integers(0, 40), st.integers(0, 3), st.integers(-4, 4))
+def test_pexp_arith_matches_fractions(p, a, i, b, j, s):
+    # PExp is the library's one exponent type; Fraction is the reference
     x, y = PExp(p, a, i), PExp(p, b, j)
-    assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-    assert (x < y) == (x.as_fraction() < y.as_fraction())
-    if x.as_fraction() >= y.as_fraction():
-        assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
+    fx, fy = x.as_fraction(), y.as_fraction()
+    assert PExp.from_fraction(p, fx) == x
+    assert PExp.from_fraction(p, x) is x
+    assert (x + y).as_fraction() == fx + fy
+    assert (x < y) == (fx < fy) and (x <= y) == (fx <= fy)
+    assert (x == y) == (fx == fy)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert min(x, y).as_fraction() == min(fx, fy)
+    assert max(x, y).as_fraction() == max(fx, fy)
+    assert x.scale_pow(s).as_fraction() == fx * Fraction(p) ** s
+    n = max(i, j)
+    assert x.to_int_at_level(n) == fx * p ** n
+    if fx >= fy:
+        assert (x - y).as_fraction() == fx - fy
+    else:
+        with pytest.raises(ValueError):
+            x - y
 
 
 def test_to_int_at_level():

@@ -4,12 +4,15 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 import almostalg
+from almostalg import cli
 from almostalg.cli import main
 
 
@@ -295,14 +298,17 @@ def test_subcommand_refuses_a_flag_it_does_not_read(argv, capsys,
     (["compute", "snf", "--input", "{dir}"], None),
     (["compute", "snf", "--input", "{undecodable}"], None),
     (["compute", "snf"], b"\xff\xfe{"),
+    (["compute", "snf"], "closed"),
 ], ids=["compute-report-dir", "run-suite-report-dir", "input-dir",
-        "input-undecodable", "stdin-undecodable"])
+        "input-undecodable", "stdin-undecodable", "stdin-closed"])
 def test_unreadable_or_unwritable_path_is_one_error_line(
         argv, stdin_bytes, tmp_path, capsys, monkeypatch):
     undecodable = tmp_path / "payload.json"
     undecodable.write_bytes(b"\xff\xfe{")
     argv = [a.format(dir=tmp_path, undecodable=undecodable) for a in argv]
-    if stdin_bytes is not None:
+    if stdin_bytes == "closed":  # started with file descriptor 0 closed
+        monkeypatch.setattr("sys.stdin", None)
+    elif stdin_bytes is not None:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(stdin_bytes), encoding="utf-8"))
     code = main(argv)
@@ -310,6 +316,34 @@ def test_unreadable_or_unwritable_path_is_one_error_line(
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err and not out
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+
+@pytest.mark.parametrize("op, p, payload", [
+    ("decompose", 3, {"exponents": ["1000000000"], "free_rank": 0}),
+    ("decompose", 3, {"exponents": ["1"], "level": 40}),
+    ("decompose", 2, {"free_rank": 100000000}),
+    ("a_n_plus", 3, {"n": 1, "stage": 40}),
+], ids=["decompose-exponent", "decompose-level", "decompose-free-rank",
+        "a-n-plus-stage"])
+def test_compute_refuses_an_oversized_module_up_front(op, p, payload):
+    # in a child under a 1 GB address-space limit: a module that is built
+    # before it is refused ends in MemoryError there, not on the host
+    src = str(pathlib.Path(almostalg.__file__).parent.parent)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostalg.cli", "compute", op, "--p", str(p)],
+        input=json.dumps(payload), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        preexec_fn=_address_space_limit)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert str(cli.MODULE_MAX_SIZE) in proc.stderr and not proc.stdout
+    assert elapsed < 1.0
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -280,6 +280,24 @@ def test_only_linalg_writes_or_reduces_entries():
     assert found == []
 
 
+def test_only_exponents_imports_fractions():
+    # PExp is the one exponent type: Fraction input is parsed by
+    # PExp.from_fraction, and no other module imports fractions
+    import almostalg
+    found = []
+    for path in sorted(pathlib.Path(almostalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "fractions" for n in names):
+                found.append(path.name)
+    assert found == ["exponents.py"]
+
+
 def _assert_canonical(M):
     """Trimmed entries of degree < modulus, as the reducing constructor
     would store them."""
