@@ -23,7 +23,6 @@ from .almost import (
     is_closed,
     is_firm,
     mu_map,
-    mu_prime_map,
     shriek,
 )
 from .complexes import ChainComplex, ChainMap, cone, cylinder, homology
@@ -34,6 +33,6 @@ __all__ = [
     "BaseElem", "RingConfig", "PExp", "PolyMatrix", "snf",
     "ModuleMap", "PresentedModule", "iso_test",
     "closedify", "firmify", "ideal_m", "is_almost_iso", "is_almost_zero",
-    "is_closed", "is_firm", "mu_map", "mu_prime_map", "shriek",
+    "is_closed", "is_firm", "mu_map", "shriek",
     "ChainComplex", "ChainMap", "cone", "cylinder", "homology",
 ]

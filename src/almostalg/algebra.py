@@ -21,7 +21,6 @@ from .modules import (
     PresentedModule,
     cokernel_map,
     direct_sum,
-    image_map,
     iso_test,
     kernel_map,
     ring_modulus,
@@ -227,7 +226,7 @@ def unitalize_roundtrip_check(B: NonUnitalAlgebra) -> bool:
     # canonical map B -> ker(aug): factor the inclusion into V + B
     C = B.carrier
     L = max(C.level, A.carrier.level, U.carrier.level)
-    K, incl = kernel_map(U.augmentation())
+    _, incl = kernel_map(U.augmentation())
     incl = incl.at_level(L)
     mod = ring_modulus(C.cfg, L)
     cols = []
@@ -254,11 +253,12 @@ def b_shriek(B: PresentedModule, j: int) -> PresentedModule:
     return B.at_level(max(B.level, j))
 
 
-def b_shriek_shriek(B: PresentedModule, j: int, unit_index: int = 0):
+def b_shriek_shriek(B: PresentedModule, j: int):
     """coker of the diagonal m-tilde -> V + B_! at stage j.
 
     The left leg is the inclusion t^(1/p^j) into V, the right leg sends
-    the stage generator to the unit of B.  Returns (module, diag, proj)."""
+    the stage generator to the unit of B, generator 0.  Returns (module,
+    diag, proj)."""
     cfg = B.cfg
     p = cfg.p
     Bj = b_shriek(B, j)
@@ -270,7 +270,7 @@ def b_shriek_shriek(B: PresentedModule, j: int, unit_index: int = 0):
     mat = PolyMatrix(tgt.rank, 1, p, modulus=mod)
     k = PExp(p, 1, j).to_int_at_level(L)
     mat.set(0, 0, [0] * k + [1])  # 0 once k reaches mod
-    mat.set(1 + unit_index, 0, [p - 1])
+    mat.set(1, 0, [p - 1])
     diag = ModuleMap(src.at_level(L), tgt, mat, check=False)
     Q, proj = cokernel_map(diag)
     return Q, diag, proj
@@ -279,7 +279,7 @@ def b_shriek_shriek(B: PresentedModule, j: int, unit_index: int = 0):
 def shriek_sequence_check(B: PresentedModule, j: int) -> bool:
     """m-tilde -> V + B_! -> B_!! -> 0: exact, with almost-zero kernel on
     the left (here: exactly zero, the unit column is split)."""
-    Q, diag, proj = b_shriek_shriek(B, j)
+    _, diag, proj = b_shriek_shriek(B, j)
     if not proj.compose(diag).is_zero_map():
         return False
     K, _ = kernel_map(diag)
@@ -293,7 +293,7 @@ def _theta_map(B: PresentedModule, j: int):
     """B_!! -> B: the unit coordinate to 1_B, the B_! block by t^(1/p^j)."""
     cfg = B.cfg
     p = cfg.p
-    Q, diag, proj = b_shriek_shriek(B, j)
+    Q, _, _ = b_shriek_shriek(B, j)
     Bj = B.at_level(Q.level)
     L = Q.level
     mod = ring_modulus(cfg, L)
@@ -305,7 +305,7 @@ def _theta_map(B: PresentedModule, j: int):
     return ModuleMap(Q, Bj, mat, check=False), Q
 
 
-def shriek_split_check(B: PresentedModule, J: int, probe: int = None) -> bool:
+def shriek_split_check(B: PresentedModule, J: int) -> bool:
     """After tensoring with m-tilde the sequence splits: the cokernel and
     kernel of B_! -> B_!! form towers that die exactly along the firm
     transitions.
@@ -313,17 +313,15 @@ def shriek_split_check(B: PresentedModule, J: int, probe: int = None) -> bool:
     Stage j lives at ring level j, so the honest computation is done
     through a probe depth; the measured annihilators must follow the exact
     geometric pattern e/p^j, and colimit death is then decided on that
-    pattern (stage j needs only stage j+1, which the pattern supplies)."""
+    pattern (stage j needs only stage j+1, which the pattern supplies).
+    The probe depth is 5 for p = 2 and 4 otherwise, at most J."""
     cfg = B.cfg
-    p = cfg.p
-    if probe is None:
-        probe = 5 if p == 2 else 4
-    probe = min(probe, J)
+    probe = min(5 if cfg.p == 2 else 4, J)
 
     measured = {"coker": [], "ker": []}
     for j in range(probe + 1):
-        Q, diag, proj = b_shriek_shriek(B, j)
-        incl = _bshriek_inclusion(B, j, Q, proj)
+        Q, _, _ = b_shriek_shriek(B, j)
+        incl = _bshriek_inclusion(B, j, Q)
         for kind, (M, _) in (("coker", cokernel_map(incl)),
                              ("ker", kernel_map(incl))):
             if M.free_rank() > 0:
@@ -345,7 +343,7 @@ def shriek_split_check(B: PresentedModule, J: int, probe: int = None) -> bool:
     return True
 
 
-def _bshriek_inclusion(B, j, Q, proj):
+def _bshriek_inclusion(B, j, Q):
     """B_! -> B_!! through V + B_!."""
     cfg = B.cfg
     Bj = b_shriek(B, j).at_level(Q.level)
@@ -360,7 +358,7 @@ def shriek_almost_iso_check(B: PresentedModule, J: int) -> bool:
     and cokernel are torsion with annihilator exponent at most 1/p^j."""
     p = B.cfg.p
     for j in (J - 1, J):
-        theta, Q = _theta_map(B, j)
+        theta, _ = _theta_map(B, j)
         bound = PExp(p, 1, j)
         for M in (kernel_map(theta)[0], cokernel_map(theta)[0]):
             if M.free_rank() > 0:
@@ -420,8 +418,9 @@ def is_tight(gens, cfg: RingConfig):
     return out
 
 
-def ideal_times(M: PresentedModule, gens):
-    """I*M as the image of the sum of the scalar multiplications."""
+def ideal_times(M: PresentedModule, gens) -> ModuleMap:
+    """The sum of the scalar multiplications M + ... + M -> M by the
+    generators of I; its image is I*M."""
     maps = [ModuleMap.scalar(M, g) for g in gens]
     L = max(f.level for f in maps)
     maps = [f.at_level(L) for f in maps]
@@ -429,16 +428,13 @@ def ideal_times(M: PresentedModule, gens):
     for f in maps[1:]:
         mat = mat.hstack(f.matrix)
     src = direct_sum(*[M.at_level(L)] * len(maps))
-    big = ModuleMap(src, M.at_level(L), mat, check=False)
-    IM, _ = image_map(big)
-    return IM, big
+    return ModuleMap(src, M.at_level(L), mat, check=False)
 
 
-def almost_nakayama(M: PresentedModule, gens, cfg=None) -> bool:
+def almost_nakayama(M: PresentedModule, gens) -> bool:
     """IM = M forces M = 0 for I in the radical; vacuously true otherwise."""
     _check_radical(gens, M.cfg)
-    IM, big = ideal_times(M, gens)
-    Q, _ = cokernel_map(big)
+    Q, _ = cokernel_map(ideal_times(M, gens))
     if Q.is_zero_module():
         return M.is_zero_module()
     return True
@@ -607,21 +603,19 @@ def tensor_complex(E: ChainComplex, M: PresentedModule) -> ChainComplex:
     return ChainComplex(E.cfg, terms, diffs, check=False)
 
 
-def tor_amplitude_check(E: ChainComplex, lo: int, hi: int,
-                        battery=None) -> bool:
+def tor_amplitude_check(E: ChainComplex, lo: int, hi: int) -> bool:
     """Homology of E tensor (test cyclic modules) vanishes outside
     [lo, hi]."""
     from .complexes import homology
     cfg = E.cfg
     p = cfg.p
-    if battery is None:
-        exps = [PExp(p, 1), PExp(p, 1, 1), PExp(p, 2), PExp(p, 1, 2)]
-        battery = [PresentedModule.free(cfg, 1, 1)]
-        cmax = cfg.trunc  # None over the perfect ring
-        for e in exps:
-            if cmax is not None and e >= cmax:
-                continue
-            battery.append(PresentedModule.cyclic(cfg, e))
+    exps = [PExp(p, 1), PExp(p, 1, 1), PExp(p, 2), PExp(p, 1, 2)]
+    battery = [PresentedModule.free(cfg, 1, 1)]
+    cmax = cfg.trunc  # None over the perfect ring
+    for e in exps:
+        if cmax is not None and e >= cmax:
+            continue
+        battery.append(PresentedModule.cyclic(cfg, e))
     for T in battery:
         F = tensor_complex(E, T)
         for i in range(F.min_deg - 1, F.max_deg + 2):
@@ -693,35 +687,31 @@ class IntervalAlgebra:
         self.lo = lo
         self.hi = hi
 
-    def module(self, level=None) -> PresentedModule:
+    def module(self) -> PresentedModule:
         """Cyclic model V/(t^(hi - lo)) on the generator t^lo."""
-        return PresentedModule.cyclic(self.cfg, self.hi - self.lo, level=level)
+        return PresentedModule.cyclic(self.cfg, self.hi - self.lo)
 
-    def nonunital(self, level=None) -> NonUnitalAlgebra:
-        M = self.module(level)
+    def nonunital(self) -> NonUnitalAlgebra:
+        M = self.module()
         sq = tensor(M, M)
         if 2 * self.lo >= self.hi:
             mult = ModuleMap.zero(sq, M)
         else:
+            # generator * generator = t^lo * generator; the tensor square of
+            # a cyclic module is cyclic, so reuse the scalar matrix
             sc = ModuleMap.scalar(M, self.lo)
-            mult = ModuleMap(sq.at_level(sc.level), sc.target,
-                             _one_by_one_shift(sc), check=False)
+            mult = ModuleMap(sq.at_level(sc.level), sc.target, sc.matrix,
+                             check=False)
         return NonUnitalAlgebra(M.at_level(mult.level), mult)
 
     def contains_exponent(self, e) -> bool:
         return self.lo <= PExp.from_fraction(self.cfg.p, e) < self.hi
 
 
-def _one_by_one_shift(sc: ModuleMap):
-    # generator * generator = t^lo * generator; the tensor square of a
-    # cyclic module is cyclic, so reuse the scalar matrix
-    return sc.matrix
-
-
-def n_to_1_check(n: int, m: int, cfg: RingConfig, J: int = 6) -> bool:
+def n_to_1_check(n: int, m: int, cfg: RingConfig) -> bool:
     """Multiplication by omega^(n-1) is an isomorphism from the n = 1
     interval algebra onto the level-n one, compatibly with the shriek
-    closure."""
+    closure at stages 5 and 6."""
     p = cfg.p
     u = PExp(p, 1, m)
     A1 = IntervalAlgebra(cfg, PExp(p, 1) + u, PExp(p, 2) + u)
@@ -738,7 +728,7 @@ def n_to_1_check(n: int, m: int, cfg: RingConfig, J: int = 6) -> bool:
     if 2 * A1.lo < A1.hi or 2 * An.lo < An.hi:
         return False
     # shriek closures agree stage-wise
-    for j in (J - 1, J):
+    for j in (5, 6):
         Q1, _, _ = b_shriek_shriek(M1, j)
         Qn, _, _ = b_shriek_shriek(Mn, j)
         if not iso_test(Q1, Qn):
@@ -769,7 +759,6 @@ def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):
                 out.append(entry)
                 continue
             lo = PExp(cfg.p, n) + u
-            src = IntervalAlgebra(cfg, lo, PExp(cfg.p, n + 1) + u)
             tgt = IntervalAlgebra(cfg, u, PExp(cfg.p, n + 1) + u)
             # x = t^(1/p^m) satisfies x^(n p^m + 1) = t^n x inside the target
             deg = n * cfg.p ** m + 1

@@ -13,7 +13,7 @@ Elements are finite maps exponent -> coefficient with no zero coefficients.
 """
 from __future__ import annotations
 
-from .exponents import PExp, pexp
+from .exponents import PExp
 
 CHAR_P_PERFECT = "char-p-perfect"
 CHAR_P_TRUNCATED = "char-p-truncated"
@@ -154,7 +154,7 @@ class BaseElem:
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {pexp(ring.p, 0): 1})
+        return cls(ring, {PExp(ring.p, 0): 1})
 
     @classmethod
     def monomial(cls, ring, e, coef=1):
@@ -188,7 +188,7 @@ class BaseElem:
         ring = self.ring
         acc = {}
         if ring.mode == MIXED_MOCK:
-            one = pexp(ring.p, 1)
+            one = PExp(ring.p, 1)
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = e1 + e2

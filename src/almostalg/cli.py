@@ -31,9 +31,16 @@ CHECK_FAILURE = 1
 PRIMES = (2, 3, 5, 7, 11, 13)
 # tilt_basis_iso builds p^n basis entries and checks p^(2n) products
 TILT_MAX_ENTRIES = 729
+# each of those products reduces its coefficients mod p^c; at c <= 100 that
+# costs about as much as at c = 1, at c = 10^4 several times more
+TILT_MAX_PRECISION = 100
 # a module payload may ask for rank * (rank + d) <= this, with d the largest
 # s-degree of its factors and of a truncated ring's modulus
 MODULE_MAX_SIZE = 1 << 20
+# a_n_plus takes the Smith form of a (rank + 1)-generator relation matrix,
+# whose time MODULE_MAX_SIZE does not bound: at rank 100 and the largest
+# s-degree admitted it takes about a second, at rank 300 several
+A_N_PLUS_MAX_RANK = 100
 # the fields a module payload may carry: rank and relations, or exponents
 # and free_rank
 MODULE_KEYS = ("p", "level", "rank", "relations", "exponents", "free_rank")
@@ -210,6 +217,9 @@ def _op_a_n_plus(payload, args):
         raise UsageError("a_n_plus needs a char-p config")
     rank, stage = payload.get("rank", 1), payload.get("stage", 3)
     n = PExp.from_fraction(cfg.p, payload["n"])
+    if rank > A_N_PLUS_MAX_RANK:
+        raise UsageError(f"a_n_plus with rank {rank} is over the limit "
+                         f"rank <= {A_N_PLUS_MAX_RANK}")
     # rank + 1 generators, each related by t^n at level max(stage, 1)
     _check_module_size(cfg, max(stage, 1), rank + 1, [n])
     return _decomposition(a_n_plus(rank, n, stage, cfg)[0])
@@ -224,7 +234,11 @@ def _op_tilt_basis_iso(payload, args):
     if p ** min(n, 10) > TILT_MAX_ENTRIES:
         raise UsageError(f"tilt_basis_iso with p^n = {p}^{n} is over the "
                          f"limit p^n <= {TILT_MAX_ENTRIES}")
-    table = tilt_basis_iso(p, n, payload.get("c", 1))
+    c = payload.get("c", 1)
+    if isinstance(c, int) and c > TILT_MAX_PRECISION:
+        raise UsageError(f"tilt_basis_iso with c = {c} is over the limit "
+                         f"c <= {TILT_MAX_PRECISION}")
+    table = tilt_basis_iso(p, n, c)
     return {str(k): list(v) for k, v in table.items()}
 
 

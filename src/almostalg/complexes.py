@@ -11,21 +11,13 @@ from __future__ import annotations
 from .almost import (
     AlmostCertificate,
     IndMap,
-    ProMuPrime,
     firmify,
     is_almost_iso,
     is_almost_zero,
 )
 from .exponents import PExp
 from .linalg import PolyMatrix
-from .modules import (
-    ModuleMap,
-    PresentedModule,
-    cokernel_map,
-    direct_sum,
-    homology_at,
-    kernel_map,
-)
+from .modules import ModuleMap, PresentedModule, direct_sum, homology_at
 
 
 class ChainComplex:
@@ -294,18 +286,6 @@ def homology(E: ChainComplex, i: int) -> PresentedModule:
     outgoing = E.diffs.get(i)
     if incoming is None and outgoing is None:
         return E.term(i)
-    if incoming is None and i + 1 in E.terms:
-        # zero incoming differential from a nonzero term: treat as zero map
-        incoming = ModuleMap.zero(E.terms[i + 1], E.term(i))
-        if outgoing is None:
-            C, _ = cokernel_map(incoming)
-            return C
-    if outgoing is None:
-        C, _ = cokernel_map(incoming)
-        return C
-    if incoming is None:
-        K, _ = kernel_map(outgoing)
-        return K
     return homology_at(incoming, outgoing)
 
 
@@ -322,7 +302,7 @@ def is_qis(f: ChainMap) -> bool:
 def is_almost_qis(f, J: int) -> AlmostCertificate:
     """Almost quasi-isomorphism: the firmified cone is acyclic, i.e. every
     cone homology is almost zero."""
-    if isinstance(f, (IndMap, ProMuPrime, ModuleMap)):
+    if isinstance(f, (IndMap, ModuleMap)):
         return is_almost_iso(f, J)
     C, _, _ = cone(f)
     worst = None

@@ -118,7 +118,3 @@ class PExp:
         if self.k == 0:
             return f"{self.num}"
         return f"{self.num}/{self.p}^{self.k}"
-
-
-def pexp(p: int, num: int, k: int = 0) -> PExp:
-    return PExp(p, num, k)

@@ -18,9 +18,8 @@ form with its transforms is computed only on demand (PresentedModule.snf).
 from __future__ import annotations
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
-from .exponents import PExp, pexp
-from .linalg import (PolyMatrix, kernel_basis, kron, lift_matrix, lift_poly,
-                     snf, solve)
+from .exponents import PExp
+from .linalg import PolyMatrix, kernel_basis, kron, lift_matrix, snf, solve
 from .polys import poly_monomial, poly_to_string, poly_valuation
 
 
@@ -169,7 +168,7 @@ class PresentedModule:
                 return None
             return self.cfg.trunc
         exps = self.decompose_exponents()
-        return max(exps) if exps else pexp(self.cfg.p, 0)
+        return max(exps) if exps else PExp(self.cfg.p, 0)
 
     def at_level(self, level):
         """The same module presented at a higher level."""
@@ -419,28 +418,18 @@ def image_map(f: ModuleMap):
 
 
 def homology_at(f: ModuleMap | None, g: ModuleMap | None):
-    """ker(g) / im(f) for composable maps A -f-> B -g-> C (either may be None)."""
-    if f is not None and g is not None:
-        if not g.compose(f).is_zero_map():
-            raise ValueError("maps do not compose to zero")
-        B = g.source
-    elif g is not None:
-        B = g.source
-    elif f is not None:
-        B = f.target
-    else:
-        raise ValueError("need at least one map")
-    L = B.level
-    if g is not None:
-        pre = preimage_gens(g.matrix, g.target.relations)
-    else:
-        pre = PolyMatrix.identity(B.rank, B.cfg.p, B.modulus)
-    if f is not None:
-        killer = f.matrix.hstack(B.relations)
-    else:
-        killer = B.relations
-    rels = preimage_gens(pre, killer)
-    return PresentedModule(B.cfg, L, pre.cols, rels)
+    """ker(g) / im(f) for composable maps A -f-> B -g-> C: coker(f) when g
+    is None, ker(g) when f is None."""
+    if g is None:
+        return cokernel_map(f)[0]
+    if f is None:
+        return kernel_map(g)[0]
+    if not g.compose(f).is_zero_map():
+        raise ValueError("maps do not compose to zero")
+    B = g.source
+    pre = preimage_gens(g.matrix, g.target.relations)
+    rels = preimage_gens(pre, f.matrix.hstack(B.relations))
+    return PresentedModule(B.cfg, B.level, pre.cols, rels)
 
 
 def free_resolution(M: PresentedModule, length: int):
@@ -538,10 +527,6 @@ def ext(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
         if i == 0:
             return terms[0]
         return PresentedModule.zero(cfg, L)
-    if g is None:
-        # top end: cokernel of the incoming map
-        C, _ = cokernel_map(f)
-        return C
     return homology_at(f, g)
 
 

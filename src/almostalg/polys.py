@@ -158,7 +158,7 @@ def poly_valuation(a: list) -> int:
             return i
     return -1
 
-def poly_to_string(a: list, var: str = "s") -> str:
+def poly_to_string(a: list) -> str:
     if not a:
         return "0"
     parts = []
@@ -168,7 +168,7 @@ def poly_to_string(a: list, var: str = "s") -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(var if c == 1 else f"{c}*{var}")
+            parts.append("s" if c == 1 else f"{c}*s")
         else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
+            parts.append(f"s^{i}" if c == 1 else f"{c}*s^{i}")
     return " + ".join(parts)

@@ -14,7 +14,6 @@ from .linalg import PolyMatrix
 from .modules import (
     ModuleMap,
     PresentedModule,
-    base_change,
     cokernel_map,
     direct_sum,
     iso_test,
@@ -63,15 +62,14 @@ def _lattice(p, n, hi):
     return out
 
 
-def frobenius_iso_check(cfg: RingConfig, omega=1,
-                        subring_level=None, working_level=4) -> bool:
-    """Frobenius A/omega^(1/p) -> A/omega bijective, decided by exact
-    basis matching.
+def frobenius_iso_check(cfg: RingConfig, subring_level=None) -> bool:
+    """Frobenius A/omega^(1/p) -> A/omega bijective for omega = t, decided
+    by exact basis matching at levels 1..4.
 
     For the perfect ring the source basis is drawn one level deeper; a
     fixed finite-level subring has no fresh p-th roots and fails."""
     p = cfg.p
-    omega = PExp.from_fraction(p, omega)
+    omega = PExp(p, 1)
     if subring_level is not None:
         # A = F_p[t^(1/p^subring_level)]: fixed exponent lattice
         n = subring_level
@@ -85,7 +83,7 @@ def frobenius_iso_check(cfg: RingConfig, omega=1,
         # mixed mock at finite level: x has no p-th root in the basis
         return False
     cmax = cfg.trunc  # None over the perfect ring
-    for L in range(1, working_level + 1):
+    for L in range(1, 5):
         hi_s = omega.scale_pow(-1)
         hi_t = omega
         if cmax is not None:
@@ -186,10 +184,7 @@ def a_n_plus_checks(n, j: int, cfg: RingConfig) -> bool:
     if not iso_test(Q1, Q2):
         return False
     # square 2: the cokernel is generated by the V-coordinate alone
-    one_gen = PolyMatrix.block(Q.rank, 1, p, mod, [(0, 0, one)])
-    span = ModuleMap(PresentedModule.free(cfg, L, 1), Q, one_gen, check=False)
-    C, _ = cokernel_map(span)
-    return C.is_zero_module()
+    return _unit_generator_check(Q)
 
 
 def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6,
@@ -250,18 +245,13 @@ def _unit_generator_check(Q: PresentedModule) -> bool:
     return C.is_zero_module()
 
 
-def tilting_zigzag(p: int, n: int, cfg=None, J: int = 6) -> bool:
-    """The zig-zag (A_1)_!! -> (A_1^+)_!! <- ((A^flat)_1^+)_!! <- (A_1^flat)_!!.
+def tilting_zigzag(p: int, J: int = 6) -> bool:
+    """The zig-zag (A_1)_!! -> (A_1^+)_!! <- ((A^flat)_1^+)_!! <- (A_1^flat)_!!
+    over F_p[t^(1/p^oo)].
 
     For a char-p base the zig-zag degenerates to the Lemma comparison; the
-    mixed mock is routed through the tilting dictionary, after which its
-    mod-p ring is the char-p mod-t ring on the nose."""
-    if cfg is None:
-        cfg = RingConfig.perfect(p)
-    if cfg.is_char_p:
-        return verify_lemmaA(1, 1, cfg, J)
-    raise ValueError("pass the char-p config; mixed input goes through "
-                     "tilting_zigzag_mixed")
+    mixed mock goes through tilting_zigzag_mixed."""
+    return verify_lemmaA(1, 1, RingConfig.perfect(p), J)
 
 
 def tilting_zigzag_mixed(p: int, n: int, J: int = 6) -> bool:
@@ -284,8 +274,7 @@ def _tower_member(spec: TowerSpec, rank: int, n: int, level: int):
                                         [n * spec.omega] * rank)
 
 
-def tower_roundtrip(spec: TowerSpec, rank: int, firm_stage=None,
-                    level: int = 2) -> bool:
+def tower_roundtrip(spec: TowerSpec, rank: int, firm_stage=None) -> bool:
     """P over A/omega^depth round-trips through the tower and back.
 
     The limit is computed as the compatible-tuple kernel of the staggered
@@ -294,8 +283,7 @@ def tower_roundtrip(spec: TowerSpec, rank: int, firm_stage=None,
     cfg = spec.cfg
     p = cfg.p
     c = spec.depth
-    if firm_stage is not None:
-        level = max(level, firm_stage)
+    level = 2 if firm_stage is None else max(2, firm_stage)
     P = _tower_member(spec, rank, c, level)
     members = [_tower_member(spec, rank, n, level) for n in range(1, c + 1)]
     # Milnor hypothesis: every transition P_{n+1} -> P_n surjective
@@ -316,7 +304,7 @@ def tower_roundtrip(spec: TowerSpec, rank: int, firm_stage=None,
                            for b in range(total.rank)]
                           for a in range(lower.rank)], mod)
         dmap = ModuleMap(total, lower, mat, check=False)
-        lim, incl = kernel_map(dmap)
+        lim, _ = kernel_map(dmap)
     else:
         lim = members[0]
     if not iso_test(lim, P):

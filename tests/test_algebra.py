@@ -166,5 +166,5 @@ def test_random_element_is_trimmed():
     raw = [[rng.randrange(3) for _ in range(rng.randint(0, 4))]
            for _ in range(200)]
     assert any(e and not e[-1] for e in raw)
-    assert _random_element(random.Random(3), 200, 3, 3, None) \
+    assert _random_element(random.Random(3), 200, 3, 3) \
         == [poly_trim(e) for e in raw]

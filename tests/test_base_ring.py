@@ -11,7 +11,7 @@ from almostalg.base_ring import (
     frobenius,
     frobenius_inv,
 )
-from almostalg.exponents import PExp, pexp
+from almostalg.exponents import PExp
 
 
 def test_config_constructors():
@@ -118,5 +118,5 @@ def test_divides_monomial():
 
 
 def test_pexp_helpers():
-    assert pexp(2, 1, 1).as_fraction() == Fraction(1, 2)
+    assert PExp(2, 1, 1).as_fraction() == Fraction(1, 2)
     assert PExp(2, 0, 3).is_zero()

@@ -173,8 +173,12 @@ def test_compute_decompose_reads_relations(capsys, monkeypatch):
                                          "torsion_exponents": ["1"]}
 
 
-@pytest.mark.parametrize("p, n", [(3, 7), (2, 40)])
-def test_compute_tilt_basis_iso_refuses_past_the_cap(p, n, capsys,
+@pytest.mark.parametrize("payload, limit", [
+    ({"p": 3, "n": 7}, "p^n <= 729"),
+    ({"p": 2, "n": 40}, "p^n <= 729"),
+    ({"p": 2, "n": 3, "c": 100000000}, "c <= 100"),
+], ids=["3-7", "2-40", "2-3-c"])
+def test_compute_tilt_basis_iso_refuses_past_the_cap(payload, limit, capsys,
                                                      monkeypatch):
     import almostalg.cli as cli
 
@@ -183,10 +187,10 @@ def test_compute_tilt_basis_iso_refuses_past_the_cap(p, n, capsys,
 
     monkeypatch.setattr(cli, "tilt_basis_iso", never)
     code, out, err = run_cli(["compute", "tilt_basis_iso"],
-                             stdin_text=json.dumps({"p": p, "n": n}),
+                             stdin_text=json.dumps(payload),
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
-    assert err.startswith("error:") and "729" in err
+    assert err.startswith("error:") and limit in err
     assert not out
 
 
@@ -322,14 +326,16 @@ def _address_space_limit():
     resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
 
 
-@pytest.mark.parametrize("op, p, payload", [
-    ("decompose", 3, {"exponents": ["1000000000"], "free_rank": 0}),
-    ("decompose", 3, {"exponents": ["1"], "level": 40}),
-    ("decompose", 2, {"free_rank": 100000000}),
-    ("a_n_plus", 3, {"n": 1, "stage": 40}),
+@pytest.mark.parametrize("op, p, payload, limit", [
+    ("decompose", 3, {"exponents": ["1000000000"], "free_rank": 0},
+     "MODULE_MAX_SIZE"),
+    ("decompose", 3, {"exponents": ["1"], "level": 40}, "MODULE_MAX_SIZE"),
+    ("decompose", 2, {"free_rank": 100000000}, "MODULE_MAX_SIZE"),
+    ("a_n_plus", 3, {"n": 1, "stage": 40}, "MODULE_MAX_SIZE"),
+    ("a_n_plus", 3, {"n": 1, "rank": 1000}, "A_N_PLUS_MAX_RANK"),
 ], ids=["decompose-exponent", "decompose-level", "decompose-free-rank",
-        "a-n-plus-stage"])
-def test_compute_refuses_an_oversized_module_up_front(op, p, payload):
+        "a-n-plus-stage", "a-n-plus-rank"])
+def test_compute_refuses_an_oversized_module_up_front(op, p, payload, limit):
     # in a child under a 1 GB address-space limit: a module that is built
     # before it is refused ends in MemoryError there, not on the host
     src = str(pathlib.Path(almostalg.__file__).parent.parent)
@@ -342,7 +348,7 @@ def test_compute_refuses_an_oversized_module_up_front(op, p, payload):
     elapsed = time.monotonic() - t0
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert str(cli.MODULE_MAX_SIZE) in proc.stderr and not proc.stdout
+    assert str(getattr(cli, limit)) in proc.stderr and not proc.stdout
     assert elapsed < 1.0
 
 

@@ -298,6 +298,50 @@ def test_only_exponents_imports_fractions():
     assert found == ["exponents.py"]
 
 
+def _own_nodes(fn):
+    """The nodes of fn's body outside nested scopes; a nested def, lambda
+    or class is yielded itself, as a name fn binds."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_parameter_and_local_is_read():
+    # a parameter no body reads is an option no caller can use, and a
+    # local no body reads is work whose result is thrown away; a value
+    # unpacked and dropped is named _
+    import almostalg
+    found = []
+    for path in sorted(pathlib.Path(almostalg.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if x is not None]
+            bound = {}
+            for node in _own_nodes(fn):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Store):
+                    bound.setdefault(node.id, node.lineno)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    bound.setdefault(node.name, node.lineno)
+            where = f"{path.name}:{fn.lineno} {fn.name}"
+            found += [f"{where} parameter {x}" for x in params
+                      if x not in ("self", "cls") and x not in read]
+            found += [f"{where} local {x} (line {line})"
+                      for x, line in bound.items()
+                      if x != "_" and x not in params and x not in read]
+    assert found == []
+
+
 def _assert_canonical(M):
     """Trimmed entries of degree < modulus, as the reducing constructor
     would store them."""

@@ -67,7 +67,7 @@ def test_lemma_a_pipelines():
 
 def test_tilting_zigzag():
     for p in (2, 3):
-        assert tilting_zigzag(p, 1, None, 5)
+        assert tilting_zigzag(p, 5)
         assert tilting_zigzag_mixed(p, 2, 5)
 
 
