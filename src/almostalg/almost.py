@@ -116,12 +116,22 @@ class MonomialTower:
         return out
 
     def component(self, j) -> PresentedModule:
+        """Stage j, presented at the least level its exponents (and the
+        ring's truncation bound) live at.
+
+        Lifting s -> s^(p^d) is a free base change, so invariant factors,
+        Hom, Ext and iso_test at a common level do not depend on the level
+        a stage was built at; every consumer lifts to a common level
+        first.  Building it higher only multiplies the s-degree of every
+        entry: t^e costs e*p^level slots."""
         if j not in self._components:
             lines = self.lines(j)
             exps = [a for a in lines if a is not None]
-            level = max([j + 1] + [e.k for e in exps])
+            cfg = self.cfg
+            floor = cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
+            level = max([floor] + [e.k for e in exps])
             self._components[j] = PresentedModule.from_factors(
-                self.cfg, level, exps, len(lines) - len(exps))
+                cfg, level, exps, len(lines) - len(exps))
         return self._components[j]
 
     def transition(self, j) -> ModuleMap:

@@ -355,7 +355,8 @@ def _compute_cmd(args) -> int:
     raw = _read_input(args.input)
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the interpreter's digit limit
         raise UsageError(f"malformed JSON input: {exc}")
     if not isinstance(payload, dict) and not (args.op == "firmify"
                                               and payload == "V"):

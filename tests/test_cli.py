@@ -87,6 +87,19 @@ def test_compute_malformed_json(capsys, monkeypatch):
     assert "malformed JSON" in err
 
 
+def test_compute_integer_past_the_digit_limit_is_one_error_line(capsys,
+                                                               monkeypatch):
+    # json.loads refuses integers over 4,300 digits with a plain ValueError
+    # on interpreters that limit integer string conversion; elsewhere the
+    # c cap refuses it
+    payload = '{"p": 2, "n": 3, "c": 1' + "0" * 5000 + "}"
+    code, out, err = run_cli(["compute", "tilt_basis_iso"], stdin_text=payload,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out
+
+
 def test_compute_unknown_op(capsys, monkeypatch):
     code, _, _ = run_cli(["compute", "frobnicate"], stdin_text="{}",
                          capsys=capsys, monkeypatch=monkeypatch)
