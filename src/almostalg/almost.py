@@ -64,6 +64,13 @@ class AlmostCertificate:
                 "witness": {k: str(v) for k, v in self.witness.items()}}
 
 
+def _floor(cfg):
+    """The least level a module over cfg's ring can be built at: the
+    truncation bound's denominator exponent on a truncated ring (the modulus
+    s^(c*p^level) needs c*p^level integral), 0 otherwise."""
+    return cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
+
+
 def _eps(p, j):
     """1/p^j - 1/p^(j+1), the inclusion exponent of the j-th stage of m."""
     return PExp(p, p - 1, j + 1)
@@ -127,11 +134,9 @@ class MonomialTower:
         if j not in self._components:
             lines = self.lines(j)
             exps = [a for a in lines if a is not None]
-            cfg = self.cfg
-            floor = cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
-            level = max([floor] + [e.k for e in exps])
+            level = max([_floor(self.cfg)] + [e.k for e in exps])
             self._components[j] = PresentedModule.from_factors(
-                cfg, level, exps, len(lines) - len(exps))
+                self.cfg, level, exps, len(lines) - len(exps))
         return self._components[j]
 
     def transition(self, j) -> ModuleMap:
@@ -163,7 +168,7 @@ def ideal_m(cfg: RingConfig) -> MonomialTower:
     p = cfg.p
     return MonomialTower(cfg, lambda j: (None,), lambda j: _eps(p, j),
                          tag=IDEAL_M, name="m",
-                         closed_form=PresentedModule.free(cfg, 0, 1))
+                         closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
 
 
 def residue(cfg: RingConfig) -> MonomialTower:
@@ -171,7 +176,7 @@ def residue(cfg: RingConfig) -> MonomialTower:
     p = cfg.p
     return MonomialTower(cfg, lambda j: (PExp(p, 1, j),), lambda j: 0,
                          tag=RESIDUE, name="V/m",
-                         closed_form=PresentedModule.zero(cfg))
+                         closed_form=PresentedModule.zero(cfg, _floor(cfg)))
 
 
 def const_tower(M: PresentedModule) -> MonomialTower:

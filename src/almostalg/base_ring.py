@@ -128,21 +128,24 @@ class BaseElem:
     def __init__(self, ring, terms):
         self.ring = ring
         clean = {}
+        p, n = ring.p, ring.level_n
         q = ring.coef_modulus()
+        trunc = ring.trunc if ring.mode == CHAR_P_TRUNCATED else None
+        # legal mixed-mock exponents are k/p^n with 0 <= k < p^n
+        basis = p ** n if ring.mode == MIXED_MOCK else None
         for e, c in terms.items():
-            e = PExp.from_fraction(ring.p, e)
+            e = PExp.from_fraction(p, e)
             c %= q
             if c == 0:
                 continue
-            if ring.mode == CHAR_P_TRUNCATED and not e < ring.trunc:
+            if trunc is not None and not e < trunc:
                 continue
-            if ring.mode == MIXED_MOCK:
-                # legal exponents are k/p^n with 0 <= k < p^n
-                k = e.to_int_at_level(ring.level_n)
-                if k >= ring.p ** ring.level_n:
-                    raise ValueError(f"mixed-mock exponent {e} out of basis range")
-            clean[e] = clean.get(e, 0) + c
-            if clean[e] % q == 0:
+            if basis is not None and e.to_int_at_level(n) >= basis:
+                raise ValueError(f"mixed-mock exponent {e} out of basis range")
+            c = (clean.get(e, 0) + c) % q
+            if c:
+                clean[e] = c
+            else:  # e was met before, spelled another way
                 del clean[e]
         self.terms = dict(sorted(clean.items()))
 
@@ -165,7 +168,7 @@ class BaseElem:
     def _check(self, other):
         if not isinstance(other, BaseElem):
             raise TypeError(f"expected BaseElem, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("ring config mismatch")
 
     def __add__(self, other):
@@ -220,7 +223,8 @@ class BaseElem:
     def __eq__(self, other):
         if not isinstance(other, BaseElem):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ring, tuple(self.terms.items())))

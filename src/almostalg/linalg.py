@@ -1,8 +1,9 @@
 """Exact matrix algebra over F_p[s] and the chain ring F_p[s]/(s^m).
 
 Matrices are dense lists of dense polynomials (see polys.py).  The central
-routine is snf(), Smith normal form with tracked unimodular transforms and
-their inverses, computed by one elimination for both rings.  Kernels,
+routine is snf(), Smith normal form with tracked unimodular transforms,
+computed by one elimination for both rings; the inverse transforms are
+replayed from its operation log only when a caller reads them.  Kernels,
 solving and cokernel invariants are all derived from it.
 
 Every PolyMatrix entry is canonical: a trimmed coefficient list, of degree
@@ -13,6 +14,8 @@ vstack, top_rows, block, lift_matrix, and with_modulus to a modulus that is
 not smaller) take entries as they are.
 """
 from __future__ import annotations
+
+import functools
 
 from .polys import (
     poly_add,
@@ -292,20 +295,44 @@ class SNFResult:
     """A = U * D * W with U, W unimodular; D diagonal, d1 | d2 | ..., each
     nonzero d_i monic over F_p[s] and exactly s^v over the chain ring.
 
-    u_inv and w_inv are carried along so callers can change basis in both
-    directions without re-inverting anything.
+    snf() finds D = L * A * R by row operations (L) and column operations
+    (R) on A, and tracks U = L^-1 and W = R^-1 as it goes.  L and R
+    themselves are only logged: row_ops and col_ops list each operation as
+    (helper, args), in order.  u_inv = L and w_inv = R are built on first
+    use by replaying the log onto the identity, and kept.
     """
 
-    __slots__ = ("U", "D", "W", "u_inv", "w_inv", "invariant_factors")
-
-    def __init__(self, U, D, W, u_inv, w_inv):
+    def __init__(self, U, D, W, row_ops, col_ops):
         self.U = U
         self.D = D
         self.W = W
-        self.u_inv = u_inv
-        self.w_inv = w_inv
+        self.row_ops = row_ops
+        self.col_ops = col_ops
         n = min(D.rows, D.cols)
         self.invariant_factors = [list(D.entries[i][i]) for i in range(n)]
+
+    @functools.cached_property
+    def u_inv(self):
+        return _replay(self.row_ops, self.U)
+
+    @functools.cached_property
+    def w_inv(self):
+        return _replay(self.col_ops, self.W)
+
+
+def _logged(D, ops, op, *args):
+    """Apply the row or column operation op to D and log it in ops."""
+    op(D, *args)
+    ops.append((op, args))
+
+
+def _replay(ops, T):
+    """The product of the logged operations applied to the identity of T's
+    size, ring and modulus."""
+    M = PolyMatrix.identity(T.rows, T.p, T.modulus)
+    for op, args in ops:
+        op(M, *args)
+    return M
 
 
 def _row_swap(M, i, j):
@@ -375,11 +402,11 @@ def snf(A: PolyMatrix) -> SNFResult:
     m = A.modulus
     key = poly_deg if m is None else poly_valuation
     D = A.copy()
-    # Track L, R with D = L * A * R and their inverses; then U = Linv, W = Rinv.
-    L = PolyMatrix.identity(A.rows, p, m)
-    Linv = PolyMatrix.identity(A.rows, p, m)
-    R = PolyMatrix.identity(A.cols, p, m)
-    Rinv = PolyMatrix.identity(A.cols, p, m)
+    # D = L * A * R: U = L^-1 and W = R^-1 are tracked, the operations that
+    # make up L and R are logged (see SNFResult)
+    U = PolyMatrix.identity(A.rows, p, m)
+    W = PolyMatrix.identity(A.cols, p, m)
+    row_ops, col_ops = [], []
     n = min(A.rows, A.cols)
 
     for k in range(n):
@@ -389,49 +416,45 @@ def snf(A: PolyMatrix) -> SNFResult:
                 break
             pi, pj = piv
             if pi != k:
-                _row_swap(D, k, pi)
-                _row_swap(L, k, pi)
-                _col_swap(Linv, k, pi)
+                _logged(D, row_ops, _row_swap, k, pi)
+                _col_swap(U, k, pi)
             if pj != k:
-                _col_swap(D, k, pj)
-                _col_swap(R, k, pj)
-                _row_swap(Rinv, k, pj)
+                _logged(D, col_ops, _col_swap, k, pj)
+                _row_swap(W, k, pj)
             if m is not None:
                 d = D.entries[k][k]
                 unit = d[poly_valuation(d):]
                 if unit != [1]:
                     uin = _unit_inverse(unit, m, p)
-                    _row_mulpoly(D, k, uin, p, m)
-                    _row_mulpoly(L, k, uin, p, m)
-                    _col_mulpoly(Linv, k, unit, p, m)
-            if (_clear_column(D, L, Linv, k, p, m)
-                    or _clear_row(D, R, Rinv, k, p, m)):
+                    _logged(D, row_ops, _row_mulpoly, k, uin, p, m)
+                    _col_mulpoly(U, k, unit, p, m)
+            if (_clear_column(D, row_ops, U, k, p, m)
+                    or _clear_row(D, col_ops, W, k, p, m)):
                 continue
             # Row and column k are clear; enforce that the pivot divides
             # every remaining entry, else fold the offending row in.
             bad = _find_nondivisible(D, k)
             if bad is None:
                 break
-            _row_addmul(D, k, bad, [1], p, m)
-            _row_addmul(L, k, bad, [1], p, m)
-            _col_addmul(Linv, bad, k, [p - 1], p, m)
+            _logged(D, row_ops, _row_addmul, k, bad, [1], p, m)
+            _col_addmul(U, bad, k, [p - 1], p, m)
         # normalize pivot monic (over the chain ring it is already s^v)
         d = D.entries[k][k]
         if d and d[-1] != 1:
             c = d[-1]
             cinv = [pow(c, p - 2, p)]
-            _row_mulpoly(D, k, cinv, p, m)
-            _row_mulpoly(L, k, cinv, p, m)
-            _col_mulpoly(Linv, k, [c], p, m)
+            _logged(D, row_ops, _row_mulpoly, k, cinv, p, m)
+            _col_mulpoly(U, k, [c], p, m)
 
-    res = SNFResult(Linv, D, Rinv, L, R)
+    res = SNFResult(U, D, W, row_ops, col_ops)
     _check_snf(A, res)
     return res
 
 
-def _clear_column(D, L, Linv, k, p, m):
-    """Eliminate entries below the pivot in column k.  Returns True if the
-    pivot changed (degree dropped), signalling another sweep."""
+def _clear_column(D, row_ops, U, k, p, m):
+    """Eliminate entries below the pivot in column k, logging each row
+    operation and applying its inverse to the columns of U.  Returns True
+    if the pivot changed (degree dropped), signalling another sweep."""
     changed = False
     for i in range(k + 1, D.rows):
         b = D.entries[i][k]
@@ -441,23 +464,22 @@ def _clear_column(D, L, Linv, k, p, m):
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
-            _row_addmul(D, i, k, f, p, m)
-            _row_addmul(L, i, k, f, p, m)
-            _col_addmul(Linv, k, i, q, p, m)
+            _logged(D, row_ops, _row_addmul, i, k, f, p, m)
+            _col_addmul(U, k, i, q, p, m)
         else:
             g, u, v = poly_xgcd(a, b, p)
             aq = poly_divmod(a, g, p)[0]
             bq = poly_divmod(b, g, p)[0]
             # [[u, v], [-bq, aq]] has determinant 1
-            _row_combine(D, k, i, u, v, poly_neg(bq, p), aq, p, m)
-            _row_combine(L, k, i, u, v, poly_neg(bq, p), aq, p, m)
-            # inverse is [[aq, -v], [bq, u]]; applied to columns of Linv
-            _col_combine(Linv, k, i, aq, bq, poly_neg(v, p), u, p, m)
+            _logged(D, row_ops, _row_combine, k, i, u, v, poly_neg(bq, p), aq,
+                    p, m)
+            # inverse is [[aq, -v], [bq, u]]; applied to columns of U
+            _col_combine(U, k, i, aq, bq, poly_neg(v, p), u, p, m)
             changed = True
     return changed
 
 
-def _clear_row(D, R, Rinv, k, p, m):
+def _clear_row(D, col_ops, W, k, p, m):
     """Column-operation mirror of _clear_column for row k."""
     changed = False
     for j in range(k + 1, D.cols):
@@ -468,16 +490,15 @@ def _clear_row(D, R, Rinv, k, p, m):
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
-            _col_addmul(D, j, k, f, p, m)
-            _col_addmul(R, j, k, f, p, m)
-            _row_addmul(Rinv, k, j, q, p, m)
+            _logged(D, col_ops, _col_addmul, j, k, f, p, m)
+            _row_addmul(W, k, j, q, p, m)
         else:
             g, u, v = poly_xgcd(a, b, p)
             aq = poly_divmod(a, g, p)[0]
             bq = poly_divmod(b, g, p)[0]
-            _col_combine(D, k, j, u, v, poly_neg(bq, p), aq, p, m)
-            _col_combine(R, k, j, u, v, poly_neg(bq, p), aq, p, m)
-            _row_combine(Rinv, k, j, aq, bq, poly_neg(v, p), u, p, m)
+            _logged(D, col_ops, _col_combine, k, j, u, v, poly_neg(bq, p), aq,
+                    p, m)
+            _row_combine(W, k, j, aq, bq, poly_neg(v, p), u, p, m)
             changed = True
     return changed
 

@@ -170,3 +170,15 @@ def test_tower_stages_are_evaluated_once_and_residuals_match_raw_loop():
     assert [[None if r is None else r.as_fraction() for r in row]
             for row in got] == \
         [[None if r is None else max(r, 0) for r in row] for row in want]
+
+
+def test_closed_forms_live_at_a_fractional_truncation_level():
+    # V/(t^(1/2)) over p = 2: the modulus s^(p^level / 2) needs level >= 1,
+    # so the closed forms of m and V/m are built there, like every stage
+    from almostalg.exponents import PExp
+    cfg = RingConfig.truncated(2, PExp(2, 1, 1))
+    m, r = ideal_m(cfg), residue(cfg)
+    assert m.closed_form.level == r.closed_form.level == 1
+    assert iso_test(closedify(m), m.component(3))
+    assert r.closed_form.rank == 0 and closedify(r).is_zero_module()
+    assert is_almost_zero(r, J).holds

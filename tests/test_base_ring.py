@@ -120,3 +120,11 @@ def test_divides_monomial():
 def test_pexp_helpers():
     assert PExp(2, 1, 1).as_fraction() == Fraction(1, 2)
     assert PExp(2, 0, 3).is_zero()
+
+
+def test_two_spellings_of_one_exponent_merge_to_a_reduced_coefficient():
+    # 1/3 as a Fraction and as a PExp: 2 + 2 = 4 = 1 mod 3
+    ring = RingConfig.perfect(3)
+    x = BaseElem(ring, {Fraction(1, 3): 2, PExp(3, 1, 1): 2})
+    assert x.terms == {PExp(3, 1, 1): 1}
+    assert x == BaseElem.monomial(ring, Fraction(1, 3))

@@ -10,6 +10,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import almostalg
 from almostalg import cli
@@ -187,10 +188,12 @@ def test_compute_decompose_reads_relations(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("payload, limit", [
-    ({"p": 3, "n": 7}, "p^n <= 729"),
-    ({"p": 2, "n": 40}, "p^n <= 729"),
+    ({"p": 3, "n": 7}, "p^n <= 343"),
+    ({"p": 2, "n": 40}, "p^n <= 343"),
     ({"p": 2, "n": 3, "c": 100000000}, "c <= 100"),
-], ids=["3-7", "2-40", "2-3-c"])
+    ({"p": 3, "n": 6}, "p^n <= 343"),
+    ({"p": 2, "n": 9}, "p^n <= 343"),
+], ids=["3-7", "2-40", "2-3-c", "3-6", "2-9"])
 def test_compute_tilt_basis_iso_refuses_past_the_cap(payload, limit, capsys,
                                                      monkeypatch):
     import almostalg.cli as cli
@@ -405,3 +408,83 @@ def test_reused_parser_answers_as_a_fresh_process(capsys, monkeypatch):
                               input=stdin_text, capture_output=True,
                               text=True, env=env)
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(st.characters(codec="utf-8")))
+_documents = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.lists(st.integers() | st.booleans(), max_size=5)
+                  | st.dictionaries(st.text(st.characters(codec="utf-8")),
+                                    kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_json_text_writes_the_bytes_of_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_keeps_bools_and_escapes_apart_from_ints():
+    for doc in ({"b": [True, 1, False, 0], "\u00e9\n\"": [[1, 2], [], {}]},
+                {2: [1], 1: 0.5, True: None}):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2,
+                                                 sort_keys=True)
+    assert cli._json_text([True, False]) == "[\n  true,\n  false\n]"
+
+
+# sha256 of `compute` stdout per payload, as json.dumps and an snf that
+# built its inverse transforms eagerly wrote it; the bytes must not move
+_GOLDEN = [
+    (["snf"], {"p": 3, "matrix": [[[1, 2], [0, 1], [2]],
+                                  [[0, 0, 1], [1], [1, 1]],
+                                  [[2, 1], [1, 0, 2], [0, 1]]]},
+     "b972ff6046641c39963062a1ff645f23036653b38d5d7d0fd9c8c887431afea9"),
+    (["snf"], {"p": 5, "matrix": [[[1, 4], 3, [0, 2, 1]],
+                                  [[2], [0, 0, 1], [3, 3]]]},
+     "3f622bd4ec3731281c1597af2054ae18b3b63c17569e8072ecf05826c98f197c"),
+    (["snf"], {"p": 2, "modulus": 4,
+               "matrix": [[[1, 1], [0, 1]], [[0, 1], [1, 0, 1]],
+                          [[0, 0, 1], [1]]]},
+     "3145d4b091cbcfadaa996c14a9eea0b67d71d1ee8fd754be0b5062a9f3b91e3a"),
+    (["decompose", "--p", "3"],
+     {"exponents": ["1/3", "2", "1/9"], "free_rank": 1},
+     "209b184c0f45003231e16c66a1974fff754442bec630fe6b0131ef00171e7ae6"),
+    (["decompose", "--p", "2", "--mode", "truncated", "--truncation", "2"],
+     {"rank": 2, "relations": [[[0, 1], [1]], [[0, 0, 1], []]]},
+     "fbe6e55ddcd7429bfdb85c4f9ba6ad787525e50e2a1e36d567f4bcca1ba7215c"),
+    (["firmify"], "V",
+     "1c0d86f1c649e8657cdc0c5fca228409339bc2609a3d431b6121b5fd858a76a2"),
+    (["firmify", "--p", "2"], {"exponents": ["1"], "free_rank": 0},
+     "3ebaf001589961ecb35f6ebddfcee218d3fba13f5347f95f802cd11b20a29248"),
+    (["k0_class", "--p", "3"], {"mults": {"0": [1, 0], "1": [0, 2]}},
+     "ed1ddb76494cdaefc59f22f05560614f79010c1634718e5cd61e3baa3739eb9d"),
+    (["k0_class", "--p", "2", "--seed", "4"],
+     {"mults": {"-1": [2, 1]}, "aperf": True},
+     "c1762fb0575d49b25b2740bfb2730d1e76fc91ea7f2967cfcb43c7f024b287fe"),
+    (["a_n_plus", "--p", "2"], {"n": 2, "rank": 1},
+     "3bdaae27dae57dc6aae7ed9931cb29f0247ce2eb242972f8ac4cedfefb553663"),
+    (["a_n_plus", "--p", "3"], {"n": "1/3", "rank": 2, "stage": 2},
+     "9bfa40b3e19a87ec1f6c03eb351d30d7f87327b1795feb3d0fa6a514e6d5e5ab"),
+    (["tilt_basis_iso"], {"p": 2, "n": 3},
+     "218425c9f6dfc8bbc659fee158c835ef1d3a805b38229a8dcf7a4dcb444f874f"),
+    (["tilt_basis_iso"], {"p": 3, "n": 2, "c": 2},
+     "b4f292eddc581a39701b8848d74533f20f9fbc947ede3298588fdd5c26d2b3fb"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, digest", _GOLDEN,
+                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in
+                              enumerate(_GOLDEN)])
+def test_compute_stdout_bytes_as_recorded(argv, payload, digest, capsys,
+                                          monkeypatch):
+    import hashlib
+    code, out, err = run_cli(["compute", *argv],
+                             stdin_text=json.dumps(payload),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -84,7 +84,7 @@ def test_check_snf_rejects_a_non_smith_d(D, match):
     # U = W = I makes U*D*W = A hold, so only the form of D can fail
     I = PolyMatrix.identity(D.rows, 3, D.modulus)
     with pytest.raises(AssertionError, match=match):
-        _check_snf(D, SNFResult(I, D, I, I, I))
+        _check_snf(D, SNFResult(I, D, I, [], []))
 
 
 def test_check_snf_rejects_misshapen_transforms():
@@ -92,7 +92,7 @@ def test_check_snf_rejects_misshapen_transforms():
     A = PolyMatrix.identity(1, 3)
     U = PolyMatrix(1, 2, 3, [[[1], [1]]])
     with pytest.raises(AssertionError, match="shapes"):
-        _check_snf(A, SNFResult(U, A, A, A, A))
+        _check_snf(A, SNFResult(U, A, A, [], []))
 
 
 def test_snf_chain_ring_agrees_with_lift():
@@ -427,3 +427,18 @@ def test_set_stores_s_to_the_modulus_as_zero():
         assert M.entries == [[[]], [[p - 1]]]
         assert M.copy().entries == M.with_modulus(m + 1).entries \
             == M.entries
+
+
+@pytest.mark.parametrize("modulus", [None, 3, 5], ids=["pid", "s^3", "s^5"])
+def test_snf_inverse_transforms_replayed_on_first_use(modulus):
+    rng = random.Random(11)
+    for rows, cols in [(3, 3), (4, 4), (2, 5), (5, 2), (4, 3)]:
+        for _ in range(8):
+            p = rng.choice((2, 3, 5))
+            res = snf(rand_matrix(rng, rows, cols, p, 2, modulus))
+            I_r = PolyMatrix.identity(rows, p, modulus)
+            I_c = PolyMatrix.identity(cols, p, modulus)
+            u_inv, w_inv = res.u_inv, res.w_inv
+            assert res.U.mul(u_inv) == I_r and u_inv.mul(res.U) == I_r
+            assert res.W.mul(w_inv) == I_c and w_inv.mul(res.W) == I_c
+            assert res.u_inv is u_inv and res.w_inv is w_inv

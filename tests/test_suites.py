@@ -21,7 +21,7 @@ def _lowered_snf(A):
         if v > 0:
             D.entries[d][d] = [0] * (v - 1) + [1]
             break
-    return SNFResult(res.U, D, res.W, res.u_inv, res.w_inv)
+    return SNFResult(res.U, D, res.W, res.row_ops, res.col_ops)
 
 
 @pytest.mark.parametrize("seed, witness", [
