@@ -12,10 +12,10 @@ Jacobian of the presentation is block diagonal.
 from __future__ import annotations
 
 from .almost import MonomialTower, _eps, colim_is_zero
-from .base_ring import BaseElem, RingConfig
+from .base_ring import RingConfig
 from .complexes import ChainComplex
 from .exponents import PExp
-from .linalg import PolyMatrix, det as poly_det, kron, reduce_mod
+from .linalg import PolyMatrix, det as poly_det, kron, lift_poly, reduce_mod
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -27,22 +27,7 @@ from .modules import (
     solve,
     tensor,
 )
-from .polys import poly_mul, poly_valuation
-
-
-def baseelem_to_poly(x: BaseElem, level: int):
-    """Flatten a char-p base element to a coefficient list over R_level."""
-    if not x.ring.is_char_p:
-        raise ValueError("polynomial flattening needs a char-p config")
-    out = []
-    for e, c in x.terms.items():
-        idx = e.to_int_at_level(level)
-        if idx >= len(out):
-            out.extend([0] * (idx + 1 - len(out)))
-        out[idx] = (out[idx] + c) % x.ring.p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from .polys import poly_add, poly_mul, poly_neg, poly_scale, poly_valuation
 
 
 # -- structure-constant algebras ------------------------------------------
@@ -467,20 +452,22 @@ def almost_lift_check(f: ModuleMap, gens) -> bool:
 class AlgebraPresentation:
     """B = A[x_1..x_k]/(f_1..f_k) with f_j monic univariate in x_j.
 
-    The quotient is free as an A-module on the monomials x^a with
-    a_j < deg f_j; multiplication operators reduce through the relations.
+    A coefficient of f_j is an int or an F_p[t] coefficient list (integer
+    t-exponents), lowest degree first.  The quotient is free as an
+    A-module on the monomials x^a with a_j < deg f_j; multiplication
+    operators reduce through the relations.
     """
 
     __slots__ = ("cfg", "rels", "degrees", "rank")
 
     def __init__(self, cfg, rels):
+        p = cfg.p
         self.cfg = cfg
         self.rels = []
         for f in rels:
-            coeffs = [c if isinstance(c, BaseElem)
-                      else BaseElem.monomial(cfg, 0, c) if isinstance(c, int)
-                      else c for c in f]
-            if len(coeffs) < 2 or coeffs[-1] != BaseElem.one(cfg):
+            coeffs = [poly_scale([c] if isinstance(c, int) else c, 1, p)
+                      for c in f]
+            if len(coeffs) < 2 or coeffs[-1] != [1]:
                 raise ValueError("relations must be monic of degree >= 1")
             self.rels.append(coeffs)
         self.degrees = [len(f) - 1 for f in self.rels]
@@ -498,86 +485,64 @@ class AlgebraPresentation:
             out = [b + (i,) for b in out for i in range(d)]
         return out
 
-    def _rewrite(self, poly):
-        """Rewrite any x_j^(deg f_j) through its relation."""
-        ring = self.cfg
-        work = dict(poly)
-        done = {}
-        while work:
-            mono, coef = work.popitem()
-            if coef.is_zero():
-                continue
-            for j, d in enumerate(self.degrees):
-                if mono[j] >= d:
-                    rest = list(mono)
-                    rest[j] -= d
-                    for i in range(d):
-                        c = self.rels[j][i]
-                        if c.is_zero():
-                            continue
-                        nm = tuple(rest[t] + (i if t == j else 0)
-                                   for t in range(len(rest)))
-                        add = coef * (-c)
-                        if nm in work:
-                            work[nm] = work[nm] + add
-                        else:
-                            work[nm] = add
-                    break
-            else:
-                done[mono] = done.get(mono, BaseElem.zero(ring)) + coef
-        return {m: c for m, c in done.items() if not c.is_zero()}
-
-    def mult_operator(self, elem, level=None) -> PolyMatrix:
-        """Matrix of multiplication by elem on the monomial basis."""
-        ring = self.cfg
-        basis = self.basis()
-        index = {b: i for i, b in enumerate(basis)}
-        if level is None:
-            level = self._needed_level(elem)
+    def mult_operator(self, elem, level=0) -> PolyMatrix:
+        """Matrix over R_level of multiplication by elem, a map from
+        monomial exponent tuples to F_p[t] coefficient lists, on the
+        monomial basis.  Coefficients are lifted to s = t^(1/p^level)."""
+        p = self.cfg.p
         mod = ring_modulus(self.cfg, level)
-        out = PolyMatrix(self.rank, self.rank, self.cfg.p, modulus=mod)
-        for col, b in enumerate(basis):
-            prod = {}
+
+        def lift(c):
+            return reduce_mod(lift_poly(c, level, p), mod)
+
+        # x_j^(deg f_j) = -(f_j minus its top term)
+        tails = [[lift(poly_neg(c, p)) for c in f[:-1]] for f in self.rels]
+        index = {b: i for i, b in enumerate(self.basis())}
+        out = PolyMatrix(self.rank, self.rank, p, modulus=mod)
+        for b, col in index.items():
+            work = {}
             for mono, coef in elem.items():
                 m = tuple(x + y for x, y in zip(mono, b))
-                prod[m] = prod.get(m, BaseElem.zero(ring)) + coef
-            for mono, coef in self._rewrite(prod).items():
-                out.set(index[mono], col, baseelem_to_poly(coef, level))
+                work[m] = poly_add(work.get(m, []), lift(coef), p)
+            while work:
+                mono, coef = work.popitem()
+                if not coef:
+                    continue
+                j = next((j for j, d in enumerate(self.degrees)
+                          if mono[j] >= d), None)
+                if j is None:
+                    out.set(index[mono], col,
+                            poly_add(out.entries[index[mono]][col], coef, p))
+                    continue
+                for i, c in enumerate(tails[j]):
+                    if c:
+                        nm = mono[:j] + (mono[j] - self.degrees[j] + i,) \
+                            + mono[j + 1:]
+                        add = reduce_mod(poly_mul(coef, c, p), mod)
+                        work[nm] = poly_add(work.get(nm, []), add, p)
         return out
-
-    def _needed_level(self, elem):
-        n = 0
-        for f in self.rels:
-            for c in f:
-                for e in c.terms:
-                    n = max(n, e.k)
-        for coef in elem.values():
-            for e in coef.terms:
-                n = max(n, e.k)
-        return n
 
     def jacobian_entry(self, j):
         """d f_j / d x_j as a multivariate element (the monic top term is
         the i = deg summand of the loop)."""
         out = {}
+        p = self.cfg.p
         for i in range(1, len(self.rels[j])):
-            c = self.rels[j][i] * i
-            if not c.is_zero():
+            c = poly_scale(self.rels[j][i], i, p)
+            if c:
                 mono = tuple((i - 1) if t == j else 0
                              for t in range(self.nvars))
                 out[mono] = c
         return out
 
 
-def naive_cotangent(P: AlgebraPresentation, level=None) -> ChainComplex:
+def naive_cotangent(P: AlgebraPresentation, level=0) -> ChainComplex:
     """Two-term complex (relations -> differentials) in degrees [-1, 0]:
     B^k --Jacobian--> B^k, the degree-0 part spanned by the dx_i."""
     cfg = P.cfg
     k = P.nvars
     if k == 0:
         return ChainComplex.zero(cfg)
-    if level is None:
-        level = P._needed_level({})
     blocks = [P.mult_operator(P.jacobian_entry(j), level) for j in range(k)]
     n = k * P.rank
     mat = PolyMatrix.block(n, n, cfg.p, ring_modulus(cfg, level),
@@ -653,7 +618,7 @@ def cotangent_transitivity_check(P_B: AlgebraPresentation,
     cfg = P_B.cfg
     P_C = AlgebraPresentation(cfg, P_B.rels + [extra_rel])
     P_g = AlgebraPresentation(cfg, [extra_rel])
-    level = max(P_C._needed_level({}), 1)
+    level = 1
     L_BA = naive_cotangent(P_B, level)
     L_CA = naive_cotangent(P_C, level)
     L_CB = naive_cotangent(P_g, level)
@@ -746,7 +711,6 @@ def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):
     """
     if n_max > 3 or m_max > 3:
         raise ValueError("ladder parameters are capped at 3")
-    ring = cfg
     out = []
     for n in range(0, n_max + 1):
         for m in range(0, m_max + 1):
@@ -768,10 +732,9 @@ def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):
                 out.append(entry)
                 continue
             # presentation of the extension: f(x) = x^deg - t^n x
-            coeffs = [BaseElem.zero(ring)] * (deg + 1)
-            coeffs[0] = BaseElem.zero(ring)
-            coeffs[1] = -BaseElem.monomial(ring, n)
-            coeffs[deg] = BaseElem.one(ring)
+            coeffs = [0] * (deg + 1)
+            coeffs[1] = [0] * n + [cfg.p - 1]
+            coeffs[deg] = 1
             P = AlgebraPresentation(cfg, [coeffs])
             entry["rank"] = P.rank
             entry["syntomic"] = is_almost_finite_syntomic(

@@ -32,12 +32,13 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 # the primes --p and a payload's "p" may name
 PRIMES = (2, 3, 5, 7, 11, 13)
-# tilt_basis_iso builds p^n basis entries and checks p^(2n) products, so its
-# time grows as p^(2n): 7^3 = 343 entries take about a second, 2^9 = 512
-# between two and three, 3^6 = 729 about five (CPython 3.11, 2-vCPU host)
+# tilt_basis_iso builds p^n basis entries and checks p^(2n) products of
+# coefficient lists up to 2p^n long: in-process, 7^3 = 343 entries take
+# about 1.7 s at c = 1 and 2.0 s at c = 100, 2^9 = 512 about 5 s and
+# 3^6 = 729 about 14 s (CPython 3.11, 2-vCPU host)
 TILT_MAX_ENTRIES = 343
-# each of those products reduces its coefficients mod p^c; at c <= 100 that
-# costs about as much as at c = 1, at c = 10^4 several times more
+# each of those products is taken mod p^c and folded through x^(p^n) = p;
+# at c <= 100 that costs little more than at c = 1
 TILT_MAX_PRECISION = 100
 # a module payload may ask for rank * (rank + d) <= this, with d the largest
 # s-degree of its factors and of a truncated ring's modulus
@@ -61,9 +62,8 @@ def _build_config(args) -> RingConfig:
     if mode == "perfect":
         return RingConfig.perfect(p)
     if mode == "truncated":
-        return RingConfig.truncated(p, args.truncation or 1)
-    if mode == "mixed":
-        return RingConfig.mixed(p, args.level or 1, args.truncation or 1)
+        return RingConfig.truncated(
+            p, 1 if args.truncation is None else args.truncation)
     raise UsageError(f"unknown mode {mode!r}")
 
 
@@ -73,6 +73,8 @@ def _validate(args):
     if args.command == "compute":
         if args.level is not None and not 0 <= args.level <= 6:
             raise UsageError("--level must be in [0, 6]")
+        if args.truncation is not None and args.truncation < 1:
+            raise UsageError("--truncation must be positive")
         return
     if args.depth is not None and not 1 <= args.depth <= 6:
         raise UsageError("--depth must be in [1, 6]")
@@ -218,8 +220,6 @@ def _op_k0_class(payload, args):
 
 def _op_a_n_plus(payload, args):
     cfg = _build_config(args)
-    if not cfg.is_char_p:
-        raise UsageError("a_n_plus needs a char-p config")
     rank, stage = payload.get("rank", 1), payload.get("stage", 3)
     n = PExp.from_fraction(cfg.p, payload["n"])
     if rank > A_N_PLUS_MAX_RANK:
@@ -240,7 +240,9 @@ def _op_tilt_basis_iso(payload, args):
         raise UsageError(f"tilt_basis_iso with p^n = {p}^{n} is over the "
                          f"limit p^n <= {TILT_MAX_ENTRIES}")
     c = payload.get("c", 1)
-    if isinstance(c, int) and c > TILT_MAX_PRECISION:
+    if type(c) is not int or c < 1:
+        raise UsageError(f"payload c must be a positive integer, got {c!r}")
+    if c > TILT_MAX_PRECISION:
         raise UsageError(f"tilt_basis_iso with c = {c} is over the limit "
                          f"c <= {TILT_MAX_PRECISION}")
     table = tilt_basis_iso(p, n, c)
@@ -288,7 +290,7 @@ def _parser():
     cp.add_argument("--input", type=str, default=None,
                     help="JSON payload file (default: stdin)")
     common(cp)
-    cp.add_argument("--mode", choices=("perfect", "truncated", "mixed"),
+    cp.add_argument("--mode", choices=("perfect", "truncated"),
                     default=None)
     cp.add_argument("--level", type=int, default=None)
     cp.add_argument("--truncation", type=int, default=None)

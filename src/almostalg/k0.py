@@ -249,8 +249,6 @@ def k_ideal_check(cfg: RingConfig) -> bool:
     [V] and kills [(m-tilde)_B]; the kernel on classes is exactly the
     image of the almost classes of A under M -> (m-tilde M)_B.
     """
-    if not cfg.is_char_p:
-        raise ValueError("char-p configs only")
     p = cfg.p
     # [(m-tilde)_B] tensor_B V = m-tilde / m-tilde^2: at stage j this is
     # coker(t^(1/p^j): V -> V) = V/t^(1/p^j) -- torsion, class 0 in K0+

@@ -17,7 +17,7 @@ form with its transforms is computed only on demand (PresentedModule.snf).
 """
 from __future__ import annotations
 
-from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
+from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .linalg import PolyMatrix, kernel_basis, kron, lift_matrix, snf, solve
 from .polys import poly_monomial, poly_to_string, poly_valuation
@@ -27,9 +27,7 @@ def ring_modulus(cfg: RingConfig, level: int):
     """s-power modulus of R_level, or None for the untruncated ring."""
     if cfg.mode == CHAR_P_TRUNCATED:
         return cfg.trunc.to_int_at_level(level)
-    if cfg.mode == CHAR_P_PERFECT:
-        return None
-    raise ValueError("module theory is restricted to char-p configs")
+    return None
 
 
 def _column_monomial_factors(R: PolyMatrix):
@@ -73,8 +71,6 @@ class PresentedModule:
     __slots__ = ("cfg", "level", "rank", "relations", "_factors", "_smith")
 
     def __init__(self, cfg, level, rank, relations=None):
-        if not cfg.is_char_p:
-            raise ValueError("module theory is restricted to char-p configs")
         self.cfg = cfg
         self.level = level
         self.rank = rank

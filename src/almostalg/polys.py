@@ -1,18 +1,24 @@
-"""Dense polynomials over F_p, lowest degree first.
+"""Dense polynomials over F_p (and Z/p^c), lowest degree first.
 
 A polynomial is a list of ints in [0, p) with no trailing zeros; [] is the
 zero polynomial.  poly_trim, poly_add, poly_mul and poly_divmod are the hot
 inner loops; everything else (xgcd, valuation, ...) is built on them.
 All of it is plain Python: there is no compiled kernel.
 
-Kernel contract: operands are trimmed, their coefficients lie in [0, p),
-and p is prime.  Results obey the same contract and are new lists (an
-untrimmed operand still gets a trimmed result).  A one-term operand c*s^k,
-whose only nonzero coefficient is the last, is recognised with one
-list.count, and poly_mul and poly_divmod then shift and scale instead of
-running the schoolbook loops; poly_trim and poly_valuation find the single
-term of one-term and all-zero lists with list.count too, at C speed.  The
-results are exactly those of the schoolbook loops.
+Kernel contract: operands are trimmed and their coefficients lie in
+[0, p).  Results obey the same contract and are new lists (an untrimmed
+operand still gets a trimmed result).  poly_trim, poly_add, poly_mul,
+poly_neg, poly_sub and poly_scale need only a coefficient modulus p >= 2,
+so they also compute over Z/p^c; poly_divmod, poly_xgcd and what is built
+on them invert coefficients and need p prime.  poly_scale reduces any
+integer coefficients, so poly_scale(a, 1, p) is the reduction mod p.
+
+A one-term operand c*s^k, whose only nonzero coefficient is the last, is
+recognised with one list.count, and poly_mul, poly_divmod and poly_scale
+then shift and scale instead of running the schoolbook loops; poly_trim
+and poly_valuation find the single term of one-term and all-zero lists
+with list.count too, at C speed.  The results are exactly those of the
+schoolbook loops.
 """
 from __future__ import annotations
 
@@ -56,7 +62,9 @@ def poly_mul(a: list, b: list, p: int) -> list:
     # len(x) == 1 or a zero constant term, so dense operands skip the count
     if (la == 1 or not a[0]) and a[-1] and a.count(0) == la - 1:
         if (lb == 1 or not b[0]) and b[-1] and b.count(0) == lb - 1:
-            return [0] * (la + lb - 2) + [a[-1] * b[-1] % p]
+            # two nonzero coefficients multiply to 0 only when p is not prime
+            c = a[-1] * b[-1] % p
+            return [0] * (la + lb - 2) + [c] if c else []
         a, b, lb = b, a, la
     elif not ((lb == 1 or not b[0]) and b[-1] and b.count(0) == lb - 1):
         out = [0] * (la + lb - 1)
@@ -116,6 +124,10 @@ def poly_scale(a: list, c: int, p: int) -> list:
     c %= p
     if not c:
         return []
+    n = len(a)
+    if n and a[-1] and a.count(0) == n - 1:
+        c = c * a[-1] % p
+        return [0] * (n - 1) + [c] if c else []
     return poly_trim([(c * x) % p for x in a])
 
 def poly_mod(a: list, b: list, p: int) -> list:

@@ -8,9 +8,9 @@ limits are computed as honest compatible-tuple kernels.
 from __future__ import annotations
 
 from .algebra import b_shriek_shriek
-from .base_ring import BaseElem, RingConfig
+from .base_ring import RingConfig
 from .exponents import PExp
-from .linalg import PolyMatrix
+from .linalg import PolyMatrix, reduce_mod
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -20,6 +20,7 @@ from .modules import (
     kernel_map,
     ring_modulus,
 )
+from .polys import poly_add, poly_mul, poly_scale, poly_trim
 
 
 class TowerSpec:
@@ -79,9 +80,6 @@ def frobenius_iso_check(cfg: RingConfig, subring_level=None) -> bool:
         img = sorted(p * e for e in src)
         tgt = _lattice(p, n, omega)
         return img == tgt
-    if not cfg.is_char_p:
-        # mixed mock at finite level: x has no p-th root in the basis
-        return False
     cmax = cfg.trunc  # None over the perfect ring
     for L in range(1, 5):
         hi_s = omega.scale_pow(-1)
@@ -103,37 +101,40 @@ def frobenius_iso_check(cfg: RingConfig, subring_level=None) -> bool:
 
 # -- tilting dictionary ----------------------------------------------------
 
-def tilt_basis_iso(p: int, n: int, c: int = 1):
-    """Basis bijection x^k <-> t^(k/p^n) between the mixed mock mod p and
-    the char-p side mod t, verified multiplicative on every basis pair.
+def mixed_mock_reduce(f, p, n, c):
+    """f, a coefficient list in x over Z/p^c, on the basis x^k, k < p^n, of
+    the mixed mock Z[x]/(x^(p^n) - p, p^c): x^(p^n + i) folds down to
+    p*x^i until no term is left at or past x^(p^n)."""
+    N, q = p ** n, p ** c
+    while len(f) > N:
+        f = poly_add(poly_trim(f[:N]), poly_scale(f[N:], p, q), q)
+    return f
 
-    Returns the dictionary, or raises if some product disagrees."""
-    mixed = RingConfig.mixed(p, n, c)
-    flat = RingConfig.truncated(p, 1)
-    N = p ** n
-    pairs = {}
-    for k in range(N):
-        e = PExp(p, k, n)
-        pairs[k] = (BaseElem.monomial(mixed, e), BaseElem.monomial(flat, e))
-    # unit matches unit
-    if pairs[0][0] != BaseElem.one(mixed) or pairs[0][1] != BaseElem.one(flat):
-        raise AssertionError("unit mismatch")
-    for a in range(N):
-        for b in range(N):
-            xa, ta = pairs[a]
-            xb, tb = pairs[b]
-            prod_m = xa * xb
-            prod_f = ta * tb
+
+def tilt_basis_iso(p: int, n: int, c: int = 1):
+    """Basis bijection x^k <-> t^(k/p^n) between the mixed mock
+    Z[x]/(x^(p^n) - p, p^c) mod p and the char-p side V/(t), verified
+    multiplicative on every basis pair.
+
+    Both sides are coefficient lists, x^k in x and t^(k/p^n) in
+    s = t^(1/p^n), so that V/(t) is F_p[s]/(s^(p^n)).  Returns the
+    dictionary, or raises if some product disagrees."""
+    N, q = p ** n, p ** c
+    basis = [[0] * k + [1] for k in range(N)]
+    for a, xa in enumerate(basis):
+        for b, xb in enumerate(basis):
+            prod_m = mixed_mock_reduce(poly_mul(xa, xb, q), p, n, c)
             # reduce the mixed product mod p: carries x^(p^n) = p die
-            prod_m = BaseElem(mixed, {e: cf % p for e, cf in prod_m.terms.items()})
+            prod_m = poly_scale(prod_m, 1, p)
+            prod_f = reduce_mod(poly_mul(xa, xb, p), N)
             if a + b < N:
-                want = pairs[a + b]
-                if prod_m != want[0] or prod_f != want[1]:
+                if prod_m != basis[a + b] or prod_f != basis[a + b]:
                     raise AssertionError(f"product mismatch at ({a},{b})")
-            else:
-                if not (prod_m.is_zero() and prod_f.is_zero()):
-                    raise AssertionError(f"carry products must vanish ({a},{b})")
-    return {k: (str(pairs[k][0]), str(pairs[k][1])) for k in range(N)}
+            elif prod_m or prod_f:
+                raise AssertionError(f"carry products must vanish ({a},{b})")
+    names = [(f"x^({e})", f"t^({e})")
+             for e in (PExp(p, k, n) for k in range(1, N))]
+    return dict(enumerate([("1", "1")] + names))
 
 
 # -- A_n^+ and Lemma comparison -------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from almostalg import algebra as alg
-from almostalg.base_ring import BaseElem, RingConfig
+from almostalg.base_ring import RingConfig
 from almostalg.modules import ModuleMap, PresentedModule, ring_modulus
 from almostalg.linalg import PolyMatrix
 from almostalg.polys import poly_trim
@@ -112,26 +112,43 @@ def test_almost_lift_check_accepts_unit_perturbation():
     assert alg.almost_lift_check(f, [Fraction(1, 2)])
 
 
+MINUS_T = [0, 2]  # -t over F_3
+
+
 def test_presentation_rank_and_reduction():
     # x^2 - t over V/(t^2) at p=3: rank 2 quotient
-    f = [-BaseElem.monomial(W32, 1), BaseElem.zero(W32), BaseElem.one(W32)]
-    P = alg.AlgebraPresentation(W32, [f])
+    P = alg.AlgebraPresentation(W32, [[MINUS_T, 0, 1]])
     assert P.rank == 2
 
 
+@pytest.mark.parametrize("cfg", [V2, RingConfig.truncated(2, 2)],
+                         ids=["V", "V/(t^2)"])
+def test_mult_operator_is_the_companion_matrix(cfg):
+    # x^3 - t^n x over F_2: x sends x^i to x^(i+1) and x^2 to t^n x, so
+    # its matrix is the companion matrix with t^n = s^(n p^L) at level L
+    for n in (1, 2):
+        P = alg.AlgebraPresentation(cfg, [[0, [0] * n + [1], 0, 1]])
+        for level in (0, 1):
+            M = P.mult_operator({(1,): [1]}, level)
+            m = ring_modulus(cfg, level)
+            tn = [0] * (n * 2 ** level) + [1]
+            if m is not None and len(tn) > m:
+                tn = []  # t^2 = 0 over V/(t^2)
+            assert (M.rows, M.cols, M.modulus) == (3, 3, m)
+            assert M.entries == [[[], [], []],
+                                 [[1], [], tn],
+                                 [[], [1], []]]
+
+
 def test_naive_cotangent_amplitude():
-    f = [-BaseElem.monomial(W32, 1), BaseElem.zero(W32), BaseElem.one(W32)]
-    P = alg.AlgebraPresentation(W32, [f])
+    P = alg.AlgebraPresentation(W32, [[MINUS_T, 0, 1]])
     E = alg.naive_cotangent(P)
     assert alg.tor_amplitude_check(E, -1, 0)
 
 
 def test_cotangent_transitivity():
-    f = [-BaseElem.monomial(W32, 1), BaseElem.zero(W32), BaseElem.one(W32)]
-    P = alg.AlgebraPresentation(W32, [f])
-    g = [BaseElem.zero(W32), -BaseElem.monomial(W32, 1),
-         BaseElem.zero(W32), BaseElem.one(W32)]
-    assert alg.cotangent_transitivity_check(P, g)
+    P = alg.AlgebraPresentation(W32, [[MINUS_T, 0, 1]])
+    assert alg.cotangent_transitivity_check(P, [0, MINUS_T, 0, 1])
 
 
 def test_syntomic_ladder_small():

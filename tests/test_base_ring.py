@@ -3,26 +3,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from almostalg.base_ring import (
-    BaseElem,
-    RingConfig,
-    divides_monomial,
-    elem_mul,
-    frobenius,
-    frobenius_inv,
-)
+from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
+from almostalg.linalg import lift_poly, reduce_mod
+from almostalg.modules import ring_modulus
+from almostalg.polys import poly_add, poly_mul
+from almostalg.tower import mixed_mock_reduce
 
 
 def test_config_constructors():
     v = RingConfig.perfect(2)
-    assert v.is_char_p
+    assert v.trunc is None
     w = RingConfig.truncated(3, 2)
-    assert w.is_char_p and w.trunc.as_fraction() == 2
-    m = RingConfig.mixed(2, 3, 1)
-    assert not m.is_char_p
+    assert w.trunc.as_fraction() == 2
     with pytest.raises(ValueError):
         RingConfig.perfect(4)
+    with pytest.raises(ValueError):
+        RingConfig.truncated(2, 0)
+    with pytest.raises(ValueError):
+        RingConfig(2, "mixed-mock")
 
 
 def test_pexp_canonical_form():
@@ -70,61 +69,51 @@ def test_to_int_at_level():
 
 
 def test_elem_arith_perfect():
-    v = RingConfig.perfect(2)
-    t_half = BaseElem.monomial(v, Fraction(1, 2))
-    t = BaseElem.monomial(v, 1)
-    assert t_half * t_half == t
-    assert t + t == BaseElem.zero(v)  # characteristic 2
-    assert BaseElem.one(v) * t == t
+    # at level 1 over p = 2 an element of V is a list in s = t^(1/2)
+    t_half, t = [0, 1], [0, 0, 1]
+    assert poly_mul(t_half, t_half, 2) == t
+    assert poly_add(t, t, 2) == []  # characteristic 2
+    assert poly_mul([1], t, 2) == t
 
 
 def test_truncation_kills_high_exponents():
-    w = RingConfig.truncated(2, 1)
-    t_half = BaseElem.monomial(w, Fraction(1, 2))
-    t_quarter = BaseElem.monomial(w, Fraction(1, 4))
-    assert t_half * t_half == BaseElem.zero(w)  # exponent 1 >= trunc
-    assert t_quarter * t_quarter == t_half
+    # V/(t) at level 2: lists in s = t^(1/4), reduced mod s^4
+    m = ring_modulus(RingConfig.truncated(2, 1), 2)
+    t_half, t_quarter = [0, 0, 1], [0, 1]
+    assert reduce_mod(poly_mul(t_half, t_half, 2), m) == []  # t^1 = 0
+    assert reduce_mod(poly_mul(t_quarter, t_quarter, 2), m) == t_half
 
 
 def test_frobenius_bijective_on_perfect_ring():
-    v = RingConfig.perfect(3)
-    x = BaseElem.monomial(v, Fraction(1, 3)) + BaseElem.monomial(v, 2, 2)
-    y = frobenius(x)
-    assert frobenius_inv(y) == x
+    # at level 2 over p = 3 (s = t^(1/9)) Frobenius x -> x^3 sends s to
+    # s^3: it is the level lift read at the same level, and taking every
+    # third coefficient inverts it
+    p = 3
+    x = [0, 0, 0, 1] + [0] * 14 + [2]  # t^(1/3) + 2 t^2
+    z = [0, 1]  # t^(1/9)
+
+    def frob(f):
+        return lift_poly(f, 1, p)
+
+    assert frob(x) == poly_mul(poly_mul(x, x, p), x, p)
+    assert frob(x)[::p] == x
     # Frobenius is additive and multiplicative in characteristic p
-    z = BaseElem.monomial(v, Fraction(1, 9))
-    assert frobenius(x + z) == frobenius(x) + frobenius(z)
-    assert frobenius(elem_mul(x, z)) == elem_mul(frobenius(x), frobenius(z))
+    assert frob(poly_add(x, z, p)) == poly_add(frob(x), frob(z), p)
+    assert frob(poly_mul(x, z, p)) == poly_mul(frob(x), frob(z), p)
 
 
 def test_mixed_mock_relation():
-    # x^(p^n) = p and p^c = 0 in Z[x]/(x^(p^n) - p, p^c)
-    m = RingConfig.mixed(2, 2, 1)
-    x = BaseElem.monomial(m, Fraction(1, 4))
-    x4 = elem_mul(elem_mul(x, x), elem_mul(x, x))
-    assert x4 == BaseElem.zero(m)  # x^4 = p = 0 when c = 1
-    m2 = RingConfig.mixed(2, 2, 2)
-    x = BaseElem.monomial(m2, Fraction(1, 4))
-    x4 = elem_mul(elem_mul(x, x), elem_mul(x, x))
-    assert x4 == BaseElem.monomial(m2, 0, coef=2)  # x^4 = p, p^2 = 0
-
-
-def test_divides_monomial():
-    v = RingConfig.perfect(2)
-    a = BaseElem.monomial(v, Fraction(1, 2))
-    b = BaseElem.monomial(v, 1)
-    assert divides_monomial(a, b)
-    assert not divides_monomial(b, a)
+    # x^(p^n) = p and p^c = 0 in Z[x]/(x^(p^n) - p, p^c), at p = 2, n = 2
+    x2 = poly_mul([0, 1], [0, 1], 4)
+    x4 = poly_mul(x2, x2, 4)
+    assert mixed_mock_reduce(x4, 2, 2, 1) == []  # x^4 = p = 0 when c = 1
+    assert mixed_mock_reduce(x4, 2, 2, 2) == [2]  # x^4 = p
+    assert mixed_mock_reduce([3, 0, 1, 0, 0, 1], 2, 2, 2) == [3, 2, 1]
+    # x^8 = p^2 = 0 at c = 2, folded once through each x^4
+    assert mixed_mock_reduce(poly_mul(x4, x4, 4), 2, 2, 2) == []
 
 
 def test_pexp_helpers():
     assert PExp(2, 1, 1).as_fraction() == Fraction(1, 2)
     assert PExp(2, 0, 3).is_zero()
 
-
-def test_two_spellings_of_one_exponent_merge_to_a_reduced_coefficient():
-    # 1/3 as a Fraction and as a PExp: 2 + 2 = 4 = 1 mod 3
-    ring = RingConfig.perfect(3)
-    x = BaseElem(ring, {Fraction(1, 3): 2, PExp(3, 1, 1): 2})
-    assert x.terms == {PExp(3, 1, 1): 1}
-    assert x == BaseElem.monomial(ring, Fraction(1, 3))

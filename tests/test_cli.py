@@ -210,6 +210,35 @@ def test_compute_tilt_basis_iso_refuses_past_the_cap(payload, limit, capsys,
     assert not out
 
 
+@pytest.mark.parametrize("c", [0, -1, "2", 1.5, True, None],
+                         ids=["zero", "negative", "string", "float", "true",
+                              "null"])
+def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
+        c, capsys, monkeypatch):
+    code, out, err = run_cli(["compute", "tilt_basis_iso"],
+                             stdin_text=json.dumps({"p": 2, "n": 2, "c": c}),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "payload c must be a positive integer" in err
+    assert not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "truncated", "--truncation", "0"],
+    ["--mode", "truncated", "--truncation", "-2"],
+    ["--mode", "mixed"],
+], ids=["truncation-0", "truncation-negative", "mode-mixed"])
+def test_compute_refuses_a_ring_it_cannot_build(argv, capsys, monkeypatch):
+    code, out, err = run_cli(["compute", "decompose", "--p", "2"] + argv,
+                             stdin_text='{"exponents": ["1"]}',
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error: --truncation must be positive") \
+        or "invalid choice: 'mixed'" in err
+    assert "Traceback" not in err and not out
+
+
 class _UnwritableStdout(io.StringIO):
     """A stdout whose reader has gone (closed pipe) or whose disk is full."""
 

@@ -32,8 +32,9 @@ W2 = RingConfig.truncated(2, 2)
 def test_ring_modulus():
     assert ring_modulus(V2, 3) is None
     assert ring_modulus(W2, 2) == 8
+    # t^(1/2) is no power of s = t at level 0
     with pytest.raises(ValueError):
-        ring_modulus(RingConfig.mixed(2, 1, 1), 0)
+        ring_modulus(RingConfig.truncated(2, Fraction(1, 2)), 0)
 
 
 def test_decompose_cyclic():

@@ -1,4 +1,5 @@
-"""Property tests of the F_p[s] kernels against naive references."""
+"""Property tests of the F_p[s] kernels against naive references; mul and
+add also over Z/p^c, where nonzero coefficients can multiply to zero."""
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -39,7 +40,7 @@ def is_reduced(a, p):
 
 
 def polys(p):
-    """Trimmed polynomials over F_p: dense ones (the empty list among them)
+    """Trimmed polynomials over Z/p: dense ones (the empty list among them)
     and one-term ones c * s^k."""
     dense = st.lists(st.integers(0, p - 1), max_size=12).map(_trim)
     mono = st.builds(lambda c, k: [0] * k + [c],
@@ -48,13 +49,14 @@ def polys(p):
 
 
 @st.composite
-def two_polys(draw):
-    p = draw(st.sampled_from(PRIMES))
+def two_polys(draw, max_c=1):
+    """A modulus p^c, c <= max_c, and two polynomials over Z/p^c."""
+    p = draw(st.sampled_from(PRIMES)) ** draw(st.integers(1, max_c))
     return p, draw(polys(p)), draw(polys(p))
 
 
 @settings(max_examples=300, deadline=None)
-@given(two_polys())
+@given(two_polys(max_c=3))
 def test_mul_and_add_match_naive_reference(args):
     p, a, b = args
     prod, total = poly_mul(a, b, p), poly_add(a, b, p)
