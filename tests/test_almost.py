@@ -84,7 +84,7 @@ def test_firmify_produces_firm_idempotently():
 def test_closedify_identity_on_monomial_modules():
     M = PresentedModule.from_factors(V2, 1, [], 1)
     assert is_closed(M, J).holds
-    assert iso_test(closedify(closedify(M)), closedify(M))
+    assert iso_test(closedify(closedify(M)), M)
 
 
 def test_residue_is_not_closed():
@@ -96,7 +96,7 @@ def test_shriek_roundtrip():
               PresentedModule.cyclic(V3, Fraction(1, 3))):
         S = shriek(M)
         assert is_firm(S, J).holds
-        assert iso_test(closedify(S), closedify(M))
+        assert iso_test(closedify(S), M)
 
 
 def test_colocal_ext_vanishing():
@@ -152,7 +152,7 @@ def test_tower_stages_are_evaluated_once_and_residuals_match_raw_loop():
     assert not colim_is_zero(T, J)
     assert not is_almost_zero(T, J).holds  # the free line survives
     is_almost_iso(mu_map(T), J)            # kernel and cokernel towers of T
-    got = _residuals(T, J)
+    K, got = _residuals(T, J)
     assert calls and max(calls.values()) == 1
 
     # perfect ring: every annihilator bound is the line's own exponent
@@ -167,7 +167,7 @@ def test_tower_stages_are_evaluated_once_and_residuals_match_raw_loop():
             acc += raw_trans(k)
         want.append(best)
     # a residual <= 0 (dies exactly) is reported as 0
-    assert [[None if r is None else r.as_fraction() for r in row]
+    assert [[None if r is None else Fraction(r, 3 ** K) for r in row]
             for row in got] == \
         [[None if r is None else max(r, 0) for r in row] for row in want]
 

@@ -67,3 +67,24 @@ def test_enumerated_image_matches_naive_enumeration():
         assert all(index[tuple(e)] == n for n, e in enumerate(elems))
         got = {tuple(tuple(elems[n]) for n in y) for y in image}
         assert got == _naive_image(A, 2, k)
+
+
+def test_quillen_suite_catches_a_closedify_that_returns_zero(monkeypatch):
+    # the fault: closedify rebound in every almostalg module to return the
+    # zero module, so that a check comparing two closed forms still passes
+    import sys
+
+    from almostalg.modules import PresentedModule
+
+    def zero(x):
+        return PresentedModule.zero(x.cfg)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "almostalg" and \
+                hasattr(mod, "closedify"):
+            monkeypatch.setattr(mod, "closedify", zero)
+    [rep] = suites.run_suite("quillen", suites.SuiteOptions())
+    verdicts = {c["name"]: c["verdict"] for c in rep.checks}
+    assert verdicts["closedify-idempotent"] == "fail"
+    assert verdicts["shriek-roundtrip"] == "fail"
+    assert not rep.ok

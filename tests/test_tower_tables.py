@@ -1,0 +1,194 @@
+"""Differential for the tower bookkeeping.
+
+The kernel and cokernel towers of mu, and the residuals that decide
+colimit death, are computed from integer stage tables.  Here they are
+recomputed from explicit modules and maps: the stage map of mu built by
+hand as t^(1/p^j) on the diagonal, kernel_map/cokernel_map of it, and
+compositions of the towers' transition maps."""
+from fractions import Fraction
+
+import pytest
+
+from almostalg.almost import (
+    MonomialTower,
+    _residuals,
+    cokernel_tower,
+    ideal_m,
+    kernel_tower,
+    mu_map,
+    residue,
+)
+from almostalg.base_ring import RingConfig
+from almostalg.linalg import PolyMatrix
+from almostalg.modules import ModuleMap, cokernel_map, kernel_map
+from almostalg.polys import poly_monomial, poly_valuation
+from almostalg.suites import monomial_corpus
+
+# working level J and corpus size per prime; the bookkeeping reads stages
+# up to 2J + 6, presented at up to level 2J + 7 (s = t^(1/p^(2J+7)))
+CASES = {2: (2, 6), 3: (1, 6)}
+# the lookahead of the colimit bookkeeping, spelled out
+LOOKAHEAD = 6
+
+
+def _sources(p, size):
+    for cfg in (RingConfig.perfect(p), RingConfig.truncated(p, 1),
+                RingConfig.truncated(p, 2)):
+        yield ideal_m(cfg)
+        yield residue(cfg)
+    yield from monomial_corpus(p, size, primes=(p,))
+
+
+def _exp(e, M):
+    """An s-exponent of M's level as a fraction of t-exponents."""
+    return Fraction(e, M.cfg.p ** M.level)
+
+
+def _row_bounds(M):
+    """Per generator of M, the least t-exponent of its relations (the
+    truncation counts as one), or None for a free generator over the
+    domain.  Stage modules are direct sums, so each generator is killed by
+    exactly that power."""
+    out = []
+    for row in M.relations.entries:
+        vs = [poly_valuation(e) for e in row if e]
+        if M.modulus is not None:
+            vs.append(M.modulus)
+        out.append(_exp(min(vs), M) if vs else None)
+    return out
+
+
+def _diagonal_exp(f):
+    """The t-exponent c of a map that is t^c on the diagonal, or None when
+    t^c is 0 in the ring (c at least a truncation bound)."""
+    diag = {tuple(f.matrix.entries[i][i])
+            for i in range(min(f.matrix.rows, f.matrix.cols))}
+    assert len(diag) == 1
+    e = list(diag.pop())
+    return _exp(poly_valuation(e), f) if e else None
+
+
+def _mu_stage(f, j):
+    """Stage j of mu: m tensor x -> x, multiplication by t^(1/p^j) from
+    stage j of firmify(x) to stage j of x, built by hand."""
+    F, T = f.source.component(j), f.target.component(j)
+    L = max(F.level, T.level, j)
+    F, T = F.at_level(L), T.at_level(L)
+    p = F.cfg.p
+    mat = PolyMatrix(T.rank, F.rank, p, modulus=F.modulus)
+    for i in range(F.rank):
+        mat.set(i, i, poly_monomial(1, p ** (L - j), p))
+    return ModuleMap(F, T, mat)  # checked to be well defined
+
+
+def _least_offset(incl):
+    """The least t-exponent by which a kernel generator sits inside a line
+    of the source: min over lines of the least valuation, among the
+    inclusion's entries that are nonzero on that line; 0 without any."""
+    offs = []
+    for row, b in zip(incl.matrix.entries, _row_bounds(incl.target)):
+        vs = [_exp(poly_valuation(e), incl) for e in row if e]
+        vs = [v for v in vs if b is None or v < b]
+        if vs:
+            offs.append(min(vs))
+    return min(offs, default=0)
+
+
+def _shape(tower, j):
+    """Stage j as (free rank, sorted nonzero annihilator exponents); over a
+    truncated ring a line killed exactly by the truncation is free."""
+    free, torsion = 0, []
+    for a in tower.lines(j):
+        if a is None or a == tower.cfg.trunc:
+            free += 1
+        elif not a.is_zero():
+            torsion.append(a.as_fraction())
+    return free, sorted(torsion)
+
+
+def _module_shape(M):
+    return M.free_rank(), [e.as_fraction() for e in M.decompose_exponents()]
+
+
+def _alike(f, g):
+    """f and g have kernels and cokernels that decompose alike."""
+    L = max(f.level, g.level)
+    f, g = f.at_level(L), g.at_level(L)
+    return (kernel_map(f)[0].decompose() == kernel_map(g)[0].decompose()
+            and cokernel_map(f)[0].decompose()
+            == cokernel_map(g)[0].decompose())
+
+
+@pytest.mark.parametrize("p", sorted(CASES))
+def test_kernel_and_cokernel_towers_match_explicit_stage_maps(p):
+    J, size = CASES[p]
+    stages = 2 * J + LOOKAHEAD + 1
+    for x in _sources(p, size):
+        mu = mu_map(x)
+        t = mu.target  # x as a tower
+        ker, cok = kernel_tower(mu), cokernel_tower(mu)
+        mus = [_mu_stage(mu, j) for j in range(stages)]
+        kers = [kernel_map(f) for f in mus]
+        for j, f in enumerate(mus):
+            K, incl = kers[j]
+            C, _ = cokernel_map(f)
+            assert _shape(ker, j) == _module_shape(K), (x, j)
+            assert _shape(cok, j) == _module_shape(C), (x, j)
+            if j + 1 == stages:
+                continue
+            # one transition exponent per kernel stage: the source's, moved
+            # by the least generator offset at stage j and at stage j + 1
+            c = (ker.trans_exp(j).as_fraction() - _least_offset(incl)
+                 + _least_offset(kers[j + 1][1]))
+            want = _diagonal_exp(mu.source.transition(j))
+            if want is None:
+                assert c >= t.cfg.trunc.as_fraction(), (x, j)
+            else:
+                assert c == want, (x, j)
+            # the target's transition induces the cokernel's transition
+            sigma = t.transition(j)
+            C1, _ = cokernel_map(mus[j + 1])
+            L = max(sigma.level, C.level, C1.level)
+            induced = ModuleMap(C.at_level(L), C1.at_level(L),
+                                sigma.at_level(L).matrix)
+            assert cok.trans_exp(j) == t.trans_exp(j), (x, j)
+            assert _alike(induced, cok.transition(j)), (x, j)
+
+
+def _brute_residuals(tower, J):
+    """For stage j <= J and line i: the least of (annihilator of line i at
+    stage k) - (exponent of the composite transition j -> k) over
+    k = j, ..., j + J + 6, from the composed transition maps; 0 when the
+    composite kills the line, None for a line without annihilator."""
+    out = []
+    for j in range(J + 1):
+        comp = ModuleMap.identity(tower.component(j))
+        best = [None] * comp.source.rank
+        for k in range(j, j + J + LOOKAHEAD + 1):
+            if k > j:
+                comp = tower.transition(k - 1).compose(comp)
+            bounds = _row_bounds(comp.target)
+            for i in range(min(len(best), len(bounds))):
+                if bounds[i] is None:
+                    continue
+                e = comp.matrix.entries[i][i]
+                r = bounds[i] - _exp(poly_valuation(e), comp) if e else 0
+                if best[i] is None or r < best[i]:
+                    best[i] = r
+        out.append([None if b is None else max(b, 0) for b in best])
+    return out
+
+
+@pytest.mark.parametrize("p", sorted(CASES))
+def test_residuals_match_composed_transitions(p):
+    J, size = CASES[p]
+    for x in _sources(p, size):
+        f = mu_map(x)
+        towers = [kernel_tower(f), cokernel_tower(f)]
+        if isinstance(x, MonomialTower):  # ideal_m and residue themselves
+            towers.append(x)
+        for tower in towers:
+            K, rows = _residuals(tower, J)
+            got = [[None if r is None else Fraction(r, p ** K) for r in row]
+                   for row in rows]
+            assert got == _brute_residuals(tower, J), (tower, x)
