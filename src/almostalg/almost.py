@@ -11,12 +11,14 @@ shape, and colimit questions reduce to exponent bookkeeping: a generator
 of stage j is zero in the colimit iff the accumulated transition exponent
 reaches the annihilator bound at some later stage.
 
-The bookkeeping runs on each tower's integer stage table (see
-MonomialTower.table): every exponent of stages 0..n scaled by one power
-p^K.  Derived towers (firmify, kernel_tower, cokernel_tower) build their
-tables from their source's table in integer arithmetic; PExp values are
-built only where a stage is read as exponents or modules, and for the
-witnesses and margins of certificates.
+Every tower is given by its integer stage table (see MonomialTower.table):
+every exponent of stages 0..n scaled by one power p^K.  The base towers
+(m, V/m, constant towers) write theirs in closed form; derived towers
+(firmify, kernel_tower, cokernel_tower) build theirs from their source's
+table in integer arithmetic.  A query at working level J reads stages
+0..2J + _LOOKAHEAD of every tower it touches, so each table is built once
+per query.  PExp values are built only where a stage is read as exponents
+or modules, and for the witnesses and margins of certificates.
 
 All "for all levels" statements are finitized at a working level J;
 verdicts say so explicitly (see AlmostCertificate).
@@ -39,6 +41,12 @@ RESIDUE = "RESIDUE_V_MOD_M"
 
 # extra lookahead stages when searching for the death of a generator
 _LOOKAHEAD = 6
+
+
+def _stages(J):
+    """The last stage a query at working level J reads: the residual of
+    stage J looks J + _LOOKAHEAD stages ahead."""
+    return 2 * J + _LOOKAHEAD
 
 # compares exactly with every int: a line with no annihilator bound
 _INF = float("inf")
@@ -81,11 +89,6 @@ def _floor(cfg):
     return cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
 
 
-def _eps(p, j):
-    """1/p^j - 1/p^(j+1), the inclusion exponent of the j-th stage of m."""
-    return PExp(p, p - 1, j + 1)
-
-
 def _scaled(rows, s):
     """Table rows with every exponent multiplied by s (None stays)."""
     if s == 1:
@@ -104,29 +107,22 @@ def _bounded(rows, s, cfg, K):
 
 
 class MonomialTower:
-    """Ind-module with monomial stages and scalar monomial transitions.
+    """Ind-module with monomial stages and scalar monomial transitions,
+    given by table_fn(n) -> its integer stage table for stages 0..n (see
+    table()).
 
-    The tower is held as one integer stage table (see table()).  A base
-    tower is given by lines_fn(j) -> annihilator exponents at stage j,
-    None for a free line, and trans_fn(j) -> transition exponent out of
-    stage j; each exponent is read once, through PExp.from_fraction (so a
-    PExp, an int or a Fraction will do), and scaled into the table.  A
-    derived tower is given by table_fn(n) instead, which builds the table
-    for stages 0..n from another tower's table in integer arithmetic.
-
-    The table is kept, grown when a later stage is asked for, and never
-    changed in place.  lines(), trans_exp(), component() and transition()
-    build PExp values and modules from it when they are read.
+    The table is kept, rebuilt by table_fn when a later stage is asked
+    for, and never changed in place.  lines(), trans_exp(), component()
+    and transition() build PExp values and modules from it when they are
+    read.
     """
 
-    __slots__ = ("cfg", "lines_fn", "trans_fn", "table_fn", "tag", "name",
-                 "closed_form", "az_delegate", "_components", "_table")
+    __slots__ = ("cfg", "table_fn", "tag", "name", "closed_form",
+                 "az_delegate", "_components", "_table")
 
-    def __init__(self, cfg, lines_fn=None, trans_fn=None, tag=None, name="",
-                 closed_form=None, az_delegate=None, table_fn=None):
+    def __init__(self, cfg, table_fn, tag=None, name="", closed_form=None,
+                 az_delegate=None):
         self.cfg = cfg
-        self.lines_fn = lines_fn
-        self.trans_fn = trans_fn
         self.table_fn = table_fn
         self.tag = tag
         self.name = name
@@ -145,44 +141,19 @@ class MonomialTower:
         j (its annihilator exponent, None for a free line), and trans[j],
         j < n, is the exponent of the transition out of stage j.
 
-        K is a level every exponent of the table lives at: for a base tower
-        the largest denominator exponent read so far, for a derived tower
-        max(its source table's K, n), raised to the truncation bound's
-        level for kernels and cokernels.  It may exceed what stages 0..n
-        alone need, when a longer table was built first."""
+        K is a level every exponent of the table lives at, set by the
+        tower's table_fn (each constructor says which).  It may exceed what
+        stages 0..n alone need, when a longer table was built first."""
         K, lines, trans = self._grown(n)
         if len(lines) == n + 1:
             return K, lines, trans
         return K, lines[:n + 1], trans[:n]
 
     def _grown(self, n):
-        """The kept table, first grown to stage n if it stops before."""
-        tab = self._table
-        if len(tab[1]) <= n:
-            tab = self._table = (self._read(n) if self.table_fn is None
-                                 else self.table_fn(n))
-        return tab
-
-    def _read(self, n):
-        """A base tower's table to stage n: the kept table, rescaled when a
-        new exponent needs a higher level, and the stages after it read
-        through lines_fn/trans_fn."""
-        p = self.cfg.p
-        K, lines, trans = self._table
-        new_lines = [tuple(None if a is None else PExp.from_fraction(p, a)
-                           for a in self.lines_fn(j))
-                     for j in range(len(lines), n + 1)]
-        new_trans = [PExp.from_fraction(p, self.trans_fn(j))
-                     for j in range(len(trans), n)]
-        K2 = max([K] + [c.k for c in new_trans]
-                 + [a.k for row in new_lines for a in row if a is not None])
-        s = p ** (K2 - K)
-        return (K2,
-                _scaled(lines, s) + [
-                    tuple(None if a is None else a.to_int_at_level(K2)
-                          for a in row) for row in new_lines],
-                [c * s for c in trans]
-                + [c.to_int_at_level(K2) for c in new_trans])
+        """The kept table, first rebuilt to stage n if it stops before."""
+        if len(self._table[1]) <= n:
+            self._table = self.table_fn(n)
+        return self._table
 
     def lines(self, j):
         """Annihilator exponents of stage j as PExp values, None for a free
@@ -233,29 +204,33 @@ class MonomialTower:
 
 # -- tower constructors ----------------------------------------------------
 
-def _line_of_module(M: PresentedModule):
-    return tuple(M.decompose_exponents()) + (None,) * M.free_rank()
-
-
 def ideal_m(cfg: RingConfig) -> MonomialTower:
-    """m = colim t^(1/p^j)V: free rank-1 stages, inclusion by t^eps_j."""
+    """m = colim t^(1/p^j)V: free rank-1 stages, inclusion by
+    t^((p - 1)/p^(j+1)), tabled at K = n."""
     p = cfg.p
-    return MonomialTower(cfg, lambda j: (None,), lambda j: _eps(p, j),
-                         tag=IDEAL_M, name="m",
-                         closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
+    return MonomialTower(
+        cfg, lambda n: (n, [(None,)] * (n + 1),
+                        [(p - 1) * p ** (n - j - 1) for j in range(n)]),
+        tag=IDEAL_M, name="m",
+        closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
 
 
 def residue(cfg: RingConfig) -> MonomialTower:
-    """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps."""
+    """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps,
+    tabled at K = n."""
     p = cfg.p
-    return MonomialTower(cfg, lambda j: (PExp(p, 1, j),), lambda j: 0,
-                         tag=RESIDUE, name="V/m",
-                         closed_form=PresentedModule.zero(cfg, _floor(cfg)))
+    return MonomialTower(
+        cfg, lambda n: (n, [(p ** (n - j),) for j in range(n + 1)], [0] * n),
+        tag=RESIDUE, name="V/m",
+        closed_form=PresentedModule.zero(cfg, _floor(cfg)))
 
 
 def const_tower(M: PresentedModule) -> MonomialTower:
-    line = _line_of_module(M)
-    return MonomialTower(M.cfg, lambda j: line, lambda j: 0,
+    """M at every stage along identities, tabled at K = M.level."""
+    K = M.level
+    line = tuple(e.to_int_at_level(K) for e in M.decompose_exponents()) \
+        + (None,) * M.free_rank()
+    return MonomialTower(M.cfg, lambda n: (K, [line] * (n + 1), [0] * n),
                          name=f"const({M!r})", closed_form=M, az_delegate=M)
 
 
@@ -316,16 +291,15 @@ def shriek(x) -> MonomialTower:
 
 
 class IndMap:
-    """Scalar map family between towers of matching line shape:
-    stage j is multiplication by t^(u_j), with u_j living at level j.
-    u_fn(j, K) gives u_j scaled by p^K, for any K >= j."""
+    """The map family of mu between towers of matching line shape: stage
+    j is multiplication by t^(u_j), u_j = 1/p^j, which is p^(K-j) in a
+    table at level K."""
 
-    __slots__ = ("source", "target", "u_fn", "name")
+    __slots__ = ("source", "target", "name")
 
-    def __init__(self, source, target, u_fn, name=""):
+    def __init__(self, source, target, name=""):
         self.source = source
         self.target = target
-        self.u_fn = u_fn
         self.name = name
 
     def check_commutes(self, upto):
@@ -336,16 +310,14 @@ class IndMap:
         Kt, _, tgt = self.target.table(upto)
         K = max(Ks, Kt, upto)
         ss, st = p ** (K - Ks), p ** (K - Kt)
-        u = self.u_fn
-        return all(b * st + u(j, K) == u(j + 1, K) + a * ss
+        return all(b * st + p ** (K - j) == p ** (K - j - 1) + a * ss
                    for j, (a, b) in enumerate(zip(src, tgt)))
 
 
 def mu_map(x) -> IndMap:
     """mu: m tensor x -> x (stage j: multiplication by t^(1/p^j))."""
     t = as_tower(x)
-    p = t.cfg.p
-    return IndMap(firmify(t), t, lambda j, K: p ** (K - j), name="mu")
+    return IndMap(firmify(t), t, name="mu")
 
 
 def kernel_tower(f: IndMap) -> MonomialTower:
@@ -367,7 +339,7 @@ def _kernel_table(f, n):
     s = cfg.p ** (K - Ks)
     out, offs = [], []
     for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = f.u_fn(j, K)
+        u = cfg.p ** (K - j)
         out.append(tuple(0 if a is None else min(u, a) for a in anns))
         offs.append(_offset(anns, u))
     # a tower has one transition exponent for all its lines, so each stage
@@ -404,7 +376,7 @@ def _cokernel_table(f, n):
     s = cfg.p ** (K - Kt)
     out = []
     for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = f.u_fn(j, K)
+        u = cfg.p ** (K - j)
         out.append(tuple(u if a is None else min(a, u) for a in anns))
     return K, out, [c * s for c in trans]
 
@@ -419,14 +391,14 @@ def _residuals(tower: MonomialTower, J: int):
     below 0 is reported as 0); small positive means it dies up to that
     exponent.
 
-    The stages are read from tower.table(J + horizon), raised to the
+    The stages are read from tower.table(_stages(J)), raised to the
     truncation bound's level when a free line is bounded by it.  With A_k a
     line's scaled annihilator at stage k and S_k the scaled sum of the
     transition exponents below stage k, the residual at (j, k) is
     A_k - (S_k - S_j), so best_j = S_j + min over k of (A_k - S_k)."""
     cfg = tower.cfg
     horizon = J + _LOOKAHEAD
-    K, lines, trans = tower.table(J + horizon)
+    K, lines, trans = tower.table(_stages(J))
     Kb = max(K, _floor(cfg))
     s = cfg.p ** (Kb - K)
     S = [0]
@@ -528,7 +500,7 @@ def is_almost_iso(f, J: int) -> AlmostCertificate:
         ck = is_almost_zero(K, J)
         cc = is_almost_zero(C, J)
     elif isinstance(f, IndMap):
-        if not f.check_commutes(J + _LOOKAHEAD):
+        if not f.check_commutes(_stages(J)):
             return AlmostCertificate("fails", False, J,
                                      {"reason": "map family not natural"})
         ck = is_almost_zero(kernel_tower(f), J)
@@ -549,7 +521,7 @@ def is_almost_iso(f, J: int) -> AlmostCertificate:
 
 def is_exact_iso_levelwise(f: IndMap, J: int) -> bool:
     """Kernel and cokernel towers both have zero colimit (exact death)."""
-    return (f.check_commutes(J + _LOOKAHEAD)
+    return (f.check_commutes(_stages(J))
             and colim_is_zero(kernel_tower(f), J)
             and colim_is_zero(cokernel_tower(f), J))
 
@@ -608,20 +580,21 @@ def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
     # Hom: if every transition exponent of M is positive and N is killed by
     # every positive power, any map vanishes stage by stage:
     # phi(x_j) = t^(c_j) phi(x_{j+1}) = 0.
-    pos = all(Mt.table(J + _LOOKAHEAD)[2])
+    pos = all(Mt.table(_stages(J))[2])
     if pos and n_az.verdict == "certified-structural":
         hom_ok = AlmostCertificate("certified-structural", True, J,
                                    {"reason": "positive transitions into an "
                                               "exactly-almost-zero target"})
     else:
         # levelwise computation against a representative of N
-        hom_ok = _levelwise_hom_vanishing(Mt, N, J)
+        hom_ok = _levelwise_vanishing(Mt, N, J, hom_module, "hom")
     if not hom_ok.holds:
         return AlmostCertificate("fails", False, J,
                                  {"ext0": hom_ok.witness})
 
     # Ext^1 levelwise on representatives
-    ext_ok = _levelwise_ext1_vanishing(Mt, N, J)
+    ext_ok = _levelwise_vanishing(Mt, N, J, lambda A, B: ext(A, B, 1),
+                                  "ext1")
     if not ext_ok.holds:
         return AlmostCertificate("fails", False, J, {"ext1": ext_ok.witness})
     verdict = "certified-structural" if (
@@ -637,28 +610,18 @@ def _representative(N, j):
     return as_tower(N).component(j)
 
 
-def _levelwise_hom_vanishing(Mt, N, J):
-    free_stages = True
-    for j in range(J + 1):
-        H = hom_module(Mt.component(j), _representative(N, j))
-        if not H.is_zero_module():
-            return AlmostCertificate("fails", False, J,
-                                     {"stage": j, "hom": H.decompose()})
-        free_stages = free_stages and not Mt.component(j).invariant_factors()
-    return AlmostCertificate(
-        "certified-structural" if free_stages else "holds-at-level",
-        True, J, {})
-
-
-def _levelwise_ext1_vanishing(Mt, N, J):
+def _levelwise_vanishing(Mt, N, J, functor, key):
+    """functor(stage j of Mt, a representative of N) is zero for every
+    j <= J; exact when every stage is free.  A nonzero stage is the
+    witness, under key."""
     all_free = True
     for j in range(J + 1):
         comp = Mt.component(j)
-        all_free = all_free and not comp.invariant_factors()
-        E = ext(comp, _representative(N, j), 1)
-        if not E.is_zero_module():
+        H = functor(comp, _representative(N, j))
+        if not H.is_zero_module():
             return AlmostCertificate("fails", False, J,
-                                     {"stage": j, "ext1": E.decompose()})
+                                     {"stage": j, key: H.decompose()})
+        all_free = all_free and not comp.invariant_factors()
     return AlmostCertificate(
         "certified-structural" if all_free else "holds-at-level", True, J, {})
 

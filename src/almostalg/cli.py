@@ -86,16 +86,26 @@ def _validate(args):
 
 # -- compute op registry ---------------------------------------------------
 
+def _count(payload, key, default):
+    """payload[key], or default when it is absent, as a non-negative
+    integer (a bool is not one)."""
+    n = payload.get(key, default)
+    if type(n) is not int or n < 0:
+        raise UsageError(
+            f"payload {key} must be a non-negative integer, got {n!r}")
+    return n
+
+
 def _parse_entries(grid, p, modulus):
     """Matrix entries as coefficient lists or bare integers."""
     ent = []
     for row in grid:
         out = []
         for e in row:
-            if isinstance(e, int):
+            if type(e) is int:
                 out.append([e % p] if e % p else [])
-            elif isinstance(e, list):
-                out.append([int(c) % p for c in e])
+            elif isinstance(e, list) and all(type(c) is int for c in e):
+                out.append([c % p for c in e])
             else:
                 raise UsageError(f"bad matrix entry {e!r}")
         ent.append(out)
@@ -162,12 +172,15 @@ def _module_from_payload(payload, args):
                                    or "free_rank" in payload):
         raise UsageError("a module payload gives either rank and relations "
                          "or exponents and free_rank")
-    exps = [PExp.from_fraction(cfg.p, e) for e in payload.get("exponents", [])]
+    exps = payload.get("exponents", [])
+    if not isinstance(exps, list):
+        raise UsageError(f"payload exponents must be a list, got {exps!r}")
+    exps = [PExp.from_fraction(cfg.p, e) for e in exps]
     level = payload.get("level", args.level)
     if level is None:
         level = max([0] + [e.k for e in exps])
     if "relations" in payload:
-        rank = payload["rank"]
+        rank = _count(payload, "rank", None)
         _check_module_size(cfg, level, rank, [])
         rel = _parse_entries(payload["relations"], cfg.p,
                              None) if payload["relations"] else \
@@ -175,7 +188,7 @@ def _module_from_payload(payload, args):
         from .modules import ring_modulus
         rel = rel.with_modulus(ring_modulus(cfg, level))
         return PresentedModule(cfg, level, rank, rel)
-    free_rank = payload.get("free_rank", 0)
+    free_rank = _count(payload, "free_rank", 0)
     _check_module_size(cfg, level, len(exps) + free_rank, exps)
     return PresentedModule.from_factors(cfg, level, exps, free_rank)
 
@@ -204,8 +217,14 @@ def _op_firmify(payload, args):
 
 def _op_k0_class(payload, args):
     cfg = _build_config(args)
-    mults = {int(d): (int(a), int(b))
-             for d, (a, b) in payload["mults"].items()}
+    mults = payload["mults"]
+    if not isinstance(mults, dict) or not all(
+            isinstance(ab, list) and len(ab) == 2
+            and all(type(n) is int and n >= 0 for n in ab)
+            for ab in mults.values()):
+        raise UsageError("payload mults must map degrees to pairs [a, b] of "
+                         f"non-negative integers, got {mults!r}")
+    mults = {int(d): tuple(ab) for d, ab in mults.items()}
 
     def realize(j):
         from .complexes import ChainComplex
@@ -220,7 +239,7 @@ def _op_k0_class(payload, args):
 
 def _op_a_n_plus(payload, args):
     cfg = _build_config(args)
-    rank, stage = payload.get("rank", 1), payload.get("stage", 3)
+    rank, stage = _count(payload, "rank", 1), _count(payload, "stage", 3)
     n = PExp.from_fraction(cfg.p, payload["n"])
     if rank > A_N_PLUS_MAX_RANK:
         raise UsageError(f"a_n_plus with rank {rank} is over the limit "
@@ -372,7 +391,7 @@ def _run_suite_cmd(args) -> int:
     return 0 if all(r.ok for r in reports) else CHECK_FAILURE
 
 
-def _read_input(path):
+def _input_text(path):
     """The payload text from path, or from stdin when no path is given."""
     if not path and sys.stdin is None:
         raise UsageError("stdin is closed; give the payload with --input")
@@ -391,7 +410,7 @@ def _compute_cmd(args) -> int:
     _validate(args)
     if args.op not in OPS:
         raise UsageError(f"unknown op {args.op!r}")
-    raw = _read_input(args.input)
+    raw = _input_text(args.input)
     try:
         payload = json.loads(raw)
     except ValueError as exc:

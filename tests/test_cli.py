@@ -224,6 +224,35 @@ def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
     assert not out
 
 
+@pytest.mark.parametrize("op, payload", [
+    ("k0_class", {"mults": [1]}),
+    ("k0_class", {"mults": 5}),
+    ("k0_class", {"mults": {"0": [-5, 0]}}),
+    ("k0_class", {"mults": {"0": [1.5, 0]}}),
+    ("decompose", {"exponents": "12"}),
+    ("decompose", {"free_rank": True}),
+    ("decompose", {"rank": True, "relations": [[1]]}),
+    ("snf", {"matrix": [[[1.5]]]}),
+    ("snf", {"matrix": [[True]]}),
+    ("a_n_plus", {"n": 1, "rank": True}),
+    ("a_n_plus", {"n": 1, "stage": -1}),
+], ids=["mults-list", "mults-int", "mults-negative", "mults-float",
+        "exponents-string", "free-rank-true", "rank-true",
+        "coefficient-float", "entry-true", "a-n-plus-rank-true",
+        "a-n-plus-stage-negative"])
+def test_compute_refuses_a_malformed_payload(op, payload, capsys,
+                                             monkeypatch):
+    # each was read as something else (or raised) before: mults as a
+    # list raised AttributeError, a negative mult gave "free": -5, the
+    # string "12" was read as exponents 1 and 2, 1.5 truncated to 1 and
+    # true read as 1
+    code, out, err = run_cli(["compute", op], stdin_text=json.dumps(payload),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and not out
+
+
 @pytest.mark.parametrize("argv", [
     ["--mode", "truncated", "--truncation", "0"],
     ["--mode", "truncated", "--truncation", "-2"],

@@ -5,22 +5,34 @@ colimit death, are computed from integer stage tables.  Here they are
 recomputed from explicit modules and maps: the stage map of mu built by
 hand as t^(1/p^j) on the diagonal, kernel_map/cokernel_map of it, and
 compositions of the towers' transition maps."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import almostalg.algebra as alg
 from almostalg.almost import (
     MonomialTower,
     _residuals,
     cokernel_tower,
+    const_tower,
+    firmify,
     ideal_m,
+    is_almost_iso,
+    is_firm,
     kernel_tower,
     mu_map,
     residue,
 )
 from almostalg.base_ring import RingConfig
+from almostalg.exponents import PExp
 from almostalg.linalg import PolyMatrix
-from almostalg.modules import ModuleMap, cokernel_map, kernel_map
+from almostalg.modules import (
+    ModuleMap,
+    PresentedModule,
+    cokernel_map,
+    kernel_map,
+)
 from almostalg.polys import poly_monomial, poly_valuation
 from almostalg.suites import monomial_corpus
 
@@ -31,9 +43,13 @@ CASES = {2: (2, 6), 3: (1, 6)}
 LOOKAHEAD = 6
 
 
+def _rings(p):
+    return (RingConfig.perfect(p), RingConfig.truncated(p, 1),
+            RingConfig.truncated(p, 2))
+
+
 def _sources(p, size):
-    for cfg in (RingConfig.perfect(p), RingConfig.truncated(p, 1),
-                RingConfig.truncated(p, 2)):
+    for cfg in _rings(p):
         yield ideal_m(cfg)
         yield residue(cfg)
     yield from monomial_corpus(p, size, primes=(p,))
@@ -192,3 +208,107 @@ def test_residuals_match_composed_transitions(p):
             got = [[None if r is None else Fraction(r, p ** K) for r in row]
                    for row in rows]
             assert got == _brute_residuals(tower, J), (tower, x)
+
+
+def _as_fractions(tower, n):
+    """tower.table(n) with every entry divided by p^K."""
+    K, lines, trans = tower.table(n)
+    q = tower.cfg.p ** K
+    return ([tuple(None if a is None else Fraction(a, q) for a in row)
+             for row in lines], [Fraction(c, q) for c in trans])
+
+
+def _shriek_towers(p, monkeypatch):
+    """The towers shriek_split_check builds for V and V/(t^(1/p)) over
+    the perfect ring and V/(t^2), caught on their way to colim_is_zero
+    (over V/(t) the check fails before it builds any)."""
+    towers = []
+    colim_is_zero = alg.colim_is_zero
+
+    def catch(tower, J):
+        towers.append(tower)
+        return colim_is_zero(tower, J)
+
+    with monkeypatch.context() as m:
+        m.setattr(alg, "colim_is_zero", catch)
+        for cfg in (RingConfig.perfect(p), RingConfig.truncated(p, 2)):
+            for B in (PresentedModule.free(cfg, 0, 1),
+                      PresentedModule.cyclic(cfg, PExp(p, 1, 1))):
+                assert alg.shriek_split_check(B, 3)
+    return towers
+
+
+@pytest.mark.parametrize("p", sorted(CASES))
+def test_base_tables_match_their_definitions(p, monkeypatch):
+    J, size = CASES[p]
+    last = 2 * J + LOOKAHEAD
+    zero = PExp(p, 0)
+    want = []  # (tower, lines of stage j, transition out of stage j)
+    for cfg in _rings(p):
+        want.append((ideal_m(cfg), lambda j: (None,),
+                     lambda j: PExp(p, p - 1, j + 1)))
+        want.append((residue(cfg), lambda j: (PExp(p, 1, j),),
+                     lambda j: zero))
+    for M in monomial_corpus(p, size, primes=(p,)):
+        line = tuple(M.decompose_exponents()) + (None,) * M.free_rank()
+        want.append((const_tower(M), lambda j, line=line: line,
+                     lambda j: zero))
+    shrieks = _shriek_towers(p, monkeypatch)
+    assert len(shrieks) == 8
+    for t in shrieks:
+        base = t.lines(0)
+        want.append((t, lambda j, base=base: tuple(e.scale_pow(-j)
+                                                   for e in base),
+                     lambda j: PExp(p, p - 1, j + 1)))
+    # a base with fractional exponents: its table lives above level n
+    base = (PExp(p, 1, 2), PExp(p, 2 * p + 1, 1), PExp(p, 3))
+    want.append((MonomialTower(RingConfig.perfect(p),
+                               lambda n: alg._shriek_table(p, base, n)),
+                 lambda j: tuple(e.scale_pow(-j) for e in base),
+                 lambda j: PExp(p, p - 1, j + 1)))
+    for tower, lines, trans in want:
+        tower.table(last)
+        for j in range(last + 1):
+            assert tower.lines(j) == lines(j), (tower, j)
+            if j < last:
+                assert tower.trans_exp(j) == trans(j), (tower, j)
+
+
+@pytest.mark.parametrize("p", sorted(CASES))
+def test_a_longer_table_extends_a_shorter_one(p, monkeypatch):
+    J, size = CASES[p]
+    towers = [t for cfg in _rings(p) for t in (ideal_m(cfg), residue(cfg))]
+    towers += [const_tower(M) for M in monomial_corpus(p, size, primes=(p,))]
+    towers += _shriek_towers(p, monkeypatch)
+    for tower in towers:
+        short = _as_fractions(tower, 3)
+        lines, trans = _as_fractions(tower, 10)
+        assert short == (lines[:4], trans[:3]), tower
+
+
+def test_each_tower_table_is_built_once_per_query(monkeypatch):
+    """A query reads every tower it touches to the same stage, so no
+    table is built twice: each tower's table in is_firm(firmify(M)) and
+    in is_almost_iso(mu_map(M)) is built exactly once."""
+    calls = Counter()
+    init = MonomialTower.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        table_fn = self.table_fn
+
+        def counted(n):
+            calls[self] += 1
+            return table_fn(n)
+
+        self.table_fn = counted
+
+    monkeypatch.setattr(MonomialTower, "__init__", counting_init)
+    for p in sorted(CASES):
+        J, size = CASES[p]
+        for M in monomial_corpus(p, size, primes=(p,)):
+            for query in (lambda: is_firm(firmify(M), J),
+                          lambda: is_almost_iso(mu_map(M), J)):
+                calls.clear()
+                query()
+                assert calls and set(calls.values()) == {1}, (M, calls)
