@@ -138,7 +138,7 @@ def unitalize(B: NonUnitalAlgebra) -> UnitalAlgebra:
             else:
                 src_col = (a - 1) * r + (b - 1)
                 for i in range(r):
-                    mat.set(1 + i, col, m.matrix.entries[i][src_col])
+                    mat.set(1 + i, col, m.matrix.entry(i, src_col))
     sq = tensor(carrier, carrier)
     return UnitalAlgebra(carrier, ModuleMap(sq, carrier, mat, check=False))
 
@@ -445,9 +445,7 @@ def almost_lift_check(f: ModuleMap, gens) -> bool:
     # determinants are taken on lifted representatives; unit-ness over the
     # chain ring only depends on the valuation of the representative
     A = f.matrix.lift()
-    red = PolyMatrix(A.rows, A.cols, A.p,
-                     [[reduce_mod(list(e), cut) for e in row]
-                      for row in A.entries])
+    red = A.with_modulus(cut).lift()
     dr = poly_det(red)
     if not dr or poly_valuation(dr) != 0:
         raise ValueError("f is not an isomorphism mod I")
@@ -520,7 +518,7 @@ class AlgebraPresentation:
                           if mono[j] >= d), None)
                 if j is None:
                     out.set(index[mono], col,
-                            poly_add(out.entries[index[mono]][col], coef, p))
+                            poly_add(out.entry(index[mono], col), coef, p))
                     continue
                 for i, c in enumerate(tails[j]):
                     if c:

@@ -39,7 +39,10 @@ class PExp:
     @classmethod
     def from_fraction(cls, p: int, q) -> "PExp":
         """Parse q (a PExp, an int, a Fraction or a string such as "3/4")
-        as an exponent for the prime p; a PExp is returned as it is."""
+        as an exponent for the prime p; a PExp is returned as it is.  A
+        bool is refused, not read as 0 or 1."""
+        if isinstance(q, bool):
+            raise TypeError(f"an exponent cannot be the boolean {q}")
         if isinstance(q, PExp):
             if q.p != p:
                 raise ValueError(f"mixed primes {q.p} and {p}")

@@ -1,17 +1,23 @@
 """Exact matrix algebra over F_p[s] and the chain ring F_p[s]/(s^m).
 
-Matrices are dense lists of dense polynomials (see polys.py).  The central
-routine is snf(), Smith normal form with tracked unimodular transforms,
-computed by one elimination for both rings; the inverse transforms are
-replayed from its operation log only when a caller reads them.  Kernels,
-solving and cokernel invariants are all derived from it.
+Matrices are sparse: PolyMatrix.nonzero holds one dict per row, from column
+index to entry, with only the nonzero entries in it, so a zero cell costs
+nothing to store, copy or multiply.  Entries are dense polynomials (see
+polys.py).  PolyMatrix.entries is a read-only dense view, a fresh grid of
+copies built on each read, for readers that need the dense shape (the
+CLI's output, tests); the library itself reads the rows or entry(i, j).
 
-Every PolyMatrix entry is canonical: a trimmed coefficient list, of degree
-below the modulus when the matrix has one.  This module is the only one
-that writes entries.  The constructor, from_columns and set() reduce what
-they are given through reduce_mod; copies (copy, lift, transpose, hstack,
-vstack, top_rows, block, lift_matrix, and with_modulus to a modulus that is
-not smaller) take entries as they are.
+The central routine is snf(), Smith normal form with tracked unimodular
+transforms, computed by one elimination for both rings; the inverse
+transforms are replayed from its operation log only when a caller reads
+them.  Kernels, solving and cokernel invariants are all derived from it.
+
+Every stored entry is canonical: a nonzero trimmed coefficient list, of
+degree below the modulus when the matrix has one.  This module is the only
+one that writes entries.  The constructor, from_columns and set() reduce
+what they are given through reduce_mod; copies (copy, lift, transpose,
+hstack, vstack, top_rows, block, lift_matrix, and with_modulus to a modulus
+that is not smaller) take entries as they are.
 """
 from __future__ import annotations
 
@@ -39,14 +45,35 @@ def reduce_mod(e, m):
     return poly_trim(e)
 
 
-class PolyMatrix:
-    """Dense matrix over F_p[s], optionally reduced mod s^modulus.
+def _put(row, j, e):
+    """Store the canonical entry e at column j of a row dict (zero: drop)."""
+    if e:
+        row[j] = e
+    else:
+        row.pop(j, None)
 
-    entries[i][j] is a canonical coefficient list (see the module
-    docstring); write one through set().
+
+def _reduced(items, m):
+    """Row dict of the (column, entry) pairs in items whose entry, a fresh
+    list reduced in place mod s^m, is nonzero."""
+    return {j: e for j, e in items if reduce_mod(e, m)}
+
+
+def _copied(row, shift=0):
+    """Copy of a row dict, its columns moved right by shift."""
+    return {j + shift: list(e) for j, e in row.items()}
+
+
+class PolyMatrix:
+    """Sparse matrix over F_p[s], optionally reduced mod s^modulus.
+
+    nonzero[i] maps column j to entry (i, j) for every nonzero entry of row
+    i; each is canonical (see the module docstring).  Read an entry through
+    entry(i, j) and write one through set().  The constructor takes a dense
+    grid of coefficient lists.
     """
 
-    __slots__ = ("rows", "cols", "p", "modulus", "entries")
+    __slots__ = ("rows", "cols", "p", "modulus", "nonzero")
 
     def __init__(self, rows, cols, p, entries=None, modulus=None):
         if rows < 0 or cols < 0:
@@ -56,38 +83,55 @@ class PolyMatrix:
         self.p = p
         self.modulus = modulus
         if entries is None:
-            self.entries = [[[] for _ in range(cols)] for _ in range(rows)]
+            self.nonzero = [{} for _ in range(rows)]
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match dimensions")
-            self.entries = [[reduce_mod(list(e), modulus) for e in row]
-                            for row in entries]
+            self.nonzero = [_reduced(((j, list(e)) for j, e in enumerate(row)
+                                      if e), modulus) for row in entries]
 
     @classmethod
-    def _of(cls, rows, cols, p, entries, modulus):
-        """Wrap a fresh grid of canonical entries as it is."""
+    def _of(cls, rows, cols, p, nonzero, modulus):
+        """Wrap fresh row dicts of canonical entries as they are."""
         out = cls.__new__(cls)
         out.rows, out.cols, out.p = rows, cols, p
-        out.modulus, out.entries = modulus, entries
+        out.modulus, out.nonzero = modulus, nonzero
         return out
+
+    @property
+    def entries(self):
+        """Dense grid of copies of the entries, zeros included.  It is built
+        on each read; writing into it changes nothing."""
+        grid = []
+        for row in self.nonzero:
+            dense = [[] for _ in range(self.cols)]
+            for j, e in row.items():
+                dense[j] = list(e)
+            grid.append(dense)
+        return grid
+
+    def entry(self, i, j):
+        """Entry (i, j) as stored ([] when zero); do not modify it."""
+        return self.nonzero[i].get(j, [])
 
     def set(self, i, j, e):
         """Write a copy of e, reduced, as entry (i, j)."""
-        self.entries[i][j] = reduce_mod(list(e), self.modulus)
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside "
+                             f"{self.rows}x{self.cols}")
+        _put(self.nonzero[i], j, reduce_mod(list(e), self.modulus))
 
     @classmethod
     def identity(cls, n, p, modulus=None):
-        m = cls(n, n, p, modulus=modulus)
-        for i in range(n):
-            m.entries[i][i] = [1]
-        return m
+        return cls._of(n, n, p, [{i: [1]} for i in range(n)], modulus)
 
     @classmethod
     def block(cls, rows, cols, p, modulus, placements):
         """rows x cols matrix, zero outside the placed blocks.
 
         placements is a list of (row_offset, col_offset, matrix); each placed
-        matrix must fit and must have the target modulus.
+        matrix must fit, must not overlap another and must have the target
+        modulus.
         """
         out = cls(rows, cols, p, modulus=modulus)
         for r0, c0, M in placements:
@@ -96,14 +140,13 @@ class PolyMatrix:
                     f"block modulus {M.modulus} differs from target {modulus}")
             if r0 < 0 or c0 < 0 or r0 + M.rows > rows or c0 + M.cols > cols:
                 raise ValueError("block does not fit")
-            for i, row in enumerate(M.entries):
-                out.entries[r0 + i][c0:c0 + M.cols] = [list(e) for e in row]
+            for orow, row in zip(out.nonzero[r0:r0 + M.rows], M.nonzero):
+                orow.update(_copied(row, c0))
         return out
 
     def _copy(self, modulus):
         return PolyMatrix._of(self.rows, self.cols, self.p,
-                              [[list(e) for e in row] for row in self.entries],
-                              modulus)
+                              [_copied(row) for row in self.nonzero], modulus)
 
     def copy(self):
         return self._copy(self.modulus)
@@ -115,7 +158,9 @@ class PolyMatrix:
     def with_modulus(self, m):
         """The same entries mod s^m; reduced only when m is smaller."""
         if m is not None and (self.modulus is None or m < self.modulus):
-            return PolyMatrix(self.rows, self.cols, self.p, self.entries, m)
+            return PolyMatrix._of(self.rows, self.cols, self.p,
+                                  [_reduced(_copied(row).items(), m)
+                                   for row in self.nonzero], m)
         return self._copy(m)
 
     def __eq__(self, other):
@@ -126,60 +171,56 @@ class PolyMatrix:
             and self.cols == other.cols
             and self.p == other.p
             and self.modulus == other.modulus
-            and self.entries == other.entries
+            and self.nonzero == other.nonzero
         )
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.p, self.modulus,
-                     tuple(tuple(tuple(e) for e in row) for row in self.entries)))
+                     tuple(frozenset((j, tuple(e)) for j, e in row.items())
+                           for row in self.nonzero)))
 
     def is_zero(self):
-        return all(not e for row in self.entries for e in row)
+        return not any(self.nonzero)
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
         self._same_modulus(other)
-        p = self.p
-        out = PolyMatrix(self.rows, other.cols, p, modulus=self.modulus)
+        p, m = self.p, self.modulus
         # only products of two nonzero entries contribute: pair each nonzero
         # self[i][k] with the nonzero entries of other's row k
-        nonzero = [[(j, b) for j, b in enumerate(row) if b]
-                   for row in other.entries]
-        for row, orow in zip(self.entries, out.entries):
+        out = []
+        for row in self.nonzero:
             acc = {}
-            for a, bs in zip(row, nonzero):
-                if a:
-                    for j, b in bs:
-                        t = poly_mul(a, b, p)
-                        acc[j] = poly_add(acc[j], t, p) if j in acc else t
-            for j, e in acc.items():
-                orow[j] = reduce_mod(e, out.modulus)
-        return out
+            for k, a in row.items():
+                for j, b in other.nonzero[k].items():
+                    t = poly_mul(a, b, p)
+                    acc[j] = poly_add(acc[j], t, p) if j in acc else t
+            out.append(_reduced(acc.items(), m))
+        return PolyMatrix._of(self.rows, other.cols, p, out, m)
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         out = self.copy()
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[i][j] = reduce_mod(
-                    poly_add(out.entries[i][j], other.entries[i][j], self.p),
-                    self.modulus)
+        for orow, row in zip(out.nonzero, other.nonzero):
+            for j, e in row.items():
+                _put(orow, j, reduce_mod(poly_add(orow.get(j, []), e, self.p),
+                                         self.modulus))
         return out
 
     def neg(self):
-        out = self.copy()
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[i][j] = poly_neg(out.entries[i][j], self.p)
-        return out
+        return PolyMatrix._of(
+            self.rows, self.cols, self.p,
+            [{j: poly_neg(e, self.p) for j, e in row.items()}
+             for row in self.nonzero], self.modulus)
 
     def transpose(self):
-        return PolyMatrix._of(
-            self.cols, self.rows, self.p,
-            [[list(row[j]) for row in self.entries] for j in range(self.cols)],
-            self.modulus)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero):
+            for j, e in row.items():
+                out[j][i] = list(e)
+        return PolyMatrix._of(self.cols, self.rows, self.p, out, self.modulus)
 
     def _same_modulus(self, other):
         if self.modulus != other.modulus:
@@ -190,29 +231,30 @@ class PolyMatrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch")
         self._same_modulus(other)
-        ent = [self.entries[i] + other.entries[i] for i in range(self.rows)]
-        return PolyMatrix._of(self.rows, self.cols + other.cols, self.p,
-                              [[list(e) for e in row] for row in ent],
+        out = []
+        for a, b in zip(self.nonzero, other.nonzero):
+            row = _copied(a)
+            row.update(_copied(b, self.cols))
+            out.append(row)
+        return PolyMatrix._of(self.rows, self.cols + other.cols, self.p, out,
                               self.modulus)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch")
         self._same_modulus(other)
-        ent = self.entries + other.entries
         return PolyMatrix._of(self.rows + other.rows, self.cols, self.p,
-                              [[list(e) for e in row] for row in ent],
-                              self.modulus)
+                              [_copied(row) for row in
+                               self.nonzero + other.nonzero], self.modulus)
 
     def top_rows(self, n):
         """The first n rows, entries as they are."""
         return PolyMatrix._of(n, self.cols, self.p,
-                              [[list(e) for e in row]
-                               for row in self.entries[:n]],
+                              [_copied(row) for row in self.nonzero[:n]],
                               self.modulus)
 
     def column(self, j):
-        return [list(self.entries[i][j]) for i in range(self.rows)]
+        return [list(row.get(j, ())) for row in self.nonzero]
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
@@ -223,8 +265,9 @@ class PolyMatrix:
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise ValueError("column length mismatch")
-            for i in range(rows):
-                m.entries[i][j] = reduce_mod(list(col[i]), modulus)
+            for row, e in zip(m.nonzero, col):
+                if e:
+                    _put(row, j, reduce_mod(list(e), modulus))
         return m
 
     def apply_to_vector(self, vec):
@@ -233,11 +276,10 @@ class PolyMatrix:
             raise ValueError("vector length mismatch")
         p = self.p
         out = []
-        for i in range(self.rows):
+        for row in self.nonzero:
             acc = []
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a and vec[k]:
+            for k, a in row.items():
+                if vec[k]:
                     acc = poly_add(acc, poly_mul(a, vec[k], p), p)
             out.append(reduce_mod(acc, self.modulus))
         return out
@@ -252,19 +294,17 @@ class PolyMatrix:
 def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """Kronecker product (A tensor B)."""
     A._same_modulus(B)
-    p = A.p
-    out = PolyMatrix(A.rows * B.rows, A.cols * B.cols, p, modulus=A.modulus)
-    for i, arow in enumerate(A.entries):
-        for j, a in enumerate(arow):
-            if not a:
-                continue
-            for k, brow in enumerate(B.entries):
-                orow = out.entries[i * B.rows + k]
-                for l, b in enumerate(brow):
-                    if b:
-                        orow[j * B.cols + l] = reduce_mod(poly_mul(a, b, p),
-                                                          out.modulus)
-    return out
+    p, m = A.p, A.modulus
+    out = [{} for _ in range(A.rows * B.rows)]
+    for i, arow in enumerate(A.nonzero):
+        for j, a in arow.items():
+            for k, brow in enumerate(B.nonzero):
+                orow = out[i * B.rows + k]
+                for l, b in brow.items():
+                    e = reduce_mod(poly_mul(a, b, p), m)
+                    if e:
+                        orow[j * B.cols + l] = e
+    return PolyMatrix._of(A.rows * B.rows, A.cols * B.cols, p, out, m)
 
 
 def lift_poly(f, delta, p):
@@ -287,8 +327,8 @@ def lift_matrix(A: PolyMatrix, delta: int) -> PolyMatrix:
     p = A.p
     m = A.modulus * (p ** delta) if A.modulus is not None else None
     return PolyMatrix._of(A.rows, A.cols, p,
-                          [[lift_poly(e, delta, p) for e in row]
-                           for row in A.entries], m)
+                          [{j: lift_poly(e, delta, p) for j, e in row.items()}
+                           for row in A.nonzero], m)
 
 
 class SNFResult:
@@ -309,7 +349,7 @@ class SNFResult:
         self.row_ops = row_ops
         self.col_ops = col_ops
         n = min(D.rows, D.cols)
-        self.invariant_factors = [list(D.entries[i][i]) for i in range(n)]
+        self.invariant_factors = [list(D.entry(i, i)) for i in range(n)]
 
     @functools.cached_property
     def u_inv(self):
@@ -335,52 +375,71 @@ def _replay(ops, T):
     return M
 
 
+# The row and column operations touch nonzero entries only: a row
+# operation walks the dicts of its rows, a column operation looks its
+# columns up in every row.
+
 def _row_swap(M, i, j):
-    M.entries[i], M.entries[j] = M.entries[j], M.entries[i]
+    M.nonzero[i], M.nonzero[j] = M.nonzero[j], M.nonzero[i]
 
 def _col_swap(M, i, j):
-    for row in M.entries:
-        row[i], row[j] = row[j], row[i]
+    for row in M.nonzero:
+        x, y = row.pop(i, None), row.pop(j, None)
+        if y is not None:
+            row[i] = y
+        if x is not None:
+            row[j] = x
 
 def _row_addmul(M, i, j, f, p, m=None):
     """row i += f * row j"""
     if not f:
         return
-    ri, rj = M.entries[i], M.entries[j]
-    for c in range(M.cols):
-        if rj[c]:
-            ri[c] = reduce_mod(poly_add(ri[c], poly_mul(f, rj[c], p), p), m)
+    ri = M.nonzero[i]
+    for c, e in M.nonzero[j].items():
+        t = poly_mul(f, e, p)
+        _put(ri, c, reduce_mod(poly_add(ri[c], t, p) if c in ri else t, m))
 
 def _col_addmul(M, i, j, f, p, m=None):
     """col i += f * col j"""
     if not f:
         return
-    for row in M.entries:
-        if row[j]:
-            row[i] = reduce_mod(poly_add(row[i], poly_mul(f, row[j], p), p), m)
+    for row in M.nonzero:
+        e = row.get(j)
+        if e:
+            t = poly_mul(f, e, p)
+            _put(row, i,
+                 reduce_mod(poly_add(row[i], t, p) if i in row else t, m))
+
+def _combined(x, y, a, b, p, m):
+    """a*x + b*y mod s^m."""
+    return reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
 
 def _row_combine(M, i, j, a, b, c, d, p, m=None):
     """(row i, row j) <- (a*ri + b*rj, c*ri + d*rj)"""
-    ri, rj = M.entries[i], M.entries[j]
-    for k in range(M.cols):
-        x, y = ri[k], rj[k]
-        ri[k] = reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
-        rj[k] = reduce_mod(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
+    ri, rj = M.nonzero[i], M.nonzero[j]
+    for k in ri.keys() | rj.keys():
+        x, y = ri.get(k, []), rj.get(k, [])
+        _put(ri, k, _combined(x, y, a, b, p, m))
+        _put(rj, k, _combined(x, y, c, d, p, m))
 
 def _col_combine(M, i, j, a, b, c, d, p, m=None):
     """(col i, col j) <- (a*ci + b*cj, c*ci + d*cj)"""
-    for row in M.entries:
-        x, y = row[i], row[j]
-        row[i] = reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
-        row[j] = reduce_mod(poly_add(poly_mul(c, x, p), poly_mul(d, y, p), p), m)
+    for row in M.nonzero:
+        x, y = row.get(i, []), row.get(j, [])
+        if x or y:
+            _put(row, i, _combined(x, y, a, b, p, m))
+            _put(row, j, _combined(x, y, c, d, p, m))
 
 def _row_mulpoly(M, i, f, p, m=None):
     """row i *= f (f must be a unit in context for invertibility)."""
-    M.entries[i] = [reduce_mod(poly_mul(f, e, p), m) for e in M.entries[i]]
+    M.nonzero[i] = _reduced(((c, poly_mul(f, e, p))
+                             for c, e in M.nonzero[i].items()), m)
 
 def _col_mulpoly(M, j, f, p, m=None):
-    for row in M.entries:
-        row[j] = reduce_mod(poly_mul(f, row[j], p), m)
+    for row in M.nonzero:
+        e = row.get(j)
+        if e:
+            _put(row, j, reduce_mod(poly_mul(f, e, p), m))
 
 
 def snf(A: PolyMatrix) -> SNFResult:
@@ -422,7 +481,7 @@ def snf(A: PolyMatrix) -> SNFResult:
                 _logged(D, col_ops, _col_swap, k, pj)
                 _row_swap(W, k, pj)
             if m is not None:
-                d = D.entries[k][k]
+                d = D.entry(k, k)
                 unit = d[poly_valuation(d):]
                 if unit != [1]:
                     uin = _unit_inverse(unit, m, p)
@@ -439,7 +498,7 @@ def snf(A: PolyMatrix) -> SNFResult:
             _logged(D, row_ops, _row_addmul, k, bad, [1], p, m)
             _col_addmul(U, bad, k, [p - 1], p, m)
         # normalize pivot monic (over the chain ring it is already s^v)
-        d = D.entries[k][k]
+        d = D.entry(k, k)
         if d and d[-1] != 1:
             c = d[-1]
             cinv = [pow(c, p - 2, p)]
@@ -457,10 +516,10 @@ def _clear_column(D, row_ops, U, k, p, m):
     if the pivot changed (degree dropped), signalling another sweep."""
     changed = False
     for i in range(k + 1, D.rows):
-        b = D.entries[i][k]
+        b = D.nonzero[i].get(k)
         if not b:
             continue
-        a = D.entries[k][k]
+        a = D.entry(k, k)
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
@@ -480,13 +539,13 @@ def _clear_column(D, row_ops, U, k, p, m):
 
 
 def _clear_row(D, col_ops, W, k, p, m):
-    """Column-operation mirror of _clear_column for row k."""
+    """Column-operation mirror of _clear_column for row k.  Clearing column
+    j changes columns j and k only, so the columns to clear are known up
+    front."""
     changed = False
-    for j in range(k + 1, D.cols):
-        b = D.entries[k][j]
-        if not b:
-            continue
-        a = D.entries[k][k]
+    for j in sorted(c for c in D.nonzero[k] if c > k):
+        b = D.nonzero[k][j]
+        a = D.entry(k, k)
         q, r = poly_divmod(b, a, p)
         if not r:
             f = poly_neg(q, p)
@@ -509,11 +568,11 @@ def _find_pivot(D, k, key):
     best = None
     best_key = None
     for i in range(k, D.rows):
-        for j in range(k, D.cols):
-            e = D.entries[i][j]
-            if e:
+        for j, e in D.nonzero[i].items():
+            if j >= k:
                 d = key(e)
-                if best_key is None or d < best_key:
+                if (best_key is None or d < best_key
+                        or d == best_key and best[0] == i and j < best[1]):
                     best, best_key = (i, j), d
     return best
 
@@ -524,13 +583,13 @@ def _find_nondivisible(D, k):
     No division can fail over the chain ring, where the pivot s^v has the
     least valuation in the trailing block and exact clearing only adds
     multiples of s^v, nor when the pivot is a nonzero constant."""
-    a = D.entries[k][k]
+    a = D.entry(k, k)
     if D.modulus is not None or len(a) == 1:
         return None
     for i in range(k + 1, D.rows):
-        for j in range(k + 1, D.cols):
-            e = D.entries[i][j]
-            if e and poly_divmod(e, a, D.p)[1]:
+        row = D.nonzero[i]
+        for j in sorted(row):
+            if j > k and poly_divmod(row[j], a, D.p)[1]:
                 return i
     return None
 
@@ -545,8 +604,7 @@ def _check_snf(A, res):
     if ((U.rows, U.cols, D.rows, D.cols, W.rows, W.cols)
             != (A.rows, A.rows, A.rows, A.cols, A.cols, A.cols)):
         raise AssertionError("SNF verification failed: shapes")
-    if any(e and i != j for i, row in enumerate(D.entries)
-           for j, e in enumerate(row)):
+    if any(j != i for i, row in enumerate(D.nonzero) for j in row):
         raise AssertionError("SNF verification failed: D is not diagonal")
     facs = res.invariant_factors
     for f in facs:
@@ -560,12 +618,12 @@ def _check_snf(A, res):
         elif not facs[i] and facs[i + 1]:
             raise AssertionError("zero invariant factor precedes a nonzero one")
     # D is diagonal, so U * D is U with column j scaled by d_j
-    UD = PolyMatrix(A.rows, A.cols, p, modulus=m)
-    for urow, out in zip(U.entries, UD.entries):
-        for j, d in enumerate(facs):
-            if d and urow[j]:
-                out[j] = reduce_mod(poly_mul(urow[j], d, p), m)
-    if UD.mul(W).entries != A.entries:
+    UD = PolyMatrix._of(A.rows, A.cols, p,
+                        [_reduced(((j, poly_mul(e, facs[j], p))
+                                   for j, e in urow.items()
+                                   if j < len(facs) and facs[j]), m)
+                         for urow in U.nonzero], m)
+    if UD.mul(W).nonzero != A.nonzero:
         raise AssertionError("SNF verification failed: U*D*W != A")
 
 
@@ -584,25 +642,24 @@ def kernel_basis(A: PolyMatrix) -> PolyMatrix:
     res = snf(A)
     p = A.p
     m = A.modulus
-    gens = []
+    gens = []  # (row, entry) of each generator, a multiple of a unit vector
     n = min(A.rows, A.cols)
     for i in range(A.cols):
-        if i < n and res.D.entries[i][i]:
+        d = res.D.entry(i, i) if i < n else []
+        if d:
             if m is None:
                 continue
-            v = poly_valuation(res.D.entries[i][i])
+            v = poly_valuation(d)
             if v == 0:
                 continue
-            col = [[] for _ in range(A.cols)]
-            col[i] = poly_monomial(1, m - v, p)
-            gens.append(col)
+            gens.append((i, poly_monomial(1, m - v, p)))
         else:
-            col = [[] for _ in range(A.cols)]
-            col[i] = [1]
-            gens.append(col)
+            gens.append((i, [1]))
+    E = PolyMatrix(A.cols, len(gens), p, modulus=m)
     if not gens:
-        return PolyMatrix(A.cols, 0, p, modulus=m)
-    E = PolyMatrix.from_columns(gens, A.cols, p, modulus=m)
+        return E
+    for g, (i, e) in enumerate(gens):
+        E.set(i, g, e)
     K = res.w_inv.mul(E)
     if not A.mul(K).is_zero():
         raise AssertionError("kernel verification failed")
@@ -623,7 +680,7 @@ def solve(A: PolyMatrix, b) -> list | None:
     y = [[] for _ in range(A.cols)]
     for i in range(A.rows):
         ci = c[i]
-        d = res.D.entries[i][i] if i < n else []
+        d = res.D.entry(i, i) if i < n else []
         if not d:
             if ci:
                 return None
@@ -654,7 +711,7 @@ def det(A: PolyMatrix) -> list:
     if n == 0:
         return [1]
     p = A.p
-    M = [[list(e) for e in row] for row in A.entries]
+    M = A.entries  # a fresh dense grid
     prev = [1]
     sign = 1
     for k in range(n - 1):

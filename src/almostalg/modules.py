@@ -41,10 +41,8 @@ def _column_monomial_factors(R: PolyMatrix):
     m = R.modulus
     least = [None] * R.rows
     taken = [False] * R.cols
-    for i, row in enumerate(R.entries):
-        for j, e in enumerate(row):
-            if not e:
-                continue
+    for i, row in enumerate(R.nonzero):
+        for j, e in row.items():
             v = len(e) - 1
             if e.count(0) != v:
                 if m is None:
@@ -447,7 +445,7 @@ def free_resolution(M: PresentedModule, length: int):
     n = min(M.relations.rows, M.relations.cols)
     UD = res.U.mul(res.D)
     for i in range(n):
-        if res.D.entries[i][i]:
+        if res.D.entry(i, i):
             cols.append(UD.column(i))
     d1 = PolyMatrix.from_columns(cols, M.rank, p, M.modulus) if cols \
         else PolyMatrix(M.rank, 0, p, modulus=M.modulus)

@@ -327,7 +327,7 @@ def cokernel_enumeration_oracle(seed, samples=100) -> bool:
         pred = 1
         vals = []
         for d in range(3):
-            f = res.D.entries[d][d] if d < min(res.D.rows, res.D.cols) else []
+            f = res.D.entry(d, d) if d < min(res.D.rows, res.D.cols) else []
             v = _val(f)
             v = k if v is None else min(v, k)
             vals.append(v)

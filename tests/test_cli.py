@@ -236,16 +236,18 @@ def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
     ("snf", {"matrix": [[True]]}),
     ("a_n_plus", {"n": 1, "rank": True}),
     ("a_n_plus", {"n": 1, "stage": -1}),
+    ("decompose", {"exponents": [True]}),
+    ("a_n_plus", {"n": True}),
 ], ids=["mults-list", "mults-int", "mults-negative", "mults-float",
         "exponents-string", "free-rank-true", "rank-true",
         "coefficient-float", "entry-true", "a-n-plus-rank-true",
-        "a-n-plus-stage-negative"])
+        "a-n-plus-stage-negative", "exponent-true", "a-n-plus-n-true"])
 def test_compute_refuses_a_malformed_payload(op, payload, capsys,
                                              monkeypatch):
     # each was read as something else (or raised) before: mults as a
     # list raised AttributeError, a negative mult gave "free": -5, the
     # string "12" was read as exponents 1 and 2, 1.5 truncated to 1 and
-    # true read as 1
+    # true read as 1 (as a count, a coefficient or an exponent)
     code, out, err = run_cli(["compute", op], stdin_text=json.dumps(payload),
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2

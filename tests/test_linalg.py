@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,14 +177,15 @@ def test_mul_rejects_modulus_mismatch():
 def _naive_mul_entries(X, Y):
     """Triple loop with a plain coefficient convolution, reduced at the end."""
     p, m = X.p, X.modulus
+    XE, YE = X.entries, Y.entries
     out = []
     for i in range(X.rows):
         row = []
         for j in range(Y.cols):
             acc = {}
             for k in range(X.cols):
-                for da, ca in enumerate(X.entries[i][k]):
-                    for db, cb in enumerate(Y.entries[k][j]):
+                for da, ca in enumerate(XE[i][k]):
+                    for db, cb in enumerate(YE[k][j]):
                         acc[da + db] = (acc.get(da + db, 0) + ca * cb) % p
             e = [acc.get(d, 0) for d in range(max(acc, default=-1) + 1)]
             if m is not None:
@@ -206,11 +208,13 @@ def _sparse_matrix(rng, rows, cols, p, density, modulus):
 
 
 @pytest.mark.parametrize("modulus", [None, 1, 3])
-@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1, 0.02])
 def test_mul_matches_naive_triple_loop(modulus, density):
     rng = random.Random(f"{modulus}-{density}")
     shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 4, 3), (3, 1, 2),
               (4, 5, 3), (6, 6, 6)]
+    if density == 0.02:  # the sparse shape of presentation matrices
+        shapes = [(30, 30, 30)]
     for _ in range(5):
         for rows, inner, cols in shapes:
             p = rng.choice((2, 3, 5))
@@ -220,8 +224,8 @@ def test_mul_matches_naive_triple_loop(modulus, density):
             Z = X.mul(Y)
             assert (Z.rows, Z.cols, Z.p, Z.modulus) == (rows, cols, p, modulus)
             assert Z.entries == _naive_mul_entries(X, Y)
-            for row in Z.entries:  # the product shares no list with X or Y
-                for e in row:
+            for row in Z.nonzero:  # the product shares no list with X or Y
+                for e in row.values():
                     e.append(1)
             assert (X, Y) == before
 
@@ -233,8 +237,8 @@ def test_block_places_blocks_and_checks_them():
     assert M == PolyMatrix(3, 4, 3, [[[1], [0, 1], [], []],
                                      [[], [], [1], []],
                                      [[], [], [], [1]]], 4)
-    M.entries[0][0].append(2)
-    assert A.entries[0][0] == [1]  # blocks are copied, not shared
+    M.nonzero[0][0].append(2)
+    assert A.entry(0, 0) == [1]  # blocks are copied, not shared
     with pytest.raises(ValueError):
         PolyMatrix.block(3, 4, 3, None, [(0, 0, A)])
     with pytest.raises(ValueError):
@@ -270,7 +274,8 @@ def test_only_linalg_writes_or_reduces_entries():
                 targets = node.targets
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
-            if any(isinstance(sub, ast.Attribute) and sub.attr == "entries"
+            if any(isinstance(sub, ast.Attribute)
+                   and sub.attr in ("entries", "nonzero")
                    for t in targets for sub in ast.walk(t)):
                 found.append(f"{path.name}:{node.lineno} writes entries")
             if (isinstance(node, ast.Call)
@@ -278,6 +283,51 @@ def test_only_linalg_writes_or_reduces_entries():
                     and node.func.attr == "_reduce"):
                 found.append(f"{path.name}:{node.lineno} calls _reduce")
     assert found == []
+
+
+def test_only_the_cli_reads_the_dense_grid():
+    # PolyMatrix.entries builds a dense grid on each read; the library
+    # reads the sparse rows or entry(i, j), and only the CLI's U/D/W output
+    # (and det, inside linalg.py) needs the dense shape
+    import almostalg
+    found = []
+    for path in sorted(pathlib.Path(almostalg.__file__).parent.glob("*.py")):
+        if path.name in ("linalg.py", "cli.py"):
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert found == []
+
+
+def test_sparse_matrices_cost_memory_by_their_nonzero_entries():
+    # 400 x 400 with two nonzero entries per row, as in the Kronecker
+    # tensors of companion presentations: a dense grid holds 160k empty
+    # lists per matrix, about 10 MB, where the sparse rows need well
+    # under 1 MB for all of these together
+    p, m = 2, 4
+    tracemalloc.start()
+    try:
+        C = PolyMatrix(20, 20, p, modulus=m)
+        for i in range(20):
+            C.set(i, i, [0, 1])
+            C.set((i + 1) % 20, i, [1])
+        K = kron(C, PolyMatrix.identity(20, p, m))
+        A = PolyMatrix(400, 400, p, modulus=m)
+        for i in range(400):
+            A.set(i, (7 * i + 3) % 400, [1])
+        P = lift_matrix(K.mul(A), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert (P.rows, P.cols, P.modulus) == (400, 400, 8)
+    assert sum(map(len, K.nonzero)) == sum(map(len, P.nonzero)) == 800
+    # K * A permutes the columns of K: row i of K at column c lands at
+    # column 7c + 3 of the product, lifted s -> s^2
+    for i, row in enumerate(K.nonzero):
+        assert P.nonzero[i] == {(7 * c + 3) % 400: lift_poly(e, 1, p)
+                                for c, e in row.items()}
 
 
 def test_only_exponents_imports_fractions():
@@ -343,16 +393,15 @@ def test_every_parameter_and_local_is_read():
 
 
 def _assert_canonical(M):
-    """Trimmed entries of degree < modulus, as the reducing constructor
-    would store them."""
-    assert len(M.entries) == M.rows
-    for row in M.entries:
-        assert len(row) == M.cols
-        for e in row:
-            assert not e or e[-1] != 0, M
+    """Nonzero trimmed entries of degree < modulus inside the shape, as the
+    reducing constructor would store them."""
+    assert len(M.nonzero) == M.rows
+    for row in M.nonzero:
+        for j, e in row.items():
+            assert 0 <= j < M.cols, M
+            assert e and e[-1] != 0, M
             assert M.modulus is None or len(e) <= M.modulus, M
-    assert M.entries == PolyMatrix(M.rows, M.cols, M.p, M.entries,
-                                   M.modulus).entries
+    assert M == PolyMatrix(M.rows, M.cols, M.p, M.entries, M.modulus)
 
 
 def _raw_entry(rng, p):
@@ -367,14 +416,21 @@ def _raw_entry(rng, p):
 def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
     rng = random.Random(f"canonical-{p}-{modulus}")
 
-    def raw(rows, cols):
-        return [[_raw_entry(rng, p) for _ in range(cols)] for _ in range(rows)]
+    def raw(rows, cols, density):
+        # density None: the 30 % of zeros that _raw_entry draws itself
+        return [[_raw_entry(rng, p)
+                 if density is None or rng.random() < density else []
+                 for _ in range(cols)] for _ in range(rows)]
 
-    for _ in range(20):
-        r, c = rng.randint(1, 3), rng.randint(1, 3)
-        A = PolyMatrix(r, c, p, raw(r, c), modulus)
-        B = PolyMatrix(r, c, p, raw(r, c), modulus)
-        C = PolyMatrix(c, r, p, raw(c, r), modulus)
+    def shapes():
+        for _ in range(20):
+            yield rng.randint(1, 3), rng.randint(1, 3), None
+        yield 30, 30, 0.02  # the sparse shape of presentation matrices
+
+    for r, c, density in shapes():
+        A = PolyMatrix(r, c, p, raw(r, c, density), modulus)
+        B = PolyMatrix(r, c, p, raw(r, c, density), modulus)
+        C = PolyMatrix(c, r, p, raw(c, r, density), modulus)
         _assert_canonical(A)
         shrink = 2 if modulus is None else max(1, modulus - 2)
         grow = None if modulus is None else modulus + 3
@@ -412,8 +468,8 @@ def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
         before = A.copy()
         for M in results:
             _assert_canonical(M)
-            for row in M.entries:  # no result shares an entry list with A
-                for e in row:
+            for row in M.nonzero:  # no result shares an entry list with A
+                for e in row.values():
                     e.append(0)
         assert A == before
 

@@ -200,12 +200,12 @@ def test_column_monomial_factors_refuse_other_shapes():
 
 
 def test_column_monomial_factors_drop_entries_that_vanish_mod_the_modulus():
-    # written past the PolyMatrix constructor, s^2 over F_2[s]/(s^2) is the
-    # zero relation, not a torsion factor s^2
+    # written into the row dicts past the reducing set(), s^2 over
+    # F_2[s]/(s^2) is the zero relation, not a torsion factor s^2
     R = PolyMatrix(2, 2, 2, modulus=2)
-    R.entries[0][0] = [0, 0, 1]
+    R.nonzero[0][0] = [0, 0, 1]
     assert _column_monomial_factors(R) == []
-    R.entries[1][1] = [0, 1]
+    R.set(1, 1, [0, 1])
     assert _column_monomial_factors(R) == [[0, 1]]
     assert PresentedModule(RingConfig.truncated(2, 1), 1, 2, R).free_rank() \
         == 1

@@ -16,10 +16,10 @@ def _lowered_snf(A):
     res = _real_snf(A)
     D = res.D.copy()
     for d in reversed(range(min(D.rows, D.cols))):
-        f = D.entries[d][d]
+        f = D.entry(d, d)
         v = poly_valuation(f) if f else A.modulus
         if v > 0:
-            D.entries[d][d] = [0] * (v - 1) + [1]
+            D.set(d, d, [0] * (v - 1) + [1])
             break
     return SNFResult(res.U, D, res.W, res.row_ops, res.col_ops)
 
