@@ -3,9 +3,9 @@
 Matrices are sparse: PolyMatrix.nonzero holds one dict per row, from column
 index to entry, with only the nonzero entries in it, so a zero cell costs
 nothing to store, copy or multiply.  Entries are dense polynomials (see
-polys.py).  PolyMatrix.entries is a read-only dense view, a fresh grid of
-copies built on each read, for readers that need the dense shape (the
-CLI's output, tests); the library itself reads the rows or entry(i, j).
+polys.py).  PolyMatrix.entries is a read-only dense view, a grid built on
+each read, for readers that need the dense shape (the CLI's output,
+tests); the library itself reads the rows or entry(i, j).
 
 The central routine is snf(), Smith normal form with tracked unimodular
 transforms, computed by one elimination for both rings; the inverse
@@ -100,13 +100,13 @@ class PolyMatrix:
 
     @property
     def entries(self):
-        """Dense grid of copies of the entries, zeros included.  It is built
-        on each read; writing into it changes nothing."""
+        """Dense grid of the entries, zeros included, built on each read.
+        Its nonzero cells are the stored entry lists: do not modify them."""
         grid = []
         for row in self.nonzero:
             dense = [[] for _ in range(self.cols)]
             for j, e in row.items():
-                dense[j] = list(e)
+                dense[j] = e
             grid.append(dense)
         return grid
 
@@ -231,12 +231,9 @@ class PolyMatrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch")
         self._same_modulus(other)
-        out = []
-        for a, b in zip(self.nonzero, other.nonzero):
-            row = _copied(a)
-            row.update(_copied(b, self.cols))
-            out.append(row)
-        return PolyMatrix._of(self.rows, self.cols + other.cols, self.p, out,
+        return PolyMatrix._of(self.rows, self.cols + other.cols, self.p,
+                              [{**_copied(a), **_copied(b, self.cols)}
+                               for a, b in zip(self.nonzero, other.nonzero)],
                               self.modulus)
 
     def vstack(self, other):
@@ -711,7 +708,7 @@ def det(A: PolyMatrix) -> list:
     if n == 0:
         return [1]
     p = A.p
-    M = A.entries  # a fresh dense grid
+    M = A.entries  # cells are replaced below, never modified in place
     prev = [1]
     sign = 1
     for k in range(n - 1):
