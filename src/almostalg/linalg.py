@@ -1,13 +1,8 @@
 """Exact matrix algebra over F_p[s] and the chain ring F_p[s]/(s^m).
 
-Matrices are sparse: PolyMatrix.nonzero holds one dict per row, from column
-index to entry, with only the nonzero entries in it, so a zero cell costs
-nothing to store, copy or multiply.  Entries are dense polynomials (see
-polys.py).  PolyMatrix.entries is a read-only dense view, a grid built on
-each read, for readers that need the dense shape (the CLI's output,
-tests); the library itself reads the rows or entry(i, j).
-
-The central routine is snf(), Smith normal form with tracked unimodular
+Each matrix row is a dict from column to entry holding only the nonzero
+entries, which are dense polynomials (see polys.py); entries is a read-only
+dense view built on each read, for the CLI's output and tests.  The central routine is snf(), Smith normal form with tracked unimodular
 transforms, computed by one elimination for both rings; the inverse
 transforms are replayed from its operation log only when a caller reads
 them.  Kernels, solving and cokernel invariants are all derived from it.
@@ -87,8 +82,8 @@ class PolyMatrix:
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match dimensions")
-            self.nonzero = [_reduced(((j, list(e)) for j, e in enumerate(row)
-                                      if e), modulus) for row in entries]
+            self.nonzero = [_reduced(enumerate(map(list, row)), modulus)
+                            for row in entries]
 
     @classmethod
     def _of(cls, rows, cols, p, nonzero, modulus):
@@ -102,13 +97,8 @@ class PolyMatrix:
     def entries(self):
         """Dense grid of the entries, zeros included, built on each read.
         Its nonzero cells are the stored entry lists: do not modify them."""
-        grid = []
-        for row in self.nonzero:
-            dense = [[] for _ in range(self.cols)]
-            for j, e in row.items():
-                dense[j] = e
-            grid.append(dense)
-        return grid
+        return [[row.get(j, []) for j in range(self.cols)]
+                for row in self.nonzero]
 
     def entry(self, i, j):
         """Entry (i, j) as stored ([] when zero); do not modify it."""
@@ -116,9 +106,8 @@ class PolyMatrix:
 
     def set(self, i, j, e):
         """Write a copy of e, reduced, as entry (i, j)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside "
-                             f"{self.rows}x{self.cols}")
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.cols}")
         _put(self.nonzero[i], j, reduce_mod(list(e), self.modulus))
 
     @classmethod
@@ -157,11 +146,10 @@ class PolyMatrix:
 
     def with_modulus(self, m):
         """The same entries mod s^m; reduced only when m is smaller."""
+        out = self._copy(m)
         if m is not None and (self.modulus is None or m < self.modulus):
-            return PolyMatrix._of(self.rows, self.cols, self.p,
-                                  [_reduced(_copied(row).items(), m)
-                                   for row in self.nonzero], m)
-        return self._copy(m)
+            out.nonzero = [_reduced(row.items(), m) for row in out.nonzero]
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -258,14 +246,10 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, cols, rows, p, modulus=None):
-        m = cls(rows, len(cols), p, modulus=modulus)
-        for j, col in enumerate(cols):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for row, e in zip(m.nonzero, col):
-                if e:
-                    _put(row, j, reduce_mod(list(e), modulus))
-        return m
+        if any(len(col) != rows for col in cols):
+            raise ValueError("column length mismatch")
+        return cls(rows, len(cols), p,
+                   [[col[i] for col in cols] for i in range(rows)], modulus)
 
     def apply_to_vector(self, vec):
         """Matrix times a column vector (list of polys)."""
@@ -292,16 +276,10 @@ def kron(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """Kronecker product (A tensor B)."""
     A._same_modulus(B)
     p, m = A.p, A.modulus
-    out = [{} for _ in range(A.rows * B.rows)]
-    for i, arow in enumerate(A.nonzero):
-        for j, a in arow.items():
-            for k, brow in enumerate(B.nonzero):
-                orow = out[i * B.rows + k]
-                for l, b in brow.items():
-                    e = reduce_mod(poly_mul(a, b, p), m)
-                    if e:
-                        orow[j * B.cols + l] = e
-    return PolyMatrix._of(A.rows * B.rows, A.cols * B.cols, p, out, m)
+    return PolyMatrix._of(A.rows * B.rows, A.cols * B.cols, p, [
+        _reduced(((j * B.cols + l, poly_mul(a, b, p))
+                  for j, a in arow.items() for l, b in brow.items()), m)
+        for arow in A.nonzero for brow in B.nonzero], m)
 
 
 def lift_poly(f, delta, p):
@@ -372,20 +350,14 @@ def _replay(ops, T):
     return M
 
 
-# The row and column operations touch nonzero entries only: a row
-# operation walks the dicts of its rows, a column operation looks its
-# columns up in every row.
-
 def _row_swap(M, i, j):
     M.nonzero[i], M.nonzero[j] = M.nonzero[j], M.nonzero[i]
 
 def _col_swap(M, i, j):
     for row in M.nonzero:
-        x, y = row.pop(i, None), row.pop(j, None)
-        if y is not None:
-            row[i] = y
-        if x is not None:
-            row[j] = x
+        x, y = row.pop(i, []), row.pop(j, [])
+        _put(row, i, y)
+        _put(row, j, x)
 
 def _row_addmul(M, i, j, f, p, m=None):
     """row i += f * row j"""
@@ -393,19 +365,16 @@ def _row_addmul(M, i, j, f, p, m=None):
         return
     ri = M.nonzero[i]
     for c, e in M.nonzero[j].items():
-        t = poly_mul(f, e, p)
-        _put(ri, c, reduce_mod(poly_add(ri[c], t, p) if c in ri else t, m))
+        _put(ri, c, reduce_mod(poly_add(ri.get(c, []), poly_mul(f, e, p), p), m))
 
 def _col_addmul(M, i, j, f, p, m=None):
     """col i += f * col j"""
     if not f:
         return
     for row in M.nonzero:
-        e = row.get(j)
-        if e:
-            t = poly_mul(f, e, p)
-            _put(row, i,
-                 reduce_mod(poly_add(row[i], t, p) if i in row else t, m))
+        if j in row:
+            _put(row, i, reduce_mod(poly_add(row.get(i, []),
+                                             poly_mul(f, row[j], p), p), m))
 
 def _combined(x, y, a, b, p, m):
     """a*x + b*y mod s^m."""
@@ -434,9 +403,8 @@ def _row_mulpoly(M, i, f, p, m=None):
 
 def _col_mulpoly(M, j, f, p, m=None):
     for row in M.nonzero:
-        e = row.get(j)
-        if e:
-            _put(row, j, reduce_mod(poly_mul(f, e, p), m))
+        if j in row:
+            _put(row, j, reduce_mod(poly_mul(f, row[j], p), m))
 
 
 def snf(A: PolyMatrix) -> SNFResult:
@@ -565,12 +533,10 @@ def _find_pivot(D, k, key):
     best = None
     best_key = None
     for i in range(k, D.rows):
-        for j, e in D.nonzero[i].items():
-            if j >= k:
-                d = key(e)
-                if (best_key is None or d < best_key
-                        or d == best_key and best[0] == i and j < best[1]):
-                    best, best_key = (i, j), d
+        row = D.nonzero[i]
+        for j in sorted(row):
+            if j >= k and (best_key is None or key(row[j]) < best_key):
+                best, best_key = (i, j), key(row[j])
     return best
 
 
@@ -640,18 +606,13 @@ def kernel_basis(A: PolyMatrix) -> PolyMatrix:
     p = A.p
     m = A.modulus
     gens = []  # (row, entry) of each generator, a multiple of a unit vector
-    n = min(A.rows, A.cols)
+    facs = res.invariant_factors
     for i in range(A.cols):
-        d = res.D.entry(i, i) if i < n else []
-        if d:
-            if m is None:
-                continue
-            v = poly_valuation(d)
-            if v == 0:
-                continue
-            gens.append((i, poly_monomial(1, m - v, p)))
-        else:
+        d = facs[i] if i < len(facs) else []
+        if not d:
             gens.append((i, [1]))
+        elif m is not None and poly_valuation(d):
+            gens.append((i, poly_monomial(1, m - poly_valuation(d), p)))
     E = PolyMatrix(A.cols, len(gens), p, modulus=m)
     if not gens:
         return E
