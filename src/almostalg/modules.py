@@ -404,13 +404,6 @@ def cokernel_map(f: ModuleMap):
     return C, proj
 
 
-def image_map(f: ModuleMap):
-    """(I, inclusion I -> target)."""
-    I, gens = _subquotient(f.cfg, f.level, f.matrix, f.target.relations)
-    incl = ModuleMap(I, f.target, gens, check=False)
-    return I, incl
-
-
 def homology_at(f: ModuleMap | None, g: ModuleMap | None):
     """ker(g) / im(f) for composable maps A -f-> B -g-> C: coker(f) when g
     is None, ker(g) when f is None."""
@@ -522,20 +515,3 @@ def ext(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
             return terms[0]
         return PresentedModule.zero(cfg, L)
     return homology_at(f, g)
-
-
-def base_change(M: PresentedModule, target_cfg: RingConfig) -> PresentedModule:
-    """Reinterpret M over a quotient of its config (V -> V/(t^c), or a
-    deeper truncation)."""
-    if M.cfg == target_cfg:
-        return M
-    if target_cfg.mode != CHAR_P_TRUNCATED:
-        raise ValueError("base change targets a truncation")
-    if M.cfg.mode == CHAR_P_TRUNCATED and not target_cfg.trunc <= M.cfg.trunc:
-        raise ValueError("target truncation must refine the source")
-    if M.cfg.p != target_cfg.p:
-        raise ValueError("prime mismatch")
-    L = max(M.level, target_cfg.trunc.k)
-    M = M.at_level(L)
-    rel = M.relations.with_modulus(ring_modulus(target_cfg, L))
-    return PresentedModule(target_cfg, L, M.rank, rel)

@@ -286,27 +286,50 @@ def _chain_ring_elems(p, k):
 
 def _enumerated_image(A, p, k):
     """The image of the 3x3 matrix A acting on R^3, R = F_p[s]/(s^k), by
-    enumerating every coefficient vector (c0, c1, c2).
+    enumeration.
 
-    Ring elements are numbered as in _chain_ring_elems, and each image
-    vector is formed from tables built once per matrix: the addition table
-    of R and, for each column j, c -> c * A[:, j].  Returns the elements,
-    their numbering (coefficient tuple -> number) and the image as a set of
-    number triples.
+    Ring elements are numbered as in _chain_ring_elems, and the vector
+    (n0, n1, n2) of R^3 as (n0*N + n1)*N + n2, N = |R|.  The image is built
+    as an iterated sum-set: it starts as {0}, and for each column j every
+    member y is replaced by the vectors y + c * A[:, j], one for each distinct
+    multiple of the column, added entrywise through the addition table of R.
+    Returns the elements, their numbering (coefficient tuple -> number) and
+    the image as a bytearray with one flag per vector of R^3.
     """
     elems = _chain_ring_elems(p, k)
     index = {tuple(e): n for n, e in enumerate(elems)}
     add = [[index[tuple(_redk(poly_add(x, y, p), k))] for y in elems]
            for x in elems]
-    col_mul = [[tuple(index[tuple(_redk(poly_mul(c, e, p), k))] for e in col)
-                for c in elems] for col in A.columns()]
-    image = set()
-    for u0, u1, u2 in col_mul[0]:
-        for v0, v1, v2 in col_mul[1]:
-            a0, a1, a2 = add[u0][v0], add[u1][v1], add[u2][v2]
-            for w0, w1, w2 in col_mul[2]:
-                image.add((add[a0][w0], add[a1][w1], add[a2][w2]))
+    N = len(elems)
+    image = bytearray(N ** 3)
+    image[0] = 1
+    for col in A.columns():
+        multiples = {tuple(index[tuple(_redk(poly_mul(c, e, p), k))]
+                           for e in col) for c in elems}
+        grown = bytearray(N ** 3)
+        for y0, y1, y2 in _members(image, N):
+            a0, a1, a2 = add[y0], add[y1], add[y2]
+            for m0, m1, m2 in multiples:
+                grown[(a0[m0] * N + a1[m1]) * N + a2[m2]] = 1
+        image = grown
     return elems, index, image
+
+
+def _members(image, N):
+    """The flagged vectors of R^3, |R| = N, as number triples in order."""
+    return itertools.compress(itertools.product(range(N), repeat=3), image)
+
+
+def _annihilator_count(image, elems, index, p, k, v):
+    """|{x in R^3 : s^v x in image}| for _enumerated_image's flag array, as
+    the sum over the image's members y of mult[y0]*mult[y1]*mult[y2], where
+    mult[n] = |{x in R : s^v x = n}|."""
+    sv = [0] * v + [1]
+    mult = [0] * len(elems)
+    for x in elems:
+        mult[index[tuple(_redk(poly_mul(sv, x, p), k))]] += 1
+    return sum(mult[y0] * mult[y1] * mult[y2]
+               for y0, y1, y2 in _members(image, len(elems)))
 
 
 def cokernel_enumeration_oracle(seed, samples=100) -> bool:
@@ -321,8 +344,8 @@ def cokernel_enumeration_oracle(seed, samples=100) -> bool:
         k = rng.randint(1, 3)
         A = _random_matrix(rng, 3, 3, p, k - 1, k)
         elems, index, image = _enumerated_image(A, p, k)
-        total = (p ** k) ** 3
-        coker_size = total // len(image)
+        size = image.count(1)
+        coker_size = len(image) // size
         res = snf(A)
         pred = 1
         vals = []
@@ -336,12 +359,8 @@ def cokernel_enumeration_oracle(seed, samples=100) -> bool:
             return False, {"sample": i, "pred": pred, "got": coker_size}
         # annihilator profile: |{x : s^v x in image}| = |ann_v(coker)|*|image|
         for v in range(1, k + 1):
-            sv = [0] * v + [1]
-            shift = [index[tuple(_redk(poly_mul(sv, x, p), k))]
-                     for x in elems]
-            count = sum(y in image
-                        for y in itertools.product(shift, repeat=3))
-            want = len(image)
+            count = _annihilator_count(image, elems, index, p, k, v)
+            want = size
             for w in vals:
                 want *= p ** min(v, w)
             if count != want:

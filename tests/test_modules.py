@@ -11,13 +11,11 @@ from almostalg.modules import (
     ModuleMap,
     PresentedModule,
     _column_monomial_factors,
-    base_change,
     cokernel_map,
     direct_sum,
     ext,
     free_resolution,
     hom_module,
-    image_map,
     iso_test,
     kernel_map,
     ring_modulus,
@@ -98,12 +96,9 @@ def test_kernel_cokernel_image_of_scalar():
     f = ModuleMap.scalar(M, Fraction(1, 2))
     K, _ = kernel_map(f)
     C, _ = cokernel_map(f)
-    I, _ = image_map(f)
     assert [e.as_fraction() for e in K.decompose_exponents()] == [
         Fraction(1, 2)]
     assert [e.as_fraction() for e in C.decompose_exponents()] == [
-        Fraction(1, 2)]
-    assert [e.as_fraction() for e in I.decompose_exponents()] == [
         Fraction(1, 2)]
 
 
@@ -112,9 +107,10 @@ def test_map_composition_and_rank_nullity():
     mat = PolyMatrix(2, 2, 2, [[[0, 1], [1]], [[], [0, 1]]])
     f = ModuleMap(M, M, mat, check=False)
     K, _ = kernel_map(f)
-    I, _ = image_map(f)
-    # free source: rank = dim ker + dim im over the fraction field
-    assert K.free_rank() + I.free_rank() == 2
+    C, _ = cokernel_map(f)
+    # free source and target of rank 2: over the fraction field
+    # dim ker = 2 - dim im = dim coker
+    assert K.free_rank() == C.free_rank()
 
 
 def test_map_level_lifting():
@@ -139,14 +135,6 @@ def test_truncated_clamps_exponents():
     assert N.free_rank() == 1
     assert [e.as_fraction() for e in M.decompose_exponents()] == [
         Fraction(3, 2)]
-
-
-def test_base_change_perfect_to_truncated():
-    M = PresentedModule.cyclic(V2, Fraction(3))
-    N = base_change(M, W2)
-    assert N.cfg == W2
-    # t^3 = 0 already in V/(t^2): the class becomes the full cyclic module
-    assert N.free_rank() + len(N.decompose_exponents()) == 1
 
 
 def _column_monomial_matrix(rng, p, modulus):

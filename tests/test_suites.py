@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -60,13 +61,49 @@ def _naive_image(A, p, k):
 
 def test_enumerated_image_matches_naive_enumeration():
     rng = random.Random(3)
-    for _ in range(12):
-        k = rng.randint(1, 2)
-        A = suites._random_matrix(rng, 3, 3, 2, k - 1, k)
-        elems, index, image = suites._enumerated_image(A, 2, k)
-        assert all(index[tuple(e)] == n for n, e in enumerate(elems))
-        got = {tuple(tuple(elems[n]) for n in y) for y in image}
-        assert got == _naive_image(A, 2, k)
+    for p, ks in ((2, (1, 2)), (3, (1, 2)), (2, (3, 3))):
+        for _ in range(12):
+            k = rng.randint(*ks)
+            A = suites._random_matrix(rng, 3, 3, p, k - 1, k)
+            elems, index, image = suites._enumerated_image(A, p, k)
+            assert all(index[tuple(e)] == n for n, e in enumerate(elems))
+            N = len(elems)
+            assert len(image) == N ** 3 and set(image) <= {0, 1}
+            # vector number y = (n0*N + n1)*N + n2
+            got = {tuple(tuple(elems[n]) for n in (y // N ** 2, y // N % N,
+                                                   y % N))
+                   for y, flag in enumerate(image) if flag}
+            assert got == _naive_image(A, p, k)
+
+
+def test_annihilator_count_matches_a_product_count():
+    rng = random.Random(4)
+    for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
+        A = suites._random_matrix(rng, 3, 3, p, k - 1, k)
+        elems, index, image = suites._enumerated_image(A, p, k)
+        naive = _naive_image(A, p, k)
+        for v in range(1, k + 1):
+            shifted = []
+            for e in elems:
+                x = ([0] * v + e)[:k]
+                while x and not x[-1]:
+                    x.pop()
+                shifted.append(tuple(x))
+            want = sum(y in naive
+                       for y in itertools.product(shifted, repeat=3))
+            assert suites._annihilator_count(
+                image, elems, index, p, k, v) == want
+
+
+def test_cokernel_oracle_peaks_below_half_a_megabyte():
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert suites.cokernel_enumeration_oracle(0, 100) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 500_000
 
 
 def test_quillen_suite_catches_a_closedify_that_returns_zero(monkeypatch):
