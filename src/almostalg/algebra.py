@@ -15,7 +15,8 @@ from .almost import MonomialTower, colim_is_zero
 from .base_ring import RingConfig
 from .complexes import ChainComplex
 from .exponents import PExp
-from .linalg import PolyMatrix, det as poly_det, kron, lift_poly, reduce_mod
+from .linalg import (PolyMatrix, det as poly_det, kron, lift_poly, reduce_mod,
+                     snf)
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -148,7 +149,7 @@ def _factor_through(incl: ModuleMap, vec):
     A = incl.matrix
     R = incl.target.relations
     aug = A.hstack(R)
-    x = solve(aug, vec)
+    x = solve(aug, snf(aug), vec)
     if x is None:
         return None
     return x[:A.cols]

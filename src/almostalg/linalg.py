@@ -2,10 +2,15 @@
 
 Each matrix row is a dict from column to entry holding only the nonzero
 entries, which are dense polynomials (see polys.py); entries is a read-only
-dense view built on each read, for the CLI's output and tests.  The central routine is snf(), Smith normal form with tracked unimodular
-transforms, computed by one elimination for both rings; the inverse
-transforms are replayed from its operation log only when a caller reads
-them.  Kernels, solving and cokernel invariants are all derived from it.
+dense view built on each read, for the CLI's output and tests.
+
+The central routine is snf(), Smith normal form with tracked unimodular
+transforms, computed for both rings by one elimination whose only clearing
+step subtracts a quotient times the pivot row or column; a remainder left
+behind becomes the next pivot.  The inverse transforms are replayed from
+its operation log only when a caller reads them.  Kernels, solving and
+cokernel invariants are all derived from it; solve() takes an SNF the
+caller already has.
 
 Every stored entry is canonical: a nonzero trimmed coefficient list, of
 degree below the modulus when the matrix has one.  This module is the only
@@ -376,26 +381,6 @@ def _col_addmul(M, i, j, f, p, m=None):
             _put(row, i, reduce_mod(poly_add(row.get(i, []),
                                              poly_mul(f, row[j], p), p), m))
 
-def _combined(x, y, a, b, p, m):
-    """a*x + b*y mod s^m."""
-    return reduce_mod(poly_add(poly_mul(a, x, p), poly_mul(b, y, p), p), m)
-
-def _row_combine(M, i, j, a, b, c, d, p, m=None):
-    """(row i, row j) <- (a*ri + b*rj, c*ri + d*rj)"""
-    ri, rj = M.nonzero[i], M.nonzero[j]
-    for k in ri.keys() | rj.keys():
-        x, y = ri.get(k, []), rj.get(k, [])
-        _put(ri, k, _combined(x, y, a, b, p, m))
-        _put(rj, k, _combined(x, y, c, d, p, m))
-
-def _col_combine(M, i, j, a, b, c, d, p, m=None):
-    """(col i, col j) <- (a*ci + b*cj, c*ci + d*cj)"""
-    for row in M.nonzero:
-        x, y = row.get(i, []), row.get(j, [])
-        if x or y:
-            _put(row, i, _combined(x, y, a, b, p, m))
-            _put(row, j, _combined(x, y, c, d, p, m))
-
 def _row_mulpoly(M, i, f, p, m=None):
     """row i *= f (f must be a unit in context for invertibility)."""
     M.nonzero[i] = _reduced(((c, poly_mul(f, e, p))
@@ -411,15 +396,16 @@ def snf(A: PolyMatrix) -> SNFResult:
     """Smith normal form with tracked transforms, over F_p[s] or, when A has
     a modulus m, over the chain ring F_p[s]/(s^m).
 
-    One deterministic elimination serves both rings: the pivot is the
+    One deterministic elimination serves both rings.  The pivot is the
     nonzero entry of least degree over F_p[s] and of least s-valuation over
-    the chain ring (row-major ties); it is swapped into place, and its
-    column and row are cleared.  Over F_p[s] a clearing division that leaves
-    a remainder is replaced by an xgcd step, the sweep repeats until the
-    pivot divides the whole trailing block, and the pivot is made monic at
-    the end.  Over the chain ring every nonzero element is a unit times s^v,
-    so the pivot is first scaled to exactly s^v; it then divides every
-    remaining entry and all clearing divisions are exact shifts.  The result
+    the chain ring (row-major ties); it is swapped into place, and every
+    other entry of its column and row is reduced to its remainder by the
+    pivot.  A nonzero remainder has lower degree than the pivot and becomes
+    the next one, so the pivot degree falls until its row and column are
+    clear; a row whose entries the pivot does not divide is then added to
+    the pivot row, and the pivot is made monic at the end.  Over the chain
+    ring the pivot is first scaled to exactly s^v, the least valuation
+    present, so every remainder is zero and one sweep clears it.  The result
     is verified by _check_snf before it is returned.
     """
     p = A.p
@@ -476,54 +462,34 @@ def snf(A: PolyMatrix) -> SNFResult:
 
 
 def _clear_column(D, row_ops, U, k, p, m):
-    """Eliminate entries below the pivot in column k, logging each row
-    operation and applying its inverse to the columns of U.  Returns True
-    if the pivot changed (degree dropped), signalling another sweep."""
+    """Reduce each entry below the pivot in column k to its remainder by
+    the pivot: subtract the quotient times row k, log the row operation and
+    apply its inverse to the columns of U.  Returns True if a remainder is
+    left; it has lower degree than the pivot and so signals another sweep,
+    in which it (or something smaller) is the pivot."""
+    a = D.entry(k, k)
     changed = False
     for i in range(k + 1, D.rows):
         b = D.nonzero[i].get(k)
         if not b:
             continue
-        a = D.entry(k, k)
         q, r = poly_divmod(b, a, p)
-        if not r:
-            f = poly_neg(q, p)
-            _logged(D, row_ops, _row_addmul, i, k, f, p, m)
-            _col_addmul(U, k, i, q, p, m)
-        else:
-            g, u, v = poly_xgcd(a, b, p)
-            aq = poly_divmod(a, g, p)[0]
-            bq = poly_divmod(b, g, p)[0]
-            # [[u, v], [-bq, aq]] has determinant 1
-            _logged(D, row_ops, _row_combine, k, i, u, v, poly_neg(bq, p), aq,
-                    p, m)
-            # inverse is [[aq, -v], [bq, u]]; applied to columns of U
-            _col_combine(U, k, i, aq, bq, poly_neg(v, p), u, p, m)
-            changed = True
+        _logged(D, row_ops, _row_addmul, i, k, poly_neg(q, p), p, m)
+        _col_addmul(U, k, i, q, p, m)
+        changed = changed or bool(r)
     return changed
 
 
 def _clear_row(D, col_ops, W, k, p, m):
-    """Column-operation mirror of _clear_column for row k.  Clearing column
-    j changes columns j and k only, so the columns to clear are known up
-    front."""
+    """Column-operation mirror of _clear_column for row k.  Reducing column
+    j changes column j only, so the columns to reduce are known up front."""
+    a = D.entry(k, k)
     changed = False
     for j in sorted(c for c in D.nonzero[k] if c > k):
-        b = D.nonzero[k][j]
-        a = D.entry(k, k)
-        q, r = poly_divmod(b, a, p)
-        if not r:
-            f = poly_neg(q, p)
-            _logged(D, col_ops, _col_addmul, j, k, f, p, m)
-            _row_addmul(W, k, j, q, p, m)
-        else:
-            g, u, v = poly_xgcd(a, b, p)
-            aq = poly_divmod(a, g, p)[0]
-            bq = poly_divmod(b, g, p)[0]
-            _logged(D, col_ops, _col_combine, k, j, u, v, poly_neg(bq, p), aq,
-                    p, m)
-            _row_combine(W, k, j, aq, bq, poly_neg(v, p), u, p, m)
-            changed = True
+        q, r = poly_divmod(D.nonzero[k][j], a, p)
+        _logged(D, col_ops, _col_addmul, j, k, poly_neg(q, p), p, m)
+        _row_addmul(W, k, j, q, p, m)
+        changed = changed or bool(r)
     return changed
 
 
@@ -624,14 +590,14 @@ def kernel_basis(A: PolyMatrix) -> PolyMatrix:
     return K
 
 
-def solve(A: PolyMatrix, b) -> list | None:
+def solve(A: PolyMatrix, res: SNFResult, b) -> list | None:
     """Some x with A*x = b, or None when no solution exists.
 
-    b is a list of polynomials of length A.rows.
+    res is snf(A), which a caller solving against one A many times computes
+    once; b is a list of polynomials of length A.rows.
     """
     if len(b) != A.rows:
         raise ValueError(f"vector length {len(b)} != {A.rows} rows")
-    res = snf(A)
     p = A.p
     c = res.u_inv.apply_to_vector([list(e) for e in b])
     n = min(A.rows, A.cols)

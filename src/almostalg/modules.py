@@ -299,7 +299,7 @@ class ModuleMap:
         R = self.source.relations
         for j in range(R.cols):
             v = self.matrix.apply_to_vector(R.column(j))
-            if solve(self.target.relations, v) is None:
+            if solve(self.target.relations, self.target.snf(), v) is None:
                 if any(e for e in v):
                     return False
         return True
@@ -355,7 +355,7 @@ class ModuleMap:
         for j in range(self.matrix.cols):
             v = self.matrix.column(j)
             if any(e for e in v):
-                if solve(self.target.relations, v) is None:
+                if solve(self.target.relations, self.target.snf(), v) is None:
                     return False
         return True
 

@@ -574,7 +574,7 @@ def _vec_eq(U, a, b):
     diff = [poly_sub(x, y, C.cfg.p) for x, y in zip(a, b)]
     if not any(diff):
         return True
-    return solve(C.relations, diff) is not None
+    return solve(C.relations, C.snf(), diff) is not None
 
 
 def unitalization_axiom_search(seed, triples=1000, primes=(2, 3)) -> bool:

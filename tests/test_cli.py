@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import almostalg
 from almostalg import cli
 from almostalg.cli import main
+from almostalg.linalg import PolyMatrix, is_unimodular
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -498,7 +499,10 @@ def test_json_text_keeps_bools_and_escapes_apart_from_ints():
 
 
 # sha256 of `compute` stdout per payload, as json.dumps and an snf that
-# built its inverse transforms eagerly wrote it; the bytes must not move
+# built its inverse transforms eagerly wrote it; the bytes must not move.
+# D is unique but U and W are one choice among many (snf-1's follow the
+# Euclidean clearing step), so each recorded snf output is also checked to
+# be a Smith form of its payload
 _GOLDEN = [
     (["snf"], {"p": 3, "matrix": [[[1, 2], [0, 1], [2]],
                                   [[0, 0, 1], [1], [1, 1]],
@@ -506,7 +510,7 @@ _GOLDEN = [
      "b972ff6046641c39963062a1ff645f23036653b38d5d7d0fd9c8c887431afea9"),
     (["snf"], {"p": 5, "matrix": [[[1, 4], 3, [0, 2, 1]],
                                   [[2], [0, 0, 1], [3, 3]]]},
-     "3f622bd4ec3731281c1597af2054ae18b3b63c17569e8072ecf05826c98f197c"),
+     "684945c5a079103a287ff7ac3c2036e5029e233b69d72d31494cf5ca8877039b"),
     (["snf"], {"p": 2, "modulus": 4,
                "matrix": [[[1, 1], [0, 1]], [[0, 1], [1, 0, 1]],
                           [[0, 0, 1], [1]]]},
@@ -548,3 +552,11 @@ def test_compute_stdout_bytes_as_recorded(argv, payload, digest, capsys,
                              capsys=capsys, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if argv == ["snf"]:
+        # the recorded bytes are a valid Smith form of the payload
+        p, m = payload["p"], payload.get("modulus")
+        res = json.loads(out)["result"]
+        U, D, W = (PolyMatrix(len(g), len(g[0]), p, g, m)
+                   for g in (res["U"], res["D"], res["W"]))
+        assert U.mul(D).mul(W) == cli._parse_entries(payload["matrix"], p, m)
+        assert is_unimodular(U) and is_unimodular(W)

@@ -18,8 +18,10 @@ from almostalg.linalg import (
     snf,
     solve,
 )
+from almostalg import linalg
 from almostalg.modules import kron
-from almostalg.polys import poly_deg, poly_divides, poly_mul, poly_valuation
+from almostalg.polys import (poly_add, poly_deg, poly_divides, poly_mul,
+                             poly_valuation)
 
 
 def rand_matrix(rng, rows, cols, p, maxdeg, modulus=None):
@@ -117,6 +119,85 @@ def test_snf_chain_ring_agrees_with_lift():
         assert [poly_deg(f) for f in lifted] == vals
 
 
+def _digits(word):
+    """Coefficient list from its digits, constant term first."""
+    return [int(c) for c in word]
+
+
+def _scrambled(rng, n, p):
+    """(A, factors): A = U * diag(factors) * W over F_p[s] for U and W
+    products of n random row and n random column add-multiples (multiplier
+    of degree <= 2) and a swap each, factors monic with each dividing the
+    next and, one time in three, a zero last."""
+    factors, d = [], [1]
+    for _ in range(n - rng.choice((0, 0, 1))):
+        f = [rng.randrange(p) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+        d = poly_mul(d, f + [1], p)
+        factors.append(d)
+    factors += [[]] * (n - len(factors))
+    A = [[list(factors[i]) if i == j else [] for j in range(n)]
+         for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+        A[i] = [poly_add(x, poly_mul(f, y, p), p) for x, y in zip(A[i], A[j])]
+        A[i], A[j] = A[j], A[i]
+        i, j = rng.sample(range(n), 2)
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+        for row in A:
+            row[i] = poly_add(row[i], poly_mul(f, row[j], p), p)
+            row[i], row[j] = row[j], row[i]
+    return PolyMatrix(n, n, p, A), factors
+
+
+# the 8x8 snf request over F_3[s] that perfbench/gen.py draws with
+# rng = random.Random(294); p = rng.choice(PRIMES);
+# _snf_request(rng, 8, p, False), entries as digit strings, constant term
+# first; clearing with xgcd steps in place of remainders swells its entries
+# past degree 1000 against a bound of 48
+_SEED_294 = [
+    "010212001201 0201200121 00021122112 0 02220222 0001110111 0 0002220222",
+    "0011000210121021 01101022202011 000111110220222 00211122 001101002202 "
+    "00202111222101 0 00000022212102",
+    "0102101022111 01210110201 001001020002 0 010222212 02121122121 0 "
+    "00010222212",
+    "02111121101001 022112011221 0021021120012 010212 0211000122 "
+    "011210201211 0 000001202022",
+    "0002220222 02121102 000221001 0 020121 00010212 0 00020121",
+    "012012211101 0110010021 01212211212 0 01202022 0220102011 0 0001202022",
+    "01222212202002 011221022112 0012012210021 01110111 0122000211 "
+    "022120102122 0221001 000002101011",
+    "0 0 0 01101 0 0 0 002101011",
+]
+_SEED_294_FACTORS = "01 01 021 01101 020121 0221001 0221001 002101011"
+
+
+def test_snf_pid_entry_degrees_stay_within_input_plus_det(monkeypatch):
+    # every intermediate entry of D has degree at most the input's largest
+    # degree plus deg det (the degree of the product of the nonzero
+    # invariant factors); checked after each logged row or column operation
+    cases = [(PolyMatrix(8, 8, 3, [[_digits(w) for w in row.split()]
+                                   for row in _SEED_294]),
+              [_digits(w) for w in _SEED_294_FACTORS.split()])]
+    rng = random.Random(11)
+    for n in (7, 8):
+        for p in (2, 3, 5, 7):
+            cases += [_scrambled(rng, n, p) for _ in range(5)]
+    real = linalg._logged
+    bound = 0
+
+    def logged(D, ops, op, *args):
+        real(D, ops, op, *args)
+        top = max(len(e) - 1 for row in D.nonzero for e in row.values())
+        assert top <= bound, f"entry degree {top} over the bound {bound}"
+
+    monkeypatch.setattr(linalg, "_logged", logged)
+    for A, factors in cases:
+        bound = (max(len(e) - 1 for row in A.nonzero for e in row.values())
+                 + sum(len(f) - 1 for f in factors if f))
+        assert snf(A).invariant_factors == factors
+
+
 def test_kernel_basis_is_a_kernel():
     rng = random.Random(7)
     for _ in range(30):
@@ -137,7 +218,7 @@ def test_solve_consistency():
         A = rand_matrix(rng, 3, 2, p, 2)
         x = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
         b = A.apply_to_vector(x)
-        sol = solve(A, b)
+        sol = solve(A, snf(A), b)
         assert sol is not None
         assert A.apply_to_vector(sol) == b
 
@@ -145,7 +226,7 @@ def test_solve_consistency():
 def test_solve_detects_inconsistency():
     # column space of [[s],[s]] misses (1, 0)
     A = PolyMatrix(2, 1, 2, [[[0, 1]], [[0, 1]]])
-    assert solve(A, [[1], []]) is None
+    assert solve(A, snf(A), [[1], []]) is None
 
 
 def test_det_multiplicative():
