@@ -20,10 +20,17 @@ table in integer arithmetic.  A query at working level J reads stages
 per query.  PExp values are built only where a stage is read as exponents
 or modules, and for the witnesses and margins of certificates.
 
+A query is also answered once per tower: firmify(x) returns the tower it
+built for the same x while that tower is alive (a weak reference on x, so
+the memo neither keeps a tower alive nor forms a reference cycle), and
+is_firm keeps its certificate on the tower, one per working level.
+
 All "for all levels" statements are finitized at a working level J;
 verdicts say so explicitly (see AlmostCertificate).
 """
 from __future__ import annotations
+
+import weakref
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
@@ -93,7 +100,8 @@ def _scaled(rows, s):
     """Table rows with every exponent multiplied by s (None stays)."""
     if s == 1:
         return rows
-    return [tuple(None if a is None else a * s for a in row) for row in rows]
+    return [tuple([None if a is None else a * s for a in row])
+            for row in rows]
 
 
 def _bounded(rows, s, cfg, K):
@@ -103,7 +111,8 @@ def _bounded(rows, s, cfg, K):
     if cfg.mode != CHAR_P_TRUNCATED:
         return _scaled(rows, s)
     cap = cfg.trunc.to_int_at_level(K)
-    return [tuple(cap if a is None else a * s for a in row) for row in rows]
+    return [tuple([cap if a is None else a * s for a in row])
+            for row in rows]
 
 
 class MonomialTower:
@@ -115,10 +124,15 @@ class MonomialTower:
     for, and never changed in place.  lines(), trans_exp(), component()
     and transition() build PExp values and modules from it when they are
     read.
+
+    A tower also keeps what was asked of it: _firm is a weak reference to
+    firmify(self) (see firmify), and _firm_certs maps a working level J to
+    is_firm(self, J).
     """
 
     __slots__ = ("cfg", "table_fn", "tag", "name", "closed_form",
-                 "az_delegate", "_components", "_table")
+                 "az_delegate", "_components", "_table", "_firm",
+                 "_firm_certs", "__weakref__")
 
     def __init__(self, cfg, table_fn, tag=None, name="", closed_form=None,
                  az_delegate=None):
@@ -134,6 +148,8 @@ class MonomialTower:
         self.az_delegate = az_delegate
         self._components = {}
         self._table = (0, [], [])
+        self._firm = None
+        self._firm_certs = {}
 
     def table(self, n):
         """Stages 0..n as (K, lines, trans), every exponent scaled by p^K
@@ -243,7 +259,18 @@ def as_tower(x) -> MonomialTower:
 
 
 def firmify(x) -> MonomialTower:
-    """m-tilde tensor x, stage j realized as t^(1/p^j)V tensor (stage j)."""
+    """m-tilde tensor x, stage j realized as t^(1/p^j)V tensor (stage j).
+
+    While the tower built for x is alive, firmify(x) returns it again: x
+    holds it by a weak reference (x._firm), so the memo never extends its
+    life, and the tower's own reference back to x forms no cycle.  A
+    module and its constant tower are different x: firmify(M) answers
+    almost-zero questions through M, firmify(as_tower(M)) through the
+    tower."""
+    if isinstance(x, (PresentedModule, MonomialTower)) and x._firm:
+        tower = x._firm()
+        if tower is not None:
+            return tower
     t = as_tower(x)
     tower = MonomialTower(
         t.cfg,
@@ -255,6 +282,7 @@ def firmify(x) -> MonomialTower:
     if isinstance(x, PresentedModule):
         if x.free_rank() == 1 and not x.invariant_factors():
             tower.tag = IDEAL_M
+    x._firm = weakref.ref(tower)
     return tower
 
 
@@ -333,14 +361,14 @@ def kernel_tower(f: IndMap) -> MonomialTower:
 def _kernel_table(f, n):
     """Table of kernel_tower(f) at K = max(source's K, n, truncation
     level).  A line without a bound (free over the domain) has kernel 0."""
-    cfg = f.source.cfg
+    cfg, p = f.source.cfg, f.source.cfg.p
     Ks, lines, trans = f.source.table(n)
     K = max(Ks, n, _floor(cfg))
-    s = cfg.p ** (K - Ks)
+    s = p ** (K - Ks)
     out, offs = [], []
     for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = cfg.p ** (K - j)
-        out.append(tuple(0 if a is None else min(u, a) for a in anns))
+        u = p ** (K - j)
+        out.append(tuple([0 if a is None else min(u, a) for a in anns]))
         offs.append(_offset(anns, u))
     # a tower has one transition exponent for all its lines, so each stage
     # gets one offset: _offset's, the smallest of the lines' offsets
@@ -356,7 +384,7 @@ def _offset(anns, u):
     offsets take the smallest: the transition is then exact on the line of
     least bound, and larger than the induced map's on a line whose offset
     grows faster, where it overstates death."""
-    return min((a - min(a, u) for a in anns if a is not None), default=0)
+    return min([a - min(a, u) for a in anns if a is not None], default=0)
 
 
 def cokernel_tower(f: IndMap) -> MonomialTower:
@@ -370,14 +398,14 @@ def cokernel_tower(f: IndMap) -> MonomialTower:
 def _cokernel_table(f, n):
     """Table of cokernel_tower(f) at K = max(target's K, n, truncation
     level)."""
-    cfg = f.target.cfg
+    cfg, p = f.target.cfg, f.target.cfg.p
     Kt, lines, trans = f.target.table(n)
     K = max(Kt, n, _floor(cfg))
-    s = cfg.p ** (K - Kt)
+    s = p ** (K - Kt)
     out = []
     for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = cfg.p ** (K - j)
-        out.append(tuple(u if a is None else min(a, u) for a in anns))
+        u = p ** (K - j)
+        out.append(tuple([u if a is None else min(a, u) for a in anns]))
     return K, out, [c * s for c in trans]
 
 
@@ -527,7 +555,11 @@ def is_exact_iso_levelwise(f: IndMap, J: int) -> bool:
 
 
 def is_firm(x, J: int) -> AlmostCertificate:
-    """Is mu: m tensor x -> x an isomorphism?"""
+    """Is mu: m tensor x -> x an isomorphism?
+
+    A tower keeps the certificate of each working level J it was asked at
+    (x._firm_certs), so asking again, for instance of shriek(M) while
+    firmify(M) is alive, builds no table."""
     if isinstance(x, PresentedModule):
         if x.is_zero_module():
             return AlmostCertificate("certified-structural", True, J, {})
@@ -536,12 +568,19 @@ def is_firm(x, J: int) -> AlmostCertificate:
             "certified-structural", False, J,
             {"reason": "nonzero finitely presented module is never firm",
              "cokernel_stage_J": f"x/t^(1/p^{J})x"})
-    f = mu_map(x)
-    if is_exact_iso_levelwise(f, J):
-        return AlmostCertificate("certified-structural", True, J,
-                                 {"reason": "mu kernel and cokernel die exactly"})
-    return AlmostCertificate("fails", False, J,
-                             {"reason": "mu is not an isomorphism in the colimit"})
+    t = as_tower(x)
+    cert = t._firm_certs.get(J)
+    if cert is None:
+        if is_exact_iso_levelwise(mu_map(t), J):
+            cert = AlmostCertificate(
+                "certified-structural", True, J,
+                {"reason": "mu kernel and cokernel die exactly"})
+        else:
+            cert = AlmostCertificate(
+                "fails", False, J,
+                {"reason": "mu is not an isomorphism in the colimit"})
+        t._firm_certs[J] = cert
+    return cert
 
 
 def is_closed(x, J: int) -> AlmostCertificate:

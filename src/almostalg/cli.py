@@ -47,6 +47,21 @@ MODULE_MAX_SIZE = 1 << 20
 # whose time MODULE_MAX_SIZE does not bound: at rank 100 and the largest
 # s-degree admitted it takes about a second, at rank 300 several
 A_N_PLUS_MAX_RANK = 100
+# snf's cost grows with the larger side n of the matrix and with the number
+# S of coefficient slots an entry can reach: S = m over F_p[s]/(s^m), and
+# (n + 1)d + 1 over F_p[s], d the largest input degree (no entry grows past
+# the input degree plus the determinant's, at most nd).  Random dense inputs
+# at p = 13 on the edges of these limits took at most 2.7 s in-process:
+# 16x16 at m = 90, 8x8 at m = 256, 4x4 at m = 512, and over F_p[s] 16x16
+# at d = 5, 8x8 at d = 28 and 2x2 at d = 682 (CPython 3.11, 2-vCPU host).
+# Without them a 2x2 matrix at m = 20,000 took 26 s, and a 40x40 one over
+# F_2[s] 7.8 s and 4.4 MB of output.
+SNF_MAX_SIDE = 16
+# a unit pivot is inverted mod s^m by an extended gcd whose cost grows
+# like m^3, which the work bound below does not see at small n
+SNF_MAX_MODULUS = 512
+# n^3 * S^2
+SNF_MAX_WORK = 1 << 25
 # the fields a module payload may carry: rank and relations, or exponents
 # and free_rank
 MODULE_KEYS = ("p", "level", "rank", "relations", "exponents", "free_rank")
@@ -129,7 +144,11 @@ def _op_snf(payload, args):
     if modulus is not None and (type(modulus) is not int or modulus < 1):
         raise UsageError(
             f"payload modulus must be a positive integer, got {modulus!r}")
+    if modulus is not None and modulus > SNF_MAX_MODULUS:
+        raise UsageError(f"snf with modulus {modulus} is over the limit "
+                         f"modulus <= {SNF_MAX_MODULUS}")
     A = _parse_entries(payload["matrix"], p, modulus)
+    _check_snf_size(A)
     res = snf(A)
     return {
         "U": res.U.entries,
@@ -137,6 +156,24 @@ def _op_snf(payload, args):
         "W": res.W.entries,
         "invariant_factors": res.invariant_factors,
     }
+
+
+def _check_snf_size(A):
+    """Refuse an snf of A past SNF_MAX_SIDE or SNF_MAX_WORK."""
+    n = max(A.rows, A.cols)
+    if n > SNF_MAX_SIDE:
+        raise UsageError(f"snf of a {A.rows}x{A.cols} matrix is over the "
+                         f"limit rows, columns <= {SNF_MAX_SIDE}")
+    if A.modulus is None:
+        d = max([len(e) - 1 for row in A.nonzero for e in row.values()],
+                default=0)
+        slots = (n + 1) * d + 1
+    else:
+        slots = A.modulus
+    if n ** 3 * slots ** 2 > SNF_MAX_WORK:
+        raise UsageError(f"snf of a {A.rows}x{A.cols} matrix with {slots} "
+                         f"coefficient slots per entry is over the limit "
+                         f"n^3 * slots^2 <= {SNF_MAX_WORK}")
 
 
 def _check_module_size(cfg, level, rank, exps):

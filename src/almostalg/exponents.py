@@ -40,14 +40,19 @@ class PExp:
     def from_fraction(cls, p: int, q) -> "PExp":
         """Parse q (a PExp, an int, a Fraction or a string such as "3/4")
         as an exponent for the prime p; a PExp is returned as it is.  A
-        bool is refused, not read as 0 or 1."""
+        bool is refused, not read as 0 or 1, and a zero denominator or an
+        infinite float is a ValueError."""
         if isinstance(q, bool):
             raise TypeError(f"an exponent cannot be the boolean {q}")
         if isinstance(q, PExp):
             if q.p != p:
                 raise ValueError(f"mixed primes {q.p} and {p}")
             return q
-        q = Fraction(q)
+        try:
+            q = Fraction(q)
+        except (ZeroDivisionError, OverflowError) as exc:
+            # "1/0", and a float that is infinite (1e400 in JSON)
+            raise ValueError(f"{q!r} is not an exponent: {exc}") from None
         if q < 0:
             raise ValueError(f"negative exponent {q}")
         den = q.denominator

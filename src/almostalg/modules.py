@@ -66,7 +66,8 @@ class PresentedModule:
     their number is the rank of the relation matrix); the full Smith form
     is computed by snf() when a caller needs its transforms."""
 
-    __slots__ = ("cfg", "level", "rank", "relations", "_factors", "_smith")
+    __slots__ = ("cfg", "level", "rank", "relations", "_factors", "_smith",
+                 "_firm", "__weakref__")
 
     def __init__(self, cfg, level, rank, relations=None):
         self.cfg = cfg
@@ -82,6 +83,8 @@ class PresentedModule:
                 relations = relations.with_modulus(m)
         self.relations = relations
         self._smith = None
+        # a weak reference to almost.firmify(self), set there
+        self._firm = None
         factors = _column_monomial_factors(relations)
         if factors is None:
             factors = [f for f in self.snf().invariant_factors if f]

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from almostalg.almost import (
     _LOOKAHEAD,
     MonomialTower,
     _residuals,
+    as_tower,
     closedify,
     colim_is_zero,
     colocal_ext_vanishing,
@@ -23,6 +26,7 @@ from almostalg.almost import (
     shriek,
 )
 from almostalg.base_ring import RingConfig
+from almostalg.exponents import PExp
 from almostalg.modules import PresentedModule, iso_test
 
 V2 = RingConfig.perfect(2)
@@ -78,6 +82,48 @@ def test_firmify_produces_firm_idempotently():
     assert is_firm(T, J).holds and is_firm(TT, J).holds
     for j in (J - 1, J):
         assert iso_test(T.component(j), TT.component(j))
+
+
+def test_firmify_returns_the_tower_it_built_while_it_is_alive():
+    M = PresentedModule.cyclic(V3, PExp(3, 1, 1))
+    T = firmify(M)
+    assert firmify(M) is T and shriek(M) is T
+    TT = firmify(T)
+    assert firmify(T) is TT and mu_map(T).source is TT
+    # a module and its constant tower are different sources: the module's
+    # firm tower answers almost-zero questions through the module itself
+    assert firmify(as_tower(M)) is not T
+    assert T.az_delegate is M
+
+
+def test_the_firmify_memo_keeps_no_tower_alive():
+    M = PresentedModule.cyclic(V3, PExp(3, 1, 1))
+    # with the cycle collector off, a tower dies with its last reference
+    # only if no reference cycle holds it
+    gc.disable()
+    try:
+        T = firmify(M)
+        TT = firmify(T)
+        assert is_firm(T, 2).holds and is_firm(TT, 2).holds
+        refs = [weakref.ref(T), weakref.ref(TT)]
+        del T, TT
+        assert [r() for r in refs] == [None, None]
+        assert is_firm(firmify(M), 2).holds
+    finally:
+        gc.enable()
+
+
+def test_firmify_refuses_what_is_neither_module_nor_tower():
+    with pytest.raises(TypeError):
+        firmify(3)
+
+
+def test_is_firm_keeps_one_certificate_per_level():
+    T = firmify(PresentedModule.cyclic(V2, PExp(2, 1)))
+    a, b = is_firm(T, J), is_firm(T, J + 1)
+    assert a.holds and b.holds
+    assert (a.level, b.level) == (J, J + 1)
+    assert is_firm(T, J) is a and is_firm(T, J + 1) is b
 
 
 def test_closedify_identity_on_monomial_modules():

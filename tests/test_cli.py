@@ -211,6 +211,53 @@ def test_compute_tilt_basis_iso_refuses_past_the_cap(payload, limit, capsys,
     assert not out
 
 
+class _Reached(Exception):
+    """Raised by a stand-in for snf: the request was admitted."""
+
+
+@pytest.mark.parametrize("payload, limit", [
+    ({"p": 2, "modulus": 513, "matrix": [[1]]}, "modulus <= 512"),
+    ({"p": 2, "matrix": [[1]] * 17}, "rows, columns <= 16"),
+    ({"p": 2, "modulus": 91, "matrix": [[1] * 16] * 16},
+     "n^3 * slots^2 <= 33554432"),
+    ({"p": 2, "matrix": [[[0] * 29 + [1]] * 8] * 8},
+     "n^3 * slots^2 <= 33554432"),
+], ids=["modulus", "side", "work-modulus", "work-degree"])
+def test_compute_snf_refuses_past_its_limits(payload, limit, capsys,
+                                             monkeypatch):
+    import almostalg.cli as cli
+
+    def never(*args):
+        raise AssertionError("snf ran past its limits")
+
+    monkeypatch.setattr(cli, "snf", never)
+    code, out, err = run_cli(["compute", "snf"], stdin_text=json.dumps(payload),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and limit in err
+    assert not out
+
+
+@pytest.mark.parametrize("payload", [
+    {"p": 13, "modulus": 90, "matrix": [[[1] * 90] * 16] * 16},
+    {"p": 13, "modulus": 256, "matrix": [[[1] * 256] * 8] * 8},
+    {"p": 13, "modulus": 512, "matrix": [[[1] * 512] * 4] * 4},
+    {"p": 13, "matrix": [[[1] * 29] * 8] * 8},
+    {"p": 13, "matrix": [[[1] * 6] * 16] * 16},
+], ids=["16x16-m90", "8x8-m256", "4x4-m512", "8x8-degree-28",
+        "16x16-degree-5"])
+def test_compute_snf_admits_the_edges_of_its_limits(payload, monkeypatch):
+    import almostalg.cli as cli
+
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "snf", reached)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    with pytest.raises(_Reached):
+        main(["compute", "snf"])
+
+
 @pytest.mark.parametrize("c", [0, -1, "2", 1.5, True, None],
                          ids=["zero", "negative", "string", "float", "true",
                               "null"])
@@ -239,17 +286,35 @@ def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
     ("a_n_plus", {"n": 1, "stage": -1}),
     ("decompose", {"exponents": [True]}),
     ("a_n_plus", {"n": True}),
+    ("decompose", {"exponents": ["1/0"]}),
+    ("decompose", '{"exponents": [1e400]}'),
+    ("decompose", '{"exponents": [-1e400]}'),
+    ("firmify", {"exponents": ["1/0"]}),
+    ("a_n_plus", {"n": "1/0"}),
+    ("a_n_plus", '{"n": 1e400}'),
+    ("snf", {"p": 2, "modulus": 513, "matrix": [[1]]}),
+    ("snf", {"p": 2, "matrix": [[1] * 17] * 17}),
+    ("snf", {"p": 2, "modulus": 91, "matrix": [[1] * 16] * 16}),
+    ("snf", {"p": 2, "matrix": [[[0] * 29 + [1]] * 8] * 8}),
 ], ids=["mults-list", "mults-int", "mults-negative", "mults-float",
         "exponents-string", "free-rank-true", "rank-true",
         "coefficient-float", "entry-true", "a-n-plus-rank-true",
-        "a-n-plus-stage-negative", "exponent-true", "a-n-plus-n-true"])
+        "a-n-plus-stage-negative", "exponent-true", "a-n-plus-n-true",
+        "exponent-zero-denominator", "exponent-1e400", "exponent-minus-1e400",
+        "firmify-zero-denominator", "a-n-plus-n-zero-denominator",
+        "a-n-plus-n-1e400", "snf-modulus-past-limit", "snf-side-past-limit",
+        "snf-work-past-limit-modulus", "snf-work-past-limit-degree"])
 def test_compute_refuses_a_malformed_payload(op, payload, capsys,
                                              monkeypatch):
     # each was read as something else (or raised) before: mults as a
     # list raised AttributeError, a negative mult gave "free": -5, the
     # string "12" was read as exponents 1 and 2, 1.5 truncated to 1 and
-    # true read as 1 (as a count, a coefficient or an exponent)
-    code, out, err = run_cli(["compute", op], stdin_text=json.dumps(payload),
+    # true read as 1 (as a count, a coefficient or an exponent); "1/0"
+    # and 1e400 (an infinite float) raised ZeroDivisionError and
+    # OverflowError; the snf requests past its limits ran for seconds to
+    # minutes.  A payload given as text is sent as it is.
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    code, out, err = run_cli(["compute", op], stdin_text=text,
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1

@@ -5,6 +5,7 @@ colimit death, are computed from integer stage tables.  Here they are
 recomputed from explicit modules and maps: the stage map of mu built by
 hand as t^(1/p^j) on the diagonal, kernel_map/cokernel_map of it, and
 compositions of the towers' transition maps."""
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from almostalg.almost import (
     kernel_tower,
     mu_map,
     residue,
+    shriek,
 )
 from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
@@ -289,16 +291,21 @@ def test_a_longer_table_extends_a_shorter_one(p, monkeypatch):
 def test_each_tower_table_is_built_once_per_query(monkeypatch):
     """A query reads every tower it touches to the same stage, so no
     table is built twice: each tower's table in is_firm(firmify(M)) and
-    in is_almost_iso(mu_map(M)) is built exactly once."""
+    in is_almost_iso(mu_map(M)) is built exactly once.  A query already
+    answered builds none: holding T = firmify(M), is_firm(shriek(M), J)
+    after is_firm(T, J), as the deep-level benchmark asks."""
     calls = Counter()
     init = MonomialTower.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         table_fn = self.table_fn
+        # counted by a weak reference: a counter that held the tower would
+        # keep it, and so firmify's memo of it, alive past its query
+        tower = weakref.ref(self)
 
         def counted(n):
-            calls[self] += 1
+            calls[tower] += 1
             return table_fn(n)
 
         self.table_fn = counted
@@ -312,3 +319,10 @@ def test_each_tower_table_is_built_once_per_query(monkeypatch):
                 calls.clear()
                 query()
                 assert calls and set(calls.values()) == {1}, (M, calls)
+            T = firmify(M)
+            calls.clear()
+            is_firm(T, J)
+            assert calls and set(calls.values()) == {1}, (M, calls)
+            calls.clear()
+            assert is_firm(shriek(M), J) is is_firm(T, J)
+            assert not calls, (M, calls)
