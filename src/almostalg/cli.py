@@ -57,8 +57,9 @@ A_N_PLUS_MAX_RANK = 100
 # Without them a 2x2 matrix at m = 20,000 took 26 s, and a 40x40 one over
 # F_2[s] 7.8 s and 4.4 MB of output.
 SNF_MAX_SIDE = 16
-# a unit pivot is inverted mod s^m by an extended gcd whose cost grows
-# like m^3, which the work bound below does not see at small n
+# a unit pivot is inverted mod s^m at a cost that grows like m^2 (like m^3
+# when this limit was set, through an extended gcd), which the work bound
+# below does not see at small n
 SNF_MAX_MODULUS = 512
 # n^3 * S^2
 SNF_MAX_WORK = 1 << 25
@@ -269,8 +270,7 @@ def _op_k0_class(payload, args):
                  for d, (a, b) in mults.items()}
         return ChainComplex(cfg, terms, {})
 
-    E = PerfPlus(cfg, mults, realize, aperf=payload.get("aperf", False),
-                 witness="cli input")
+    E = PerfPlus(cfg, mults, realize, aperf=payload.get("aperf", False))
     return k0_class(E).to_json()
 
 
@@ -450,8 +450,9 @@ def _compute_cmd(args) -> int:
     raw = _input_text(args.input)
     try:
         payload = json.loads(raw)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the interpreter's digit limit,
+        # or arrays and objects nested past the recursion limit
         raise UsageError(f"malformed JSON input: {exc}")
     if not isinstance(payload, dict) and not (args.op == "firmify"
                                               and payload == "V"):

@@ -62,9 +62,6 @@ class ChainComplex:
         return max([m.level for m in self.terms.values()] +
                    [f.level for f in self.diffs.values()], default=0)
 
-    def degrees(self):
-        return range(self.min_deg, self.max_deg + 1)
-
     @classmethod
     def from_module(cls, M, deg=0):
         return cls(M.cfg, {deg: M}, {})
@@ -117,22 +114,16 @@ def shift(E: ChainComplex, k: int) -> ChainComplex:
 def direct_sum_complex(E: ChainComplex, F: ChainComplex) -> ChainComplex:
     L = _align(E, F)
     E, F = complex_at_level(E, L), complex_at_level(F, L)
-    terms = {}
+    terms = {d: direct_sum(E.term(d), F.term(d))
+             for d in set(E.terms) | set(F.terms)}
     diffs = {}
-    for d in set(E.terms) | set(F.terms):
-        terms[d] = direct_sum(E.term(d), F.term(d))
     for d in sorted(terms):
-        if (d - 1) in terms or d in set(E.diffs) | set(F.diffs):
-            fe, ff = E.diff(d), F.diff(d)
-            src = terms[d]
-            tgt = terms.get(d - 1)
-            if tgt is None:
-                continue
-            A, B = fe.matrix, ff.matrix
+        if d - 1 in terms:
+            A, B = E.diff(d).matrix, F.diff(d).matrix
             mat = PolyMatrix.block(A.rows + B.rows, A.cols + B.cols, E.cfg.p,
-                                   src.modulus,
+                                   terms[d].modulus,
                                    [(0, 0, A), (A.rows, A.cols, B)])
-            diffs[d] = ModuleMap(src, tgt, mat, check=False)
+            diffs[d] = ModuleMap(terms[d], terms[d - 1], mat, check=False)
     return ChainComplex(E.cfg, terms, diffs, check=False)
 
 
@@ -168,10 +159,6 @@ class ChainMap:
         return cls(E, E, {d: ModuleMap.identity(E.terms[d]) for d in E.terms},
                    check=False)
 
-    @classmethod
-    def zero(cls, E, F):
-        return cls(E, F, {}, check=False)
-
 
 def cone(f: ChainMap):
     """cone(f)_d = E_{d-1} + F_d, d(e, b) = (-d_E e, d_F b - f e).
@@ -180,48 +167,37 @@ def cone(f: ChainMap):
     f = chain_map_at_level(f, _align(f))
     E, F = f.source, f.target
     cfg = E.cfg
-    terms = {}
-    degs = set()
-    for d in E.terms:
-        degs.add(d + 1)
-    degs |= set(F.terms)
-    for d in degs:
-        terms[d] = direct_sum(E.term(d - 1), F.term(d))
+    p = cfg.p
+    degs = {d + 1 for d in E.terms} | set(F.terms)
+    terms = {d: direct_sum(E.term(d - 1), F.term(d)) for d in degs}
     diffs = {}
     for d in degs:
-        if (d - 1) not in degs and not (E.term(d - 2).rank or F.term(d - 1).rank):
+        if d - 1 not in degs:
             continue
         src_e, src_f = E.term(d - 1), F.term(d)
         tgt_e, tgt_f = E.term(d - 2), F.term(d - 1)
-        tgt = terms.get(d - 1)
-        if tgt is None:
-            tgt = direct_sum(tgt_e, tgt_f)
         dE = E.diff(d - 1).neg()
         dF = F.diff(d)
         fd = f.comp(d - 1).neg()
         # [[dE, 0], [fd, dF]]
         mat = PolyMatrix.block(
-            tgt_e.rank + tgt_f.rank, src_e.rank + src_f.rank, cfg.p,
+            tgt_e.rank + tgt_f.rank, src_e.rank + src_f.rank, p,
             terms[d].modulus,
             [(0, 0, dE.matrix), (tgt_e.rank, 0, fd.matrix),
              (tgt_e.rank, src_e.rank, dF.matrix)])
-        diffs[d] = ModuleMap(terms[d], tgt, mat, check=False)
+        diffs[d] = ModuleMap(terms[d], terms[d - 1], mat, check=False)
     C = ChainComplex(cfg, terms, diffs, check=False)
-    p = cfg.p
-    incl = {}
-    for d in F.terms:
-        if d in C.terms:
-            re, rf, mod = E.term(d - 1).rank, F.term(d).rank, C.terms[d].modulus
-            I = PolyMatrix.identity(rf, p, mod)
-            incl[d] = ModuleMap(F.terms[d], C.terms[d], PolyMatrix.block(
-                re + rf, rf, p, mod, [(re, 0, I)]), check=False)
     Em1 = shift(E, 1)
-    proj = {}
-    for d in C.terms:
+    incl, proj = {}, {}
+    for d, Cd in C.terms.items():
+        re, rf, mod = E.term(d - 1).rank, F.term(d).rank, Cd.modulus
+        if d in F.terms:
+            I = PolyMatrix.identity(rf, p, mod)
+            incl[d] = ModuleMap(F.terms[d], Cd, PolyMatrix.block(
+                re + rf, rf, p, mod, [(re, 0, I)]), check=False)
         if d in Em1.terms:
-            re, rf, mod = E.term(d - 1).rank, F.term(d).rank, C.terms[d].modulus
             I = PolyMatrix.identity(re, p, mod)
-            proj[d] = ModuleMap(C.terms[d], Em1.terms[d], PolyMatrix.block(
+            proj[d] = ModuleMap(Cd, Em1.terms[d], PolyMatrix.block(
                 re, re + rf, p, mod, [(0, 0, I)]), check=False)
     incl = ChainMap(F, C, incl, check=False)
     proj = ChainMap(C, Em1, proj, check=False)
@@ -229,56 +205,32 @@ def cone(f: ChainMap):
 
 
 def cylinder(f: ChainMap):
-    """cyl(f) = cone(g : cone(f)[-1] -> E) with g the E-projection.
+    """cyl(f) = cone(g : cone(f)[-1] -> E), where g is cone(f)'s projection
+    read one degree down: cone(f)[-1]_d = cone(f)_{d+1} = E_d + F_{d+1}, and
+    the shift keeps the module objects, so g's components are proj's.
 
-    Returns (cyl, iota: E -> cyl, pi: cyl -> F, homotopy) where
-    pi o iota = f exactly (the homotopy witness is the zero homotopy)."""
+    Returns (cyl, iota: E -> cyl, pi: cyl -> F, homotopy), where iota is
+    the inclusion cone(g) returns and pi(e', b, e) = f(e) - b on
+    cyl_d = E_{d-1} + F_d + E_d, so that pi o iota = f exactly (the
+    homotopy witness is the zero homotopy)."""
     f = chain_map_at_level(f, _align(f))
     E, F = f.source, f.target
     p = E.cfg.p
-    C, _, _ = cone(f)
-    Cm1 = shift(C, -1)
-    # g : cone(f)[-1] -> E is the projection onto the E-block
-    comps = {}
-    for d in Cm1.terms:
-        if d not in E.terms:
-            continue
-        re, rf, mod = E.term(d).rank, F.term(d + 1).rank, Cm1.terms[d].modulus
-        I = PolyMatrix.identity(re, p, mod)
-        comps[d] = ModuleMap(Cm1.terms[d], E.terms[d], PolyMatrix.block(
-            re, re + rf, p, mod, [(0, 0, I)]), check=False)
-    g = ChainMap(Cm1, E, comps)
-    cyl, _, _ = cone(g)
-    # cyl_d = (E_{d-1} + F_d) + E_d
-    iota = {}
-    for d in E.terms:
-        if d in cyl.terms:
-            skip, re = E.term(d - 1).rank + F.term(d).rank, E.term(d).rank
-            mod = cyl.terms[d].modulus
-            I = PolyMatrix.identity(re, p, mod)
-            iota[d] = ModuleMap(E.terms[d], cyl.terms[d], PolyMatrix.block(
-                skip + re, re, p, mod, [(skip, 0, I)]), check=False)
-    iota = ChainMap(E, cyl, iota, check=False)
-    pi = ChainMap(cyl, F, {
-        d: _cyl_projection(f, cyl, d)
-        for d in cyl.terms if d in F.terms}, check=False)
+    C, _, proj = cone(f)
+    g = ChainMap(shift(C, -1), E, {d - 1: h for d, h in proj.comps.items()})
+    cyl, iota, _ = cone(g)
+    pi = {}
+    for d, Cd in cyl.terms.items():
+        if d in F.terms:
+            re1, rf, mod = E.term(d - 1).rank, F.terms[d].rank, Cd.modulus
+            pi[d] = ModuleMap(Cd, F.terms[d], PolyMatrix.block(
+                rf, Cd.rank, p, mod,
+                [(0, re1, PolyMatrix.identity(rf, p, mod).neg()),
+                 (0, re1 + rf, f.comp(d).matrix)]), check=False)
+    pi = ChainMap(cyl, F, pi, check=False)
     homotopy = {d: ModuleMap.zero(E.term(d), F.term(d + 1))
                 for d in E.terms}
     return cyl, iota, pi, homotopy
-
-
-def _cyl_projection(f, cyl, d):
-    """pi(e', b, e) = f(e) - b on cyl_d = E_{d-1} + F_d + E_d."""
-    E, F = f.source, f.target
-    p = E.cfg.p
-    re1 = E.term(d - 1).rank
-    rf = F.term(d).rank
-    re = E.term(d).rank
-    mod = cyl.terms[d].modulus
-    out = PolyMatrix.block(rf, re1 + rf + re, p, mod,
-                           [(0, re1, PolyMatrix.identity(rf, p, mod).neg()),
-                            (0, re1 + rf, f.comp(d).matrix)])
-    return ModuleMap(cyl.terms[d], F.term(d), out, check=False)
 
 
 def homology(E: ChainComplex, i: int) -> PresentedModule:
@@ -333,14 +285,13 @@ class PerfPlus:
     the twist shows up in maps mixing the two types, not in the terms.
     """
 
-    __slots__ = ("cfg", "mults", "_realize_fn", "aperf", "witness", "_cache")
+    __slots__ = ("cfg", "mults", "_realize_fn", "aperf", "_cache")
 
-    def __init__(self, cfg, mults, realize_fn, aperf, witness):
+    def __init__(self, cfg, mults, realize_fn, aperf):
         self.cfg = cfg
         self.mults = {d: (a, b) for d, (a, b) in mults.items() if a or b}
         self._realize_fn = realize_fn
         self.aperf = aperf
-        self.witness = witness
         self._cache = {}
 
     def realize(self, j) -> ChainComplex:
@@ -353,9 +304,6 @@ class PerfPlus:
             self._cache[j] = E
         return self._cache[j]
 
-    def degrees(self):
-        return sorted(self.mults)
-
     def __repr__(self):
         body = ", ".join(f"{d}:{self.mults[d]}" for d in sorted(self.mults))
         return f"<perf+ {{{body}}} aperf={self.aperf}>"
@@ -364,13 +312,12 @@ class PerfPlus:
 class PerfPlusMap:
     """Map of Perf+ objects given by stage realizations."""
 
-    __slots__ = ("source", "target", "_realize_fn", "name", "_cache")
+    __slots__ = ("source", "target", "_realize_fn", "_cache")
 
-    def __init__(self, source, target, realize_fn, name=""):
+    def __init__(self, source, target, realize_fn):
         self.source = source
         self.target = target
         self._realize_fn = realize_fn
-        self.name = name
         self._cache = {}
 
     def realize(self, j) -> ChainMap:
@@ -385,7 +332,7 @@ def perf_from_complex(E: ChainComplex) -> PerfPlus:
         if m.invariant_factors():
             raise ValueError("perfect complexes need free terms")
     mults = {d: (m.rank, 0) for d, m in E.terms.items()}
-    return PerfPlus(E.cfg, mults, lambda j: E, aperf=False, witness="perfect")
+    return PerfPlus(E.cfg, mults, lambda j: E, aperf=False)
 
 
 def firmify_perf(P: PerfPlus) -> PerfPlus:
@@ -393,57 +340,49 @@ def firmify_perf(P: PerfPlus) -> PerfPlus:
     realizations keep the same matrices (the twist is a unit on uniform
     blocks)."""
     mults = {d: (0, a + b) for d, (a, b) in P.mults.items()}
-    return PerfPlus(P.cfg, mults, P.realize, aperf=True,
-                    witness=f"firmify({P.witness})")
+    return PerfPlus(P.cfg, mults, P.realize, aperf=True)
 
 
 def mu_perf_map(P: PerfPlus) -> PerfPlusMap:
-    """mu_P : m-tilde tensor P -> P, stage j is t^(1/p^j) in every degree."""
+    """mu_P : m-tilde tensor P -> P, stage j is t^(1/p^j) in every degree.
+
+    firmify_perf realizes m-tilde tensor P with P's own stage complexes, so
+    each component is the scalar on P's stage-j term itself."""
     FP = firmify_perf(P)
     p = P.cfg.p
 
     def realize(j):
         E = FP.realize(j)
-        F = P.realize(j)
         e = PExp(p, 1, j)
-        comps = {}
-        for d in E.terms:
-            src = E.terms[d]
-            tgt = F.term(d)
-            L = max(src.level, tgt.level, j)
-            sc = ModuleMap.scalar(src.at_level(L), e)
-            comps[d] = ModuleMap(sc.source, tgt.at_level(L), sc.matrix,
-                                 check=False)
-        return ChainMap(E, F, comps, check=False)
+        comps = {d: ModuleMap.scalar(M, e) for d, M in E.terms.items()}
+        return ChainMap(E, P.realize(j), comps, check=False)
 
-    return PerfPlusMap(FP, P, realize, name="mu")
+    return PerfPlusMap(FP, P, realize)
+
+
+def _sum_mults(M, N):
+    """Degree-wise sum of two multiplicity tables."""
+    out = dict(M)
+    for d, (a, b) in N.items():
+        ma, mb = out.get(d, (0, 0))
+        out[d] = (ma + a, mb + b)
+    return out
 
 
 def cone_perf(f: PerfPlusMap) -> PerfPlus:
     S, T = f.source, f.target
-    mults = {}
-    for d in set(d + 1 for d in S.mults) | set(T.mults):
-        sa, sb = S.mults.get(d - 1, (0, 0))
-        ta, tb = T.mults.get(d, (0, 0))
-        mults[d] = (sa + ta, sb + tb)
+    mults = _sum_mults({d + 1: ab for d, ab in S.mults.items()}, T.mults)
     return PerfPlus(S.cfg, mults, lambda j: cone(f.realize(j))[0],
-                    aperf=S.aperf and T.aperf,
-                    witness=f"cone({f.name or 'map'})")
+                    aperf=S.aperf and T.aperf)
 
 
 def shift_perf(P: PerfPlus, k: int) -> PerfPlus:
     mults = {d + k: ab for d, ab in P.mults.items()}
     return PerfPlus(P.cfg, mults, lambda j: shift(P.realize(j), k),
-                    aperf=P.aperf, witness=f"shift({P.witness},{k})")
+                    aperf=P.aperf)
 
 
 def sum_perf(P: PerfPlus, Q: PerfPlus) -> PerfPlus:
-    mults = {}
-    for d in set(P.mults) | set(Q.mults):
-        pa, pb = P.mults.get(d, (0, 0))
-        qa, qb = Q.mults.get(d, (0, 0))
-        mults[d] = (pa + qa, pb + qb)
-    return PerfPlus(P.cfg, mults,
+    return PerfPlus(P.cfg, _sum_mults(P.mults, Q.mults),
                     lambda j: direct_sum_complex(P.realize(j), Q.realize(j)),
-                    aperf=P.aperf and Q.aperf,
-                    witness=f"sum({P.witness},{Q.witness})")
+                    aperf=P.aperf and Q.aperf)

@@ -7,7 +7,12 @@ rejected at construction time.
 from __future__ import annotations
 
 import functools
+import re
+import sys
 from fractions import Fraction
+
+# the exponent of a decimal string such as "1e5000", as Fraction reads it
+_DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @functools.total_ordering
@@ -40,14 +45,24 @@ class PExp:
     def from_fraction(cls, p: int, q) -> "PExp":
         """Parse q (a PExp, an int, a Fraction or a string such as "3/4")
         as an exponent for the prime p; a PExp is returned as it is.  A
-        bool is refused, not read as 0 or 1, and a zero denominator or an
-        infinite float is a ValueError."""
+        bool is refused, not read as 0 or 1, and a zero denominator, an
+        infinite float or a decimal exponent past the interpreter's
+        integer digit limit (sys.get_int_max_str_digits, the limit json
+        applies to integer literals) is a ValueError."""
         if isinstance(q, bool):
             raise TypeError(f"an exponent cannot be the boolean {q}")
         if isinstance(q, PExp):
             if q.p != p:
                 raise ValueError(f"mixed primes {q.p} and {p}")
             return q
+        if isinstance(q, str):
+            # Fraction("1e10000000") would build 10^(10^7) first
+            m = _DECIMAL_EXPONENT.search(q)
+            # 3.10 before 3.10.7 has no such limit; 4,300 is its default
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+            if m and limit and abs(int(m.group(1))) > limit:
+                raise ValueError(f"{q!r} has a decimal exponent past the "
+                                 f"{limit}-digit limit")
         try:
             q = Fraction(q)
         except (ZeroDivisionError, OverflowError) as exc:

@@ -133,18 +133,15 @@ class RelationLedger:
     def __init__(self):
         self.relations = []
 
-    def harvest(self, f: PerfPlusMap, name=""):
+    def harvest(self, f: PerfPlusMap):
         """Record [cone(f)] = [target] - [source] from the construction."""
         C = cone_perf(f)
-        rel = {
-            "name": name or f.name or "triangle",
+        self.relations.append({
             "cone": k0_class(C),
             "target": k0_class(f.target),
             "source": k0_class(f.source),
             "witness": (f, C),
-        }
-        self.relations.append(rel)
-        return rel
+        })
 
     def verify(self) -> bool:
         """Each relation must hold and re-derive from its witness."""
@@ -179,8 +176,7 @@ def class_preserves_moves(E: PerfPlus) -> bool:
     """k0_class is blind to cone(id) summands and to even shifts, and
     negates under odd shifts."""
     c = k0_class(E)
-    idmap = PerfPlusMap(E, E, lambda j: ChainMap.identity(E.realize(j)),
-                        name="id")
+    idmap = PerfPlusMap(E, E, lambda j: ChainMap.identity(E.realize(j)))
     padded = sum_perf(E, cone_perf(idmap))
     if k0_class(padded) != c:
         return False

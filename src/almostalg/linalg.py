@@ -22,6 +22,7 @@ that is not smaller) take entries as they are.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .polys import (
     poly_add,
@@ -33,7 +34,6 @@ from .polys import (
     poly_sub,
     poly_trim,
     poly_valuation,
-    poly_xgcd,
     poly_to_string,
 )
 
@@ -557,13 +557,17 @@ def _check_snf(A, res):
 
 
 def _unit_inverse(u, m, p):
-    """Inverse of a unit of F_p[s]/(s^m) (nonzero constant term)."""
-    sm = poly_monomial(1, m, p)
-    g, a, _ = poly_xgcd(u, sm, p)
-    if poly_deg(g) != 0:
+    """Inverse of a unit of F_p[s]/(s^m) (nonzero constant term), by the
+    coefficient recurrence v_0 = 1/u_0 and
+    v_k = -(1/u_0) * sum_{i=1..min(k, deg u)} u_i v_{k-i}."""
+    if not u or not u[0]:
         raise AssertionError("not a unit in the chain ring")
-    # g is the monic gcd = 1 already after normalization
-    return poly_divmod(a, sm, p)[1]
+    c = pow(u[0], -1, p)
+    v = [c]
+    for k in range(1, m):
+        # u[1:k+1] against v[k-1], ..., v[0]; map stops at the shorter
+        v.append(-c * sum(map(operator.mul, u[1:k + 1], v[k - 1::-1])) % p)
+    return poly_trim(v)
 
 
 def kernel_basis(A: PolyMatrix) -> PolyMatrix:

@@ -2,15 +2,15 @@
 
 A polynomial is a list of ints in [0, p) with no trailing zeros; [] is the
 zero polynomial.  poly_trim, poly_add, poly_mul and poly_divmod are the hot
-inner loops; everything else (xgcd, valuation, ...) is built on them.
+inner loops; everything else (valuation, ...) is built on them.
 All of it is plain Python: there is no compiled kernel.
 
 Kernel contract: operands are trimmed and their coefficients lie in
 [0, p).  Results obey the same contract and are new lists (an untrimmed
 operand still gets a trimmed result).  poly_trim, poly_add, poly_mul,
 poly_neg, poly_sub and poly_scale need only a coefficient modulus p >= 2,
-so they also compute over Z/p^c; poly_divmod, poly_xgcd and what is built
-on them invert coefficients and need p prime.  poly_scale reduces any
+so they also compute over Z/p^c; poly_divmod and what is built on it
+invert coefficients and need p prime.  poly_scale reduces any
 integer coefficients, so poly_scale(a, 1, p) is the reduction mod p.
 
 A one-term operand c*s^k, whose only nonzero coefficient is the last, is
@@ -132,25 +132,6 @@ def poly_scale(a: list, c: int, p: int) -> list:
 
 def poly_mod(a: list, b: list, p: int) -> list:
     return poly_divmod(a, b, p)[1]
-
-def poly_xgcd(a: list, b: list, p: int) -> tuple:
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1, p), p)
-        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1, p), p)
-    if r0:
-        lead = r0[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            r0 = poly_scale(r0, inv, p)
-            u0 = poly_scale(u0, inv, p)
-            v0 = poly_scale(v0, inv, p)
-    return r0, u0, v0
 
 def poly_divides(a: list, b: list, p: int) -> bool:
     """Does a divide b?  Zero divides only zero."""

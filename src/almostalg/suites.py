@@ -521,8 +521,8 @@ def k0_suite(opts: SuiteOptions) -> SuiteReport:
 
     def ledger_checks():
         led = k0mod.RelationLedger()
-        for i, P in enumerate(corpus[:20]):
-            led.harvest(mu_perf_map(P), name=f"mu-{i}")
+        for P in corpus[:20]:
+            led.harvest(mu_perf_map(P))
         return (led.verify() and led.projectors_descend()
                 and led.rotations_hold())
 

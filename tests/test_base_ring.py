@@ -35,6 +35,16 @@ def test_pexp_canonical_form():
         PExp(2, -1, 0)
 
 
+def test_pexp_refuses_a_decimal_exponent_past_the_digit_limit():
+    # Fraction("1e5000") would build 10^5000, and "1e10000000" took
+    # seconds before any size limit saw it
+    assert PExp.from_fraction(2, "1e3") == PExp(2, 1000)
+    assert PExp.from_fraction(2, "25E-2") == PExp(2, 1, 2)
+    for text in ("1e5000", "1E+5000", "2.5e-5000", "1e10000000"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            PExp.from_fraction(2, text)
+
+
 @given(st.sampled_from((2, 3, 5)), st.integers(0, 40), st.integers(0, 3),
        st.integers(0, 40), st.integers(0, 3), st.integers(-4, 4))
 def test_pexp_arith_matches_fractions(p, a, i, b, j, s):

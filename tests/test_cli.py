@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -8,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +298,7 @@ def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
     ("snf", {"p": 2, "matrix": [[1] * 17] * 17}),
     ("snf", {"p": 2, "modulus": 91, "matrix": [[1] * 16] * 16}),
     ("snf", {"p": 2, "matrix": [[[0] * 29 + [1]] * 8] * 8}),
+    ("snf", "[" * 100_000),
 ], ids=["mults-list", "mults-int", "mults-negative", "mults-float",
         "exponents-string", "free-rank-true", "rank-true",
         "coefficient-float", "entry-true", "a-n-plus-rank-true",
@@ -303,7 +306,8 @@ def test_compute_tilt_basis_iso_refuses_a_precision_that_is_no_positive_int(
         "exponent-zero-denominator", "exponent-1e400", "exponent-minus-1e400",
         "firmify-zero-denominator", "a-n-plus-n-zero-denominator",
         "a-n-plus-n-1e400", "snf-modulus-past-limit", "snf-side-past-limit",
-        "snf-work-past-limit-modulus", "snf-work-past-limit-degree"])
+        "snf-work-past-limit-modulus", "snf-work-past-limit-degree",
+        "nested-past-the-recursion-limit"])
 def test_compute_refuses_a_malformed_payload(op, payload, capsys,
                                              monkeypatch):
     # each was read as something else (or raised) before: mults as a
@@ -312,13 +316,51 @@ def test_compute_refuses_a_malformed_payload(op, payload, capsys,
     # true read as 1 (as a count, a coefficient or an exponent); "1/0"
     # and 1e400 (an infinite float) raised ZeroDivisionError and
     # OverflowError; the snf requests past its limits ran for seconds to
-    # minutes.  A payload given as text is sent as it is.
+    # minutes; JSON nested past the recursion limit raised RecursionError.
+    # A payload given as text is sent as it is.
     text = payload if isinstance(payload, str) else json.dumps(payload)
     code, out, err = run_cli(["compute", op], stdin_text=text,
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err and not out
+
+
+# the keys the compute ops read, so that fuzzed objects reach past the
+# first lookup
+_PAYLOAD_KEYS = sorted(set(cli.MODULE_KEYS) | {
+    "matrix", "modulus", "module", "mults", "aperf", "n", "stage", "c"})
+_fuzz_scalars = (
+    st.none() | st.booleans() | st.integers(-2, 9) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+    | st.from_regex(r"-?\d{1,3}(/\d{1,2}|\.\d)?([eE][-+]?\d{1,5})?",
+                    fullmatch=True))
+_fuzz_values = st.recursive(
+    _fuzz_scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(_PAYLOAD_KEYS)
+                                    | st.text(max_size=2), kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(cli.OPS)),
+       _fuzz_values | st.dictionaries(st.sampled_from(_PAYLOAD_KEYS),
+                                      _fuzz_values, max_size=5),
+       st.sampled_from([[], ["--p", "3"], ["--p", "13"], ["--level", "0"],
+                        ["--mode", "truncated", "--truncation", "2"],
+                        ["--p", "5", "--level", "3"]]))
+def test_compute_answers_any_json_with_exit_0_or_2(op, payload, argv):
+    # every op, on any JSON document: an answer or one error line, never a
+    # traceback and never exit 1
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", op, *argv])
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error:") and not out.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

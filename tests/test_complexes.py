@@ -110,6 +110,34 @@ def test_cylinder_factorization_random():
             assert all(h.is_zero_map() for h in H.values())
 
 
+def test_cylinder_iota_is_the_identity_on_the_last_summand():
+    # cyl_d = (E_{d-1} + F_d) + E_d, and iota_d : E_d -> cyl_d is the
+    # identity onto the last summand, zero elsewhere
+    rng = random.Random(7)
+    for cfg in (V2, V3, W22):
+        p = cfg.p
+        for _ in range(3):
+            ent = [[[rng.randrange(p) for _ in range(rng.randint(0, 3))]
+                    for _ in range(2)] for _ in range(2)]
+            E = two_term(cfg, ent)
+            c = Fraction(rng.randrange(4), p)
+            maps = [ChainMap.identity(E),
+                    ChainMap(E, E, {d: ModuleMap.scalar(M, c)
+                                    for d, M in E.terms.items()})]
+            for f in maps:
+                cyl, iota, pi, _ = cylinder(f)
+                # both are built unchecked; a checked copy runs the squares
+                for h in (iota, pi):
+                    ChainMap(h.source, h.target, h.comps)
+                assert set(iota.comps) == set(E.terms)
+                for d, h in iota.comps.items():
+                    mod, re = cyl.terms[d].modulus, E.terms[d].rank
+                    rows = cyl.terms[d].rank
+                    assert h.matrix == PolyMatrix.block(
+                        rows, re, p, mod,
+                        [(rows - re, 0, PolyMatrix.identity(re, p, mod))])
+
+
 def test_qis_and_almost_qis():
     E = two_term(V2, [[[0, 1], [1]], [[], [0, 1]]])
     idm = ChainMap.identity(E)

@@ -58,8 +58,8 @@ def test_split_check_full():
 
 def test_ledger_verifies_and_descends():
     led = RelationLedger()
-    for i, P in enumerate(corpus()[:8]):
-        led.harvest(mu_perf_map(P), name=f"mu-{i}")
+    for P in corpus()[:8]:
+        led.harvest(mu_perf_map(P))
     assert led.verify()
     assert led.projectors_descend()
     assert led.rotations_hold()

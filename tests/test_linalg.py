@@ -98,6 +98,22 @@ def test_check_snf_rejects_misshapen_transforms():
         _check_snf(A, SNFResult(U, A, A, [], []))
 
 
+def test_unit_inverse_is_an_inverse_mod_s_to_the_m():
+    # the chain-ring snf scales each unit pivot by this inverse
+    rng = random.Random(17)
+    for p in (2, 3, 13):
+        for m in (1, 2, 3, 8, 33, 128, 512):
+            for _ in range(3):
+                u = [rng.randrange(1, p)] + [
+                    rng.randrange(p) for _ in range(rng.randint(0, m - 1))]
+                while u[-1] == 0:
+                    u.pop()
+                v = linalg._unit_inverse(u, m, p)
+                assert len(v) <= m and v[-1]
+                prod = poly_mul(u, v, p)[:m]
+                assert prod[0] == 1 and not any(prod[1:])
+
+
 def test_snf_chain_ring_agrees_with_lift():
     # over F_p[s]/(s^m), coker A = coker [A_lift | s^m I] over F_p[s], so the
     # valuations of snf(A) (zero counting as m, padded with m to A.rows) are
