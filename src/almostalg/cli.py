@@ -302,7 +302,9 @@ def _op_tilt_basis_iso(payload, args):
         raise UsageError(f"tilt_basis_iso with c = {c} is over the limit "
                          f"c <= {TILT_MAX_PRECISION}")
     table = tilt_basis_iso(p, n, c)
-    return {str(k): list(v) for k, v in table.items()}
+    return {str(k): ["1" if e.is_zero() else f"{x}^({e})"
+                     for x, e in zip("xt", pair)]
+            for k, pair in table.items()}
 
 
 OPS = {

@@ -2,6 +2,11 @@
 dictionary, A_n^+ and its comparison with the shriek closure, the
 mixed-characteristic zig-zag, and inverse-limit round trips.
 
+The zig-zag transports A/p of the mixed mock through the dictionary
+x^k <-> t^(k/p^n): the dictionary itself presents A/p as a V-module,
+which must be V/(t), and the Lemma A comparison then runs once on the
+char-p side.
+
 The omega-adic limit is the depth-c truncation; towers are finite, so
 limits are computed as honest compatible-tuple kernels.
 """
@@ -20,7 +25,7 @@ from .modules import (
     kernel_map,
     ring_modulus,
 )
-from .polys import poly_add, poly_mul, poly_scale, poly_trim
+from .polys import poly_add, poly_monomial, poly_mul, poly_scale, poly_trim
 
 
 class TowerSpec:
@@ -39,18 +44,6 @@ class TowerSpec:
         self.cfg = cfg
         self.omega = omega
         self.depth = depth
-
-    def to_json(self):
-        return {"p": self.cfg.p, "mode": self.cfg.mode,
-                "omega": str(self.omega.as_fraction()), "depth": self.depth}
-
-    @classmethod
-    def from_json(cls, d):
-        if d["mode"] == "char-p-perfect":
-            cfg = RingConfig.perfect(d["p"])
-        else:
-            raise ValueError("tower specs are instantiated over the perfect base")
-        return cls(cfg, d["omega"], d["depth"])
 
 
 # -- Frobenius on truncations ---------------------------------------------
@@ -118,7 +111,8 @@ def tilt_basis_iso(p: int, n: int, c: int = 1):
 
     Both sides are coefficient lists, x^k in x and t^(k/p^n) in
     s = t^(1/p^n), so that V/(t) is F_p[s]/(s^(p^n)).  Returns the
-    dictionary, or raises if some product disagrees."""
+    dictionary {k: (a, b)}, x^k = p^a paired with t^b, both k/p^n, or
+    raises if some product disagrees."""
     N, q = p ** n, p ** c
     basis = [[0] * k + [1] for k in range(N)]
     for a, xa in enumerate(basis):
@@ -132,9 +126,7 @@ def tilt_basis_iso(p: int, n: int, c: int = 1):
                     raise AssertionError(f"product mismatch at ({a},{b})")
             elif prod_m or prod_f:
                 raise AssertionError(f"carry products must vanish ({a},{b})")
-    names = [(f"x^({e})", f"t^({e})")
-             for e in (PExp(p, k, n) for k in range(1, N))]
-    return dict(enumerate([("1", "1")] + names))
+    return {k: (PExp(p, k, n), PExp(p, k, n)) for k in range(N)}
 
 
 # -- A_n^+ and Lemma comparison -------------------------------------------
@@ -188,8 +180,7 @@ def a_n_plus_checks(n, j: int, cfg: RingConfig) -> bool:
     return _unit_generator_check(Q)
 
 
-def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6,
-                  check_ring: bool = True) -> bool:
+def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6) -> bool:
     """(A_n)_!! -> A_n^+ is a canonical isomorphism in the colimit: at
     each tested stage the map is surjective with kernel annihilated by
     t^(1/p^j), and the A_n^+ side is stage-independent.
@@ -225,7 +216,7 @@ def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6,
     # the target is the honest colimit: stage-independent
     if len(set(plus_decomps)) != 1:
         return False
-    if check_ring and A_rank == 1:
+    if A_rank == 1:
         # ring structure on the cyclic cokernel: the generator is a unit
         # on both sides, so matching the module iso on generators is the
         # ring comparison
@@ -246,25 +237,30 @@ def _unit_generator_check(Q: PresentedModule) -> bool:
     return C.is_zero_module()
 
 
-def tilting_zigzag(p: int, J: int = 6) -> bool:
-    """The zig-zag (A_1)_!! -> (A_1^+)_!! <- ((A^flat)_1^+)_!! <- (A_1^flat)_!!
-    over F_p[t^(1/p^oo)].
-
-    For a char-p base the zig-zag degenerates to the Lemma comparison; the
-    mixed mock goes through tilting_zigzag_mixed."""
-    return verify_lemmaA(1, 1, RingConfig.perfect(p), J)
-
-
 def tilting_zigzag_mixed(p: int, n: int, J: int = 6) -> bool:
-    """Mixed-mock zig-zag: the tilt dictionary identifies A/p with the
-    char-p ring mod t, then both Lemma comparisons run on the char-p side."""
-    tilt_basis_iso(p, n, 1)
+    """The zig-zag (A_1)_!! -> (A_1^+)_!! <- ((A^flat)_1^+)_!! <- (A_1^flat)_!!
+    for the mixed mock A = Z[x]/(x^(p^n) - p) and A^flat = F_p[t^(1/p^oo)].
+
+    A/p is read off the tilt dictionary as a V-module: one generator per
+    x^k, x acting as t to the exponent the dictionary pairs with x, and
+    x^(p^n) = p = 0.  The transport holds when that module is V/(t),
+    A^flat mod t; the Lemma A comparison then runs once, at rank 1 and
+    omega-exponent 1, on the char-p side."""
     flat = RingConfig.perfect(p)
-    # the flat side comparison at omega-exponent 1, with the A-basis of
-    # rank p^n transported through the dictionary
-    if not verify_lemmaA(1, 1, flat, J):
+    table = tilt_basis_iso(p, n)
+    N = len(table)
+    _, e = table[1]
+    # column k is x * x^k - x^(k + 1); the last is x * x^(N - 1) = p = 0
+    x = poly_monomial(1, e.num, p)
+    rel = PolyMatrix(N, N, p)
+    for k in range(N):
+        rel.set(k, k, x)
+        if k + 1 < N:
+            rel.set(k + 1, k, [p - 1])
+    A_mod_p = PresentedModule(flat, e.k, N, rel)
+    if not iso_test(A_mod_p, PresentedModule.cyclic(flat, 1)):
         return False
-    return verify_lemmaA(p ** n, 1, flat, J, check_ring=False)
+    return verify_lemmaA(1, 1, flat, J)
 
 
 # -- inverse-limit round trips --------------------------------------------

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from almostalg import tower
 from almostalg.base_ring import RingConfig
+from almostalg.linalg import PolyMatrix
+from almostalg.modules import ModuleMap, cokernel_map
 from almostalg.tower import (
     TowerSpec,
     a_n_plus,
     a_n_plus_checks,
     frobenius_iso_check,
     tilt_basis_iso,
-    tilting_zigzag,
     tilting_zigzag_mixed,
     tower_roundtrip,
     verify_lemmaA,
@@ -31,10 +33,13 @@ def test_frobenius_fails_on_fixed_subring():
 
 
 def test_tilt_basis_tables():
+    # x^k = p^(k/p^n) pairs with t^(k/p^n)
     for p in (2, 3):
         for n in (1, 2, 3):
             table = tilt_basis_iso(p, n)
-            assert len(table) == p ** n
+            assert {k: (a.as_fraction(), b.as_fraction())
+                    for k, (a, b) in table.items()} == {
+                k: (Fraction(k, p ** n),) * 2 for k in range(p ** n)}
 
 
 def test_tilt_basis_truncation_two():
@@ -62,13 +67,40 @@ def test_lemma_a_pipelines():
         cfg = RingConfig.perfect(p)
         for n in (1, 2):
             assert verify_lemmaA(1, n, cfg, J=5)
-        assert verify_lemmaA(p, 1, cfg, J=5, check_ring=False)
+        assert verify_lemmaA(p, 1, cfg, J=5)
+
+
+def _a_n_plus_without_unit_leg(A_rank, n, j, cfg):
+    """a_n_plus with the diagonal's p - 1 entry left out."""
+    _, diag, _ = a_n_plus(A_rank, n, j, cfg)
+    mat = PolyMatrix(diag.target.rank, 1, cfg.p, modulus=diag.matrix.modulus)
+    mat.set(0, 0, diag.matrix.entry(0, 0))
+    cut = ModuleMap(diag.source, diag.target, mat)
+    Q, proj = cokernel_map(cut)
+    return Q, cut, proj
+
+
+def test_lemma_a_refuses_a_diagonal_without_its_unit_leg(monkeypatch):
+    monkeypatch.setattr(tower, "a_n_plus", _a_n_plus_without_unit_leg)
+    for p in (2, 3):
+        cfg = RingConfig.perfect(p)
+        for rank in (1, p):
+            assert not verify_lemmaA(rank, 1, cfg, J=5), (p, rank)
 
 
 def test_tilting_zigzag():
     for p in (2, 3):
-        assert tilting_zigzag(p, 5)
         assert tilting_zigzag_mixed(p, 2, 5)
+
+
+def test_tilting_zigzag_refuses_a_shifted_dictionary(monkeypatch):
+    # x <-> t^(2/p^n): x^(p^n) = p = 0 then says t^2 = 0, not t = 0
+    def shifted(p, n, c=1):
+        table = tilt_basis_iso(p, n, c)
+        return {k: (a, 2 * b) for k, (a, b) in table.items()}
+    monkeypatch.setattr(tower, "tilt_basis_iso", shifted)
+    for p in (2, 3):
+        assert not tilting_zigzag_mixed(p, 2, 5), p
 
 
 def test_tower_roundtrip_grid():
@@ -82,12 +114,6 @@ def test_tower_roundtrip_grid():
 def test_tower_roundtrip_with_firm_twist():
     spec = TowerSpec(V2, 1, 3)
     assert tower_roundtrip(spec, 2, firm_stage=3)
-
-
-def test_tower_spec_json():
-    spec = TowerSpec(V3, 1, 4)
-    again = TowerSpec.from_json(spec.to_json())
-    assert again.cfg == spec.cfg and again.depth == spec.depth
 
 
 def test_quotient_by_a_power_past_the_truncation_is_the_module():
