@@ -11,7 +11,7 @@ Jacobian of the presentation is block diagonal.
 """
 from __future__ import annotations
 
-from .almost import MonomialTower, colim_is_zero
+from .almost import MonomialTower, colim_is_zero, firmify
 from .base_ring import RingConfig
 from .complexes import ChainComplex
 from .exponents import PExp
@@ -319,22 +319,21 @@ def shriek_split_check(B: PresentedModule, J: int) -> bool:
         for j, exps in enumerate(measured[kind]):
             if exps != tuple(e.scale_pow(-j) for e in base):
                 return False
-        tower = MonomialTower(
-            cfg, lambda n, base=base: _shriek_table(cfg.p, base, n),
-            name=f"shriek-{kind}")
-        if not colim_is_zero(tower, J):
+        if not colim_is_zero(_shriek_tower(cfg, base, f"shriek-{kind}"), J):
             return False
     return True
 
 
-def _shriek_table(p, base, n):
-    """Table of lines base/p^j and m's transitions (p - 1)/p^(j+1) at
-    K = n + the largest level of base: stage j holds base at level K - j."""
-    K = max([0] + [e.k for e in base]) + n
-    return (K,
-            [tuple(e.to_int_at_level(K - j) for e in base)
-             for j in range(n + 1)],
-            [(p - 1) * p ** (K - j - 1) for j in range(n)])
+def _shriek_tower(cfg, base, name):
+    """firmify of the pattern tower with lines base/p^j and identity
+    transitions.  The pattern is tabled at K = n + the largest level of
+    base, stage j holding base at level K - j; K >= n, so firmify keeps
+    that table and adds m's transitions."""
+    def pattern(n):
+        K = max([0] + [e.k for e in base]) + n
+        return (K, [tuple(e.to_int_at_level(K - j) for e in base)
+                    for j in range(n + 1)], [0] * n)
+    return firmify(MonomialTower(cfg, pattern, name=name))
 
 
 def _bshriek_inclusion(B, j, Q):

@@ -10,14 +10,17 @@ step subtracts a quotient times the pivot row or column; a remainder left
 behind becomes the next pivot.  The inverse transforms are replayed from
 its operation log only when a caller reads them.  Kernels, solving and
 cokernel invariants are all derived from it; solve() takes an SNF the
-caller already has.
+caller already has.  modules.py answers its kernels, homology and Tor/Ext
+through one kernel-modulo step on kernel_basis, and its span tests
+through solve.
 
 Every stored entry is canonical: a nonzero trimmed coefficient list, of
 degree below the modulus when the matrix has one.  This module is the only
 one that writes entries.  The constructor, from_columns and set() reduce
 what they are given through reduce_mod; copies (copy, lift, transpose,
-hstack, vstack, top_rows, block, lift_matrix, and with_modulus to a modulus
-that is not smaller) take entries as they are.
+hstack, top_rows, block, lift_matrix, and with_modulus to a modulus that
+is not smaller) take entries as they are.  A matrix is mutable (set()
+and snf() change rows in place), so it has no hash.
 """
 from __future__ import annotations
 
@@ -167,11 +170,6 @@ class PolyMatrix:
             and self.nonzero == other.nonzero
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.p, self.modulus,
-                     tuple(frozenset((j, tuple(e)) for j, e in row.items())
-                           for row in self.nonzero)))
-
     def is_zero(self):
         return not any(self.nonzero)
 
@@ -228,14 +226,6 @@ class PolyMatrix:
                               [{**_copied(a), **_copied(b, self.cols)}
                                for a, b in zip(self.nonzero, other.nonzero)],
                               self.modulus)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        self._same_modulus(other)
-        return PolyMatrix._of(self.rows + other.rows, self.cols, self.p,
-                              [_copied(row) for row in
-                               self.nonzero + other.nonzero], self.modulus)
 
     def top_rows(self, n):
         """The first n rows, entries as they are."""

@@ -14,13 +14,19 @@ is then the sum over rows of R_n/(s^v) with v the row's least valuation.
 Cyclic modules, their direct sums, level lifts and tensor products all
 have this shape.  Other relation matrices go through snf(); the full Smith
 form with its transforms is computed only on demand (PresentedModule.snf).
+
+Each derived object has one construction: kernels and homology are one
+kernel-modulo step (_kernel_modulo) on different spans, Tor and Ext are
+homology of one resolved complex (_resolution_homology) taken down or
+up, and a map's well-definedness and its vanishing are one span test
+(_in_span).
 """
 from __future__ import annotations
 
 from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .linalg import PolyMatrix, kernel_basis, kron, lift_matrix, snf, solve
-from .polys import poly_monomial, poly_to_string, poly_valuation
+from .polys import poly_monomial, poly_mul, poly_to_string, poly_valuation
 
 
 def ring_modulus(cfg: RingConfig, level: int):
@@ -265,6 +271,12 @@ def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     return PresentedModule.from_factors(cfg, L, factors, free_rank)
 
 
+def _in_span(T: PresentedModule, vectors) -> bool:
+    """Does every vector lie in the column span of T's relations?"""
+    return all(not any(v) or solve(T.relations, T.snf(), v) is not None
+               for v in vectors)
+
+
 class ModuleMap:
     """A map of presented modules, given on generators."""
 
@@ -300,12 +312,8 @@ class ModuleMap:
     def is_well_defined(self):
         """Each source relation must land in the target relation span."""
         R = self.source.relations
-        for j in range(R.cols):
-            v = self.matrix.apply_to_vector(R.column(j))
-            if solve(self.target.relations, self.target.snf(), v) is None:
-                if any(e for e in v):
-                    return False
-        return True
+        return _in_span(self.target, (self.matrix.apply_to_vector(R.column(j))
+                                      for j in range(R.cols)))
 
     @classmethod
     def identity(cls, M):
@@ -355,12 +363,8 @@ class ModuleMap:
 
     def is_zero_map(self):
         """Zero as a map: every generator image lies in the relation span."""
-        for j in range(self.matrix.cols):
-            v = self.matrix.column(j)
-            if any(e for e in v):
-                if solve(self.target.relations, self.target.snf(), v) is None:
-                    return False
-        return True
+        return _in_span(self.target, (self.matrix.column(j)
+                                      for j in range(self.matrix.cols)))
 
     def equals(self, other):
         L = max(self.level, other.level)
@@ -376,25 +380,25 @@ class ModuleMap:
 def preimage_gens(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     """Columns generating {y : A*y lies in the column span of B}."""
     if B.cols == 0:
-        K = kernel_basis(A)
-        return K
+        return kernel_basis(A)
     stacked = A.hstack(B.neg())
     K = kernel_basis(stacked)
     return K.top_rows(A.cols)
 
 
-def _subquotient(cfg, level, gens: PolyMatrix, mod_out: PolyMatrix):
-    """Module generated by the columns of gens modulo the span of mod_out."""
-    rels = preimage_gens(gens, mod_out)
-    return PresentedModule(cfg, level, gens.cols, rels), gens
+def _kernel_modulo(g: ModuleMap, span: PolyMatrix):
+    """ker(g) modulo the columns of span, vectors over g's source that
+    include its relations: the module, and its generators as columns over
+    the source's generators."""
+    gens = preimage_gens(g.matrix, g.target.relations)
+    rels = preimage_gens(gens, span)
+    return PresentedModule(g.cfg, g.level, gens.cols, rels), gens
 
 
 def kernel_map(f: ModuleMap):
     """(K, inclusion K -> source)."""
-    pre = preimage_gens(f.matrix, f.target.relations)
-    K, gens = _subquotient(f.cfg, f.level, pre, f.source.relations)
-    incl = ModuleMap(K, f.source, gens, check=False)
-    return K, incl
+    K, gens = _kernel_modulo(f, f.source.relations)
+    return K, ModuleMap(K, f.source, gens, check=False)
 
 
 def cokernel_map(f: ModuleMap):
@@ -416,10 +420,7 @@ def homology_at(f: ModuleMap | None, g: ModuleMap | None):
         return kernel_map(g)[0]
     if not g.compose(f).is_zero_map():
         raise ValueError("maps do not compose to zero")
-    B = g.source
-    pre = preimage_gens(g.matrix, g.target.relations)
-    rels = preimage_gens(pre, f.matrix.hstack(B.relations))
-    return PresentedModule(B.cfg, B.level, pre.cols, rels)
+    return _kernel_modulo(g, f.matrix.hstack(g.source.relations))[0]
 
 
 def free_resolution(M: PresentedModule, length: int):
@@ -435,17 +436,12 @@ def free_resolution(M: PresentedModule, length: int):
     if not M.rank:
         return []
     res = M.snf()
-    # columns U*D restricted to nonzero diagonal entries: a generating set
-    # of the relation span that is independent over the domain
-    cols = []
-    n = min(M.relations.rows, M.relations.cols)
-    UD = res.U.mul(res.D)
-    for i in range(n):
-        if res.D.entry(i, i):
-            cols.append(UD.column(i))
-    d1 = PolyMatrix.from_columns(cols, M.rank, p, M.modulus) if cols \
-        else PolyMatrix(M.rank, 0, p, modulus=M.modulus)
-    diffs = [d1]
+    # the columns of U*D at nonzero invariant factors: a generating set of
+    # the relation span that is independent over the domain.  D is
+    # diagonal, so column i of U*D is column i of U times factor i.
+    cols = [[poly_mul(u, d, p) for u in res.U.column(i)]
+            for i, d in enumerate(res.invariant_factors) if d]
+    diffs = [PolyMatrix.from_columns(cols, M.rank, p, M.modulus)]
     while len(diffs) < length:
         k = kernel_basis(diffs[-1])
         if k.cols == 0:
@@ -458,63 +454,44 @@ def tor(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
     """Tor_i(M, N) for i in {0, 1, 2} from a free resolution of M."""
     if i not in (0, 1, 2):
         raise ValueError("tor implemented for i in {0, 1, 2}")
-    L = common_level_of(M, N)
-    M, N = M.at_level(L), N.at_level(L)
-    diffs = free_resolution(M, i + 1) if M.rank else []
-    maps = _tensored_complex(M, N, diffs, L)
-    f = maps[i + 1] if i + 1 < len(maps) else None
-    g = maps[i] if i < len(maps) else None
-    if g is None and f is None:
-        # M free and i > 0, or trivial
-        if i == 0:
-            return tensor(M, N)
-        return PresentedModule.zero(M.cfg, L)
     if i == 0:
         return tensor(M, N)
-    return homology_at(f, g)
-
-
-def _tensored_complex(M, N, diffs, L):
-    """Maps of the complex F_* tensor N indexed by differential position."""
-    cfg = M.cfg
-    p = cfg.p
-    mod = ring_modulus(cfg, L)
-    I_n = PolyMatrix.identity(N.rank, p, mod)
-    ranks = [M.rank] + [d.cols for d in diffs]
-    terms = [_n_copies(N, r, L) for r in ranks]
-    maps = [None]
-    for idx, d in enumerate(diffs):
-        mat = kron(d, I_n)
-        maps.append(ModuleMap(terms[idx + 1], terms[idx], mat, check=False))
-    return maps
-
-
-def _n_copies(N, r, L):
-    if r == 0:
-        return PresentedModule.zero(N.cfg, L)
-    return direct_sum(*[N.at_level(L)] * r)
+    return _resolution_homology(M, N, i, up=False)
 
 
 def ext(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
     """Ext^i(M, N) for i in {0, 1, 2} as cohomology of Hom(F_*, N)."""
     if i not in (0, 1, 2):
         raise ValueError("ext implemented for i in {0, 1, 2}")
+    return _resolution_homology(M, N, i, up=True)
+
+
+def _resolution_homology(M, N, i, up):
+    """Homology at position i of F_* tensor N (up False) or of Hom(F_*, N)
+    (up True), for F_* a free resolution of M.
+
+    Term k is N^(rank F_k) in both; the differential d_(k+1) acts as
+    kron(d, I_N) down from term k + 1, or as kron(d^T, I_N) up from term
+    k.  A position past the resolution is the zero module."""
     L = common_level_of(M, N)
     M, N = M.at_level(L), N.at_level(L)
-    diffs = free_resolution(M, i + 1) if M.rank else []
-    cfg = M.cfg
-    mod = ring_modulus(cfg, L)
-    I_n = PolyMatrix.identity(N.rank, cfg.p, mod)
-    ranks = [M.rank] + [d.cols for d in diffs]
-    terms = [_n_copies(N, r, L) for r in ranks]
-    comaps = []
-    for idx, d in enumerate(diffs):
-        mat = kron(d.transpose(), I_n)
-        comaps.append(ModuleMap(terms[idx], terms[idx + 1], mat, check=False))
-    f = comaps[i - 1] if 0 <= i - 1 < len(comaps) else None
-    g = comaps[i] if i < len(comaps) else None
-    if g is None and f is None:
-        if i == 0:
-            return terms[0]
-        return PresentedModule.zero(cfg, L)
+    diffs = free_resolution(M, i + 1)
+    I_n = PolyMatrix.identity(N.rank, M.cfg.p, ring_modulus(M.cfg, L))
+    terms = [direct_sum(*[N] * r) if r else PresentedModule.zero(M.cfg, L)
+             for r in [M.rank] + [d.cols for d in diffs]]
+
+    def induced(k):
+        """The map d_(k+1) induces, or None past the resolution."""
+        if not 0 <= k < len(diffs):
+            return None
+        if up:
+            return ModuleMap(terms[k], terms[k + 1],
+                             kron(diffs[k].transpose(), I_n), check=False)
+        return ModuleMap(terms[k + 1], terms[k], kron(diffs[k], I_n),
+                         check=False)
+
+    below, above = induced(i - 1), induced(i)
+    f, g = (below, above) if up else (above, below)
+    if f is None and g is None:
+        return PresentedModule.zero(M.cfg, L)
     return homology_at(f, g)

@@ -112,7 +112,14 @@ def tilt_basis_iso(p: int, n: int, c: int = 1):
     Both sides are coefficient lists, x^k in x and t^(k/p^n) in
     s = t^(1/p^n), so that V/(t) is F_p[s]/(s^(p^n)).  Returns the
     dictionary {k: (a, b)}, x^k = p^a paired with t^b, both k/p^n, or
-    raises if some product disagrees."""
+    raises if some product disagrees.
+
+    Additivity would reduce multiplicativity to the pairs (x, x^k), but
+    those products stop at degree p^n, so mixed_mock_reduce would only
+    ever fold x^(p^n).  All pairs fold every x^(p^n + i), i <= p^n - 2.
+    One pair per degree a + b (2p^n - 1 products) would reach every fold
+    too, and would leave faults that depend on how a + b splits to the
+    poly_mul tests alone."""
     N, q = p ** n, p ** c
     basis = [[0] * k + [1] for k in range(N)]
     for a, xa in enumerate(basis):

@@ -350,11 +350,15 @@ def test_kron_and_stacks_reject_modulus_mismatch():
             kron(X, Y)
         with pytest.raises(ValueError):
             X.hstack(Y)
-        with pytest.raises(ValueError):
-            X.vstack(Y)
     assert kron(A, A) == PolyMatrix(1, 1, 3, [[[0] * 10 + [1]]])
     assert B.hstack(B) == PolyMatrix(1, 2, 3, [[[1], [1]]], 4)
-    assert B.vstack(B) == PolyMatrix(2, 1, 3, [[[1]], [[1]]], 4)
+
+
+def test_a_matrix_is_not_hashable():
+    # set() changes rows in place, so a content hash would go stale in a
+    # set or dict
+    with pytest.raises(TypeError):
+        hash(PolyMatrix.identity(2, 3))
 
 
 def test_only_linalg_writes_or_reduces_entries():
@@ -532,7 +536,7 @@ def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
         shrink = 2 if modulus is None else max(1, modulus - 2)
         grow = None if modulus is None else modulus + 3
         results = [
-            A.copy(), A.lift(), A.transpose(), A.hstack(B), A.vstack(B),
+            A.copy(), A.lift(), A.transpose(), A.hstack(B),
             A.with_modulus(shrink), A.with_modulus(grow),
             A.with_modulus(None), A.with_modulus(modulus),
             PolyMatrix.block(r + c, c + r, p, modulus,
@@ -541,7 +545,7 @@ def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
                                      for _ in range(c)], r, p, modulus),
             A.mul(C), A.add(B), A.neg(), kron(A, C),
         ]
-        assert results[5].entries == PolyMatrix(r, c, p, A.entries,
+        assert results[4].entries == PolyMatrix(r, c, p, A.entries,
                                                 shrink).entries
         # level lifts and row slices take entries as they are; the reducing
         # constructor would store the same
@@ -555,7 +559,6 @@ def test_every_matrix_operation_keeps_entries_canonical(p, modulus):
         n = rng.randint(0, r)
         T = A.top_rows(n)
         assert T == PolyMatrix(n, c, p, A.entries[:n], modulus)
-        assert A.vstack(B).top_rows(r) == A
         results.append(T)
         S = PolyMatrix(r, c, p, modulus=modulus)
         for i in range(r):

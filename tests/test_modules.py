@@ -102,6 +102,18 @@ def test_kernel_cokernel_image_of_scalar():
         Fraction(1, 2)]
 
 
+def test_a_map_must_respect_the_source_relations():
+    # 1 sends the relation t of V/(t) to t, which is not 0 in V/(t^2)
+    A, B = PresentedModule.cyclic(V2, 1), PresentedModule.cyclic(V2, 2)
+    with pytest.raises(ValueError,
+                       match="map does not respect the source relations"):
+        ModuleMap(A, B, [[[1]]])
+    f = ModuleMap(B, A, [[[1]]])
+    assert f.is_well_defined() and not f.is_zero_map()
+    # t: V/(t^2) -> V/(t) lands in the relation span
+    assert ModuleMap(B, A, [[[0, 1]]]).is_zero_map()
+
+
 def test_map_composition_and_rank_nullity():
     M = PresentedModule.free(V2, 1, 2)
     mat = PolyMatrix(2, 2, 2, [[[0, 1], [1]], [[], [0, 1]]])

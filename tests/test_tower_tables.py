@@ -264,8 +264,7 @@ def test_base_tables_match_their_definitions(p, monkeypatch):
                      lambda j: PExp(p, p - 1, j + 1)))
     # a base with fractional exponents: its table lives above level n
     base = (PExp(p, 1, 2), PExp(p, 2 * p + 1, 1), PExp(p, 3))
-    want.append((MonomialTower(RingConfig.perfect(p),
-                               lambda n: alg._shriek_table(p, base, n)),
+    want.append((alg._shriek_tower(RingConfig.perfect(p), base, "shriek"),
                  lambda j: tuple(e.scale_pow(-j) for e in base),
                  lambda j: PExp(p, p - 1, j + 1)))
     for tower, lines, trans in want:
