@@ -325,14 +325,14 @@ def shriek_split_check(B: PresentedModule, J: int) -> bool:
 
 
 def _shriek_tower(cfg, base, name):
-    """firmify of the pattern tower with lines base/p^j and identity
-    transitions.  The pattern is tabled at K = n + the largest level of
-    base, stage j holding base at level K - j; K >= n, so firmify keeps
-    that table and adds m's transitions."""
+    """firmify of the pattern tower with one line e/p^j per base exponent
+    e and identity transitions.  The pattern is tabled at K = n + the
+    largest level of base, stage j holding base at level K - j; K >= n, so
+    firmify keeps that table and adds m's transitions."""
     def pattern(n):
         K = max([0] + [e.k for e in base]) + n
-        return (K, [tuple(e.to_int_at_level(K - j) for e in base)
-                    for j in range(n + 1)], [0] * n)
+        return (K, [[e.to_int_at_level(K - j) for j in range(n + 1)]
+                    for e in base], [[0] * n] * len(base))
     return firmify(MonomialTower(cfg, pattern, name=name))
 
 

@@ -2,23 +2,25 @@
 and almost-isomorphism certificates, firmification, closedification and
 the shriek functor.
 
-Ind-objects are modelled as *monomial towers*: stage j is a direct sum of
-monomial cyclics/frees described by a list of annihilator exponents (None
-for a free line), and the transition stage j -> stage j+1 is multiplication
-by a single monomial t^(c_j).  Every tower the library constructs (m, m
-tensor M, V/m, constant towers, their kernels and cokernels) has this
-shape, and colimit questions reduce to exponent bookkeeping: a generator
-of stage j is zero in the colimit iff the accumulated transition exponent
-reaches the annihilator bound at some later stage.
+Ind-objects are modelled as *monomial towers*: a list of lines, line i of
+stage j a monomial cyclic V/(t^a) or free, and the transition stage j ->
+stage j+1 multiplying line i by its own monomial t^(c_ij).  Every tower
+the library constructs (m, m tensor M, V/m, constant towers, their kernels
+and cokernels) has this shape, and colimit questions reduce to exponent
+bookkeeping line by line: a generator of line i at stage j is zero in the
+colimit iff the line's accumulated transition exponent reaches its
+annihilator bound at some later stage.
 
 Every tower is given by its integer stage table (see MonomialTower.table):
-every exponent of stages 0..n scaled by one power p^K.  The base towers
-(m, V/m, constant towers) write theirs in closed form; derived towers
-(firmify, kernel_tower, cokernel_tower) build theirs from their source's
-table in integer arithmetic.  A query at working level J reads stages
-0..2J + _LOOKAHEAD of every tower it touches, so each table is built once
-per query.  PExp values are built only where a stage is read as exponents
-or modules, and for the witnesses and margins of certificates.
+per line, a column of annihilator bounds and a column of transition
+exponents over stages 0..n, every exponent scaled by one power p^K.  The
+base towers (m, V/m, constant towers) write theirs in closed form; derived
+towers (firmify, kernel_tower, cokernel_tower) map their source's table
+line by line in integer arithmetic.  A query at working level J reads
+stages 0..2J + _LOOKAHEAD of every tower it touches, so each table is
+built once per query.  PExp values are built only where a stage is read
+as exponents or modules, and for the witnesses and margins of
+certificates.
 
 A query is also answered once per tower: firmify(x) returns the tower it
 built for the same x while that tower is alive (a weak reference on x, so
@@ -31,9 +33,11 @@ verdicts say so explicitly (see AlmostCertificate).
 from __future__ import annotations
 
 import weakref
+from itertools import accumulate
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
+from .linalg import PolyMatrix
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -42,6 +46,7 @@ from .modules import (
     hom_module,
     kernel_map,
 )
+from .polys import poly_monomial
 
 IDEAL_M = "IDEAL_M"
 RESIDUE = "RESIDUE_V_MOD_M"
@@ -96,29 +101,27 @@ def _floor(cfg):
     return cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
 
 
-def _scaled(rows, s):
-    """Table rows with every exponent multiplied by s (None stays)."""
+def _scaled(cols, s):
+    """Table columns with every exponent multiplied by s (None stays)."""
     if s == 1:
-        return rows
-    return [tuple([None if a is None else a * s for a in row])
-            for row in rows]
+        return cols
+    return [[None if a is None else a * s for a in col] for col in cols]
 
 
-def _bounded(rows, s, cfg, K):
-    """Effective annihilator bounds of table rows scaled by s to level K:
-    a free line has no bound (None) over the domain, and is bounded by the
-    truncation (which must live at level K) over a truncated ring."""
+def _bounded(cols, s, cfg, K):
+    """Effective annihilator bounds of bounds columns scaled by s to level
+    K: a free line has no bound (None) over the domain, and is bounded by
+    the truncation (which must live at level K) over a truncated ring."""
     if cfg.mode != CHAR_P_TRUNCATED:
-        return _scaled(rows, s)
+        return _scaled(cols, s)
     cap = cfg.trunc.to_int_at_level(K)
-    return [tuple([cap if a is None else a * s for a in row])
-            for row in rows]
+    return [[cap if a is None else a * s for a in col] for col in cols]
 
 
 class MonomialTower:
-    """Ind-module with monomial stages and scalar monomial transitions,
-    given by table_fn(n) -> its integer stage table for stages 0..n (see
-    table()).
+    """Ind-module with monomial stages and a monomial transition on each
+    line, given by table_fn(n) -> its integer stage table for stages 0..n
+    (see table()).
 
     The table is kept, rebuilt by table_fn when a later stage is asked
     for, and never changed in place.  lines(), trans_exp(), component()
@@ -147,41 +150,46 @@ class MonomialTower:
         # almost zero iff x is, since mu is an almost isomorphism)
         self.az_delegate = az_delegate
         self._components = {}
-        self._table = (0, [], [])
+        # (n, K, bounds, trans): the kept table, built for stages 0..n
+        self._table = (-1, 0, [], [])
         self._firm = None
         self._firm_certs = {}
 
     def table(self, n):
-        """Stages 0..n as (K, lines, trans), every exponent scaled by p^K
-        to an integer: lines[j] is a tuple with one entry per line of stage
-        j (its annihilator exponent, None for a free line), and trans[j],
-        j < n, is the exponent of the transition out of stage j.
+        """Stages 0..n as (K, bounds, trans), every exponent scaled by p^K
+        to an integer, one column per line: bounds[i][j] is the annihilator
+        exponent of line i at stage j (None for a free line), and
+        trans[i][j], j < n, the exponent of the transition out of stage j
+        on line i.  Free lines come after the bounded ones, as component()
+        presents them.
 
         K is a level every exponent of the table lives at, set by the
         tower's table_fn (each constructor says which).  It may exceed what
         stages 0..n alone need, when a longer table was built first."""
-        K, lines, trans = self._grown(n)
-        if len(lines) == n + 1:
-            return K, lines, trans
-        return K, lines[:n + 1], trans[:n]
+        m, K, bounds, trans = self._grown(n)
+        if m == n:
+            return K, bounds, trans
+        return K, [col[:n + 1] for col in bounds], [col[:n] for col in trans]
 
     def _grown(self, n):
         """The kept table, first rebuilt to stage n if it stops before."""
-        if len(self._table[1]) <= n:
-            self._table = self.table_fn(n)
+        if self._table[0] < n:
+            self._table = (n, *self.table_fn(n))
         return self._table
 
     def lines(self, j):
         """Annihilator exponents of stage j as PExp values, None for a free
         line."""
-        K, lines, _ = self._grown(j)
+        _, K, bounds, _ = self._grown(j)
         p = self.cfg.p
-        return tuple(None if a is None else PExp(p, a, K) for a in lines[j])
+        return tuple(None if col[j] is None else PExp(p, col[j], K)
+                     for col in bounds)
 
     def trans_exp(self, j):
-        """Exponent of the transition out of stage j, as a PExp."""
-        K, _, trans = self._grown(j + 1)
-        return PExp(self.cfg.p, trans[j], K)
+        """Transition exponents out of stage j, one PExp per line."""
+        _, K, _, trans = self._grown(j + 1)
+        p = self.cfg.p
+        return tuple(PExp(p, col[j], K) for col in trans)
 
     def component(self, j) -> PresentedModule:
         """Stage j, presented at the least level its exponents (and the
@@ -201,16 +209,15 @@ class MonomialTower:
         return self._components[j]
 
     def transition(self, j) -> ModuleMap:
-        c = self.trans_exp(j)
+        """Stage j -> stage j+1: line i's exponent on the diagonal."""
+        cs = self.trans_exp(j)
         src, tgt = self.component(j), self.component(j + 1)
-        L = max(src.level, tgt.level, c.k)
+        L = max([src.level, tgt.level] + [c.k for c in cs])
         src, tgt = src.at_level(L), tgt.at_level(L)
-        e = c.to_int_at_level(L)
-        from .linalg import PolyMatrix
-        from .polys import poly_monomial
-        mat = PolyMatrix(tgt.rank, src.rank, self.cfg.p, modulus=src.modulus)
-        for i in range(min(src.rank, tgt.rank)):
-            mat.set(i, i, poly_monomial(1, e, self.cfg.p))
+        p = self.cfg.p
+        mat = PolyMatrix(tgt.rank, src.rank, p, modulus=src.modulus)
+        for i, c in enumerate(cs):
+            mat.set(i, i, poly_monomial(1, c.to_int_at_level(L), p))
         return ModuleMap(src, tgt, mat)
 
     def __repr__(self):
@@ -221,33 +228,36 @@ class MonomialTower:
 # -- tower constructors ----------------------------------------------------
 
 def ideal_m(cfg: RingConfig) -> MonomialTower:
-    """m = colim t^(1/p^j)V: free rank-1 stages, inclusion by
+    """m = colim t^(1/p^j)V: one free line, inclusion by
     t^((p - 1)/p^(j+1)), tabled at K = n."""
     p = cfg.p
     return MonomialTower(
-        cfg, lambda n: (n, [(None,)] * (n + 1),
-                        [(p - 1) * p ** (n - j - 1) for j in range(n)]),
+        cfg, lambda n: (n, [[None] * (n + 1)],
+                        [[(p - 1) * p ** (n - j - 1) for j in range(n)]]),
         tag=IDEAL_M, name="m",
         closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
 
 
 def residue(cfg: RingConfig) -> MonomialTower:
-    """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps,
-    tabled at K = n."""
+    """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps: one
+    line, tabled at K = n."""
     p = cfg.p
     return MonomialTower(
-        cfg, lambda n: (n, [(p ** (n - j),) for j in range(n + 1)], [0] * n),
+        cfg, lambda n: (n, [[p ** (n - j) for j in range(n + 1)]], [[0] * n]),
         tag=RESIDUE, name="V/m",
         closed_form=PresentedModule.zero(cfg, _floor(cfg)))
 
 
 def const_tower(M: PresentedModule) -> MonomialTower:
-    """M at every stage along identities, tabled at K = M.level."""
+    """M at every stage along identities, one constant line per summand,
+    tabled at K = M.level."""
     K = M.level
-    line = tuple(e.to_int_at_level(K) for e in M.decompose_exponents()) \
-        + (None,) * M.free_rank()
-    return MonomialTower(M.cfg, lambda n: (K, [line] * (n + 1), [0] * n),
-                         name=f"const({M!r})", closed_form=M, az_delegate=M)
+    line = [e.to_int_at_level(K) for e in M.decompose_exponents()] \
+        + [None] * M.free_rank()
+    return MonomialTower(
+        M.cfg, lambda n: (K, [[a] * (n + 1) for a in line],
+                          [[0] * n] * len(line)),
+        name=f"const({M!r})", closed_form=M, az_delegate=M)
 
 
 def as_tower(x) -> MonomialTower:
@@ -287,14 +297,16 @@ def firmify(x) -> MonomialTower:
 
 
 def _firm_table(t, n):
-    """Table of firmify(t) at K = max(t's K, n): t's lines, and each
-    transition gains eps_j = (p - 1)/p^(j+1), scaled (p - 1)p^(K-j-1)."""
+    """Table of firmify(t) at K = max(t's K, n): t's bounds, and every
+    transition column gains eps_j = (p - 1)/p^(j+1), scaled
+    (p - 1)p^(K-j-1)."""
     p = t.cfg.p
-    Kt, lines, trans = t.table(n)
+    Kt, bounds, trans = t.table(n)
     K = max(Kt, n)
     s = p ** (K - Kt)
-    return K, _scaled(lines, s), [c * s + (p - 1) * p ** (K - j - 1)
-                                  for j, c in enumerate(trans)]
+    eps = [(p - 1) * p ** (K - j - 1) for j in range(n)]
+    return K, _scaled(bounds, s), [[c * s + e for c, e in zip(col, eps)]
+                                   for col in trans]
 
 
 def closedify(x) -> PresentedModule:
@@ -320,8 +332,8 @@ def shriek(x) -> MonomialTower:
 
 class IndMap:
     """The map family of mu between towers of matching line shape: stage
-    j is multiplication by t^(u_j), u_j = 1/p^j, which is p^(K-j) in a
-    table at level K."""
+    j multiplies every line by t^(u_j), u_j = 1/p^j, which is p^(K-j) in
+    a table at level K."""
 
     __slots__ = ("source", "target", "name")
 
@@ -332,14 +344,19 @@ class IndMap:
 
     def check_commutes(self, upto):
         """Naturality: target transition after map = map after source
-        transition, as exponents, out of every stage j < upto."""
+        transition, as exponents, on every line out of every stage
+        j < upto.  Towers with different line counts are refused."""
         p = self.source.cfg.p
         Ks, _, src = self.source.table(upto)
         Kt, _, tgt = self.target.table(upto)
+        if len(src) != len(tgt):
+            return False
         K = max(Ks, Kt, upto)
         ss, st = p ** (K - Ks), p ** (K - Kt)
-        return all(b * st + p ** (K - j) == p ** (K - j - 1) + a * ss
-                   for j, (a, b) in enumerate(zip(src, tgt)))
+        u = [p ** (K - j) for j in range(upto + 1)]
+        return all(b * st + u[j] == u[j + 1] + a * ss
+                   for A, B in zip(src, tgt)
+                   for j, (a, b) in enumerate(zip(A, B)))
 
 
 def mu_map(x) -> IndMap:
@@ -351,8 +368,9 @@ def mu_map(x) -> IndMap:
 def kernel_tower(f: IndMap) -> MonomialTower:
     """Kernel of a scalar map family, line by line.
 
-    ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(a-min(a,u)); the
-    generator offsets shift the effective transition exponents.
+    ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(off) with
+    off = a - min(a,u); each line's generator offsets shift its transition
+    exponents.
     """
     return MonomialTower(f.source.cfg, table_fn=lambda n: _kernel_table(f, n),
                          name=f"ker({f.name})")
@@ -360,31 +378,22 @@ def kernel_tower(f: IndMap) -> MonomialTower:
 
 def _kernel_table(f, n):
     """Table of kernel_tower(f) at K = max(source's K, n, truncation
-    level).  A line without a bound (free over the domain) has kernel 0."""
+    level).  Line i's transition out of stage j is the source's c_j moved
+    by the line's own offsets: c_j + off_i(j) - off_i(j+1).  A line
+    without a bound (free over the domain) has kernel 0 and offset 0."""
     cfg, p = f.source.cfg, f.source.cfg.p
-    Ks, lines, trans = f.source.table(n)
+    Ks, bounds, trans = f.source.table(n)
     K = max(Ks, n, _floor(cfg))
     s = p ** (K - Ks)
-    out, offs = [], []
-    for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = p ** (K - j)
-        out.append(tuple([0 if a is None else min(u, a) for a in anns]))
-        offs.append(_offset(anns, u))
-    # a tower has one transition exponent for all its lines, so each stage
-    # gets one offset: _offset's, the smallest of the lines' offsets
-    shifted = [c * s + offs[j] - offs[j + 1] for j, c in enumerate(trans)]
-    if any(c < 0 for c in shifted):
+    u = [p ** (K - j) for j in range(n + 1)]
+    out, shifted = [], []
+    for A, C in zip(_bounded(bounds, s, cfg, K), trans):
+        out.append([0 if a is None else min(a, uj) for a, uj in zip(A, u)])
+        off = [0 if a is None else a - k for a, k in zip(A, out[-1])]
+        shifted.append([c * s + off[j] - off[j + 1] for j, c in enumerate(C)])
+    if any(c < 0 for col in shifted for c in col):
         raise ValueError(f"negative transition exponent in {f.name} kernel")
     return K, out, shifted
-
-
-def _offset(anns, u):
-    """Common generator offset a - min(a, u) of a kernel stage, over its
-    lines' scaled bounds anns (None = no bound); 0 for free lines.  Mixed
-    offsets take the smallest: the transition is then exact on the line of
-    least bound, and larger than the induced map's on a line whose offset
-    grows faster, where it overstates death."""
-    return min([a - min(a, u) for a in anns if a is not None], default=0)
 
 
 def cokernel_tower(f: IndMap) -> MonomialTower:
@@ -399,57 +408,49 @@ def _cokernel_table(f, n):
     """Table of cokernel_tower(f) at K = max(target's K, n, truncation
     level)."""
     cfg, p = f.target.cfg, f.target.cfg.p
-    Kt, lines, trans = f.target.table(n)
+    Kt, bounds, trans = f.target.table(n)
     K = max(Kt, n, _floor(cfg))
     s = p ** (K - Kt)
-    out = []
-    for j, anns in enumerate(_bounded(lines, s, cfg, K)):
-        u = p ** (K - j)
-        out.append(tuple([u if a is None else min(a, u) for a in anns]))
-    return K, out, [c * s for c in trans]
+    u = [p ** (K - j) for j in range(n + 1)]
+    return K, [[uj if a is None else min(a, uj) for a, uj in zip(A, u)]
+               for A in _bounded(bounds, s, cfg, K)], _scaled(trans, s)
 
 
 # -- colimit bookkeeping ---------------------------------------------------
 
 def _residuals(tower: MonomialTower, J: int):
-    """(K, rows): for each stage j <= J and line i, rows[j][i] is the min
-    over k in [j, j+J+lookahead] of (annihilator at stage k) - (accumulated
-    transition exponent j -> k), scaled by p^K, or None for a line with no
-    annihilator bound.  0 means the generator dies exactly (a difference
-    below 0 is reported as 0); small positive means it dies up to that
-    exponent.
+    """(K, cols): for each line i and stage j <= J, cols[i][j] is the min
+    over k in [j, j+J+lookahead] of (annihilator of line i at stage k) -
+    (line i's accumulated transition exponent j -> k), scaled by p^K, or
+    None for a line with no annihilator bound.  0 means the generator dies
+    exactly (a difference below 0 is reported as 0); small positive means
+    it dies up to that exponent.
 
     The stages are read from tower.table(_stages(J)), raised to the
-    truncation bound's level when a free line is bounded by it.  With A_k a
-    line's scaled annihilator at stage k and S_k the scaled sum of the
+    truncation bound's level when a free line is bounded by it.  With A_k
+    a line's scaled annihilator at stage k and S_k the scaled sum of its
     transition exponents below stage k, the residual at (j, k) is
     A_k - (S_k - S_j), so best_j = S_j + min over k of (A_k - S_k)."""
     cfg = tower.cfg
     horizon = J + _LOOKAHEAD
-    K, lines, trans = tower.table(_stages(J))
+    K, bounds, trans = tower.table(_stages(J))
     Kb = max(K, _floor(cfg))
     s = cfg.p ** (Kb - K)
-    S = [0]
-    for c in trans:
-        S.append(S[-1] + c * s)
-    # scaled A_k - S_k per line, one column per line index; a line with no
-    # annihilator bound, or missing at stage k, is +infinity
-    bounds = _bounded(lines, s, cfg, Kb)
-    cols = [[_INF if i >= len(row) or row[i] is None else row[i] - Sk
-             for row, Sk in zip(bounds, S)]
-            for i in range(max(map(len, bounds)))]
-    rows = []
-    for j in range(J + 1):
-        best = [min(col[j:j + horizon + 1]) for col in cols[:len(lines[j])]]
-        rows.append([None if b == _INF else max(b + S[j], 0) for b in best])
-    return Kb, rows
+    cols = []
+    for A, C in zip(_bounded(bounds, s, cfg, Kb), _scaled(trans, s)):
+        S = [0, *accumulate(C)]
+        # A_k - S_k; a stage without an annihilator bound is +infinity
+        D = [_INF if a is None else a - Sk for a, Sk in zip(A, S)]
+        best = [min(D[j:j + horizon + 1]) + S[j] for j in range(J + 1)]
+        cols.append([None if b == _INF else max(b, 0) for b in best])
+    return Kb, cols
 
 
 def colim_is_zero(tower: MonomialTower, J: int) -> bool:
     """Every generator of every tested stage dies exactly (a line without
     a bound never does: its residual is None)."""
-    _, rows = _residuals(tower, J)
-    return all(r == 0 for best in rows for r in best)
+    _, cols = _residuals(tower, J)
+    return all(r == 0 for col in cols for r in col)
 
 
 def is_almost_zero(x, J: int) -> AlmostCertificate:
@@ -464,28 +465,23 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
         inner = is_almost_zero(t.az_delegate, J)
         return AlmostCertificate(inner.verdict, inner.holds, J,
                                  {"via": "firm twist base", **inner.witness})
-    K, residuals = _residuals(t, J)
-    stage_worst = []
-    witness_stage = None
-    worst = 0
-    for j, best in enumerate(residuals):
-        wj = 0
-        for i, r in enumerate(best):
-            if r is None:
-                return AlmostCertificate(
-                    "fails", False, J,
-                    {"stage": j, "line": i, "reason": "free line survives"})
-            if r > wj:
-                wj = r
-            if r > worst:
-                worst = r
-                witness_stage = (j, i)
-        stage_worst.append(wj)
+    K, cols = _residuals(t, J)
+    free = [(col.index(None), i) for i, col in enumerate(cols) if None in col]
+    if free:
+        j, i = min(free)
+        return AlmostCertificate(
+            "fails", False, J,
+            {"stage": j, "line": i, "reason": "free line survives"})
+    stage_worst = [max(rs) for rs in zip(*cols)] or [0]
+    worst = max(stage_worst)
     monotone = all(b <= a for a, b in zip(stage_worst, stage_worst[1:]))
     if worst == 0:
         verdict = "certified-structural" if monotone else "holds-at-level"
         return AlmostCertificate(verdict, True, J,
                                  {"reason": "all tested generators die exactly"})
+    # the first stage, and its first line, with the worst residual
+    j = stage_worst.index(worst)
+    i = [col[j] for col in cols].index(worst)
     worst = PExp(t.cfg.p, worst, K)
     if worst <= PExp(t.cfg.p, 1, J):
         if t.tag == RESIDUE:
@@ -497,8 +493,7 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
         return AlmostCertificate("holds-at-level", True, J,
                                  {"max_residual": worst.as_fraction()})
     return AlmostCertificate("fails", False, J,
-                             {"stage": witness_stage[0],
-                              "line": witness_stage[1],
+                             {"stage": j, "line": i,
                               "residual": worst.as_fraction()})
 
 
@@ -601,7 +596,7 @@ def is_closed(x, J: int) -> AlmostCertificate:
     if t.closed_form is not None and t.tag != IDEAL_M:
         cz = is_almost_zero(t, J)
         if cz.verdict == "certified-structural" and not cz.holds \
-                and t.trans_exp(0).is_zero():
+                and all(c.is_zero() for c in t.trans_exp(0)):
             # constant tower of a module: same verdict as the module
             return is_closed(t.closed_form, J)
     raise ValueError(f"is_closed is not decidable for {t!r}")
@@ -619,7 +614,7 @@ def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
     # Hom: if every transition exponent of M is positive and N is killed by
     # every positive power, any map vanishes stage by stage:
     # phi(x_j) = t^(c_j) phi(x_{j+1}) = 0.
-    pos = all(Mt.table(_stages(J))[2])
+    pos = all(map(all, Mt.table(_stages(J))[2]))
     if pos and n_az.verdict == "certified-structural":
         hom_ok = AlmostCertificate("certified-structural", True, J,
                                    {"reason": "positive transitions into an "

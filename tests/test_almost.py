@@ -6,6 +6,7 @@ import pytest
 
 from almostalg.almost import (
     _LOOKAHEAD,
+    IndMap,
     MonomialTower,
     _residuals,
     as_tower,
@@ -73,6 +74,36 @@ def test_mu_on_ideal_is_levelwise_iso():
 def test_ideal_m_is_firm_and_modules_are_not():
     assert is_firm(ideal_m(V2), J).holds
     assert not is_firm(PresentedModule.free(V2, 0, 1), J).holds
+
+
+def test_constant_towers_are_not_firm_through_their_tower():
+    # a module takes is_firm's structural branch; its constant tower is
+    # decided by the colimits of mu's kernel and cokernel towers, J = 1
+    # included, where the kernel of the mixed-offset sum is exact
+    mixed = PresentedModule.from_factors(
+        V2, 2, [PExp(2, 1, 2), PExp(2, 1, 1)])
+    for M in (PresentedModule.cyclic(V2, Fraction(1)), mixed):
+        for level in (1, J):
+            cert = is_firm(const_tower(M), level)
+            assert not cert.holds and cert.verdict == "fails", (M, level)
+            assert cert.witness == {
+                "reason": "mu is not an isomorphism in the colimit"}
+
+
+def test_check_commutes_refuses_families_that_are_not_mu():
+    # identity towers under t^(1/p^j): the squares do not commute
+    f = IndMap(ideal_m(V2), ideal_m(V2))
+    assert not f.check_commutes(2 * J + _LOOKAHEAD)
+    cert = is_almost_iso(f, J)
+    assert not cert.holds and cert.witness == {
+        "reason": "map family not natural"}
+    # two lines against one: no line-by-line square to compare
+    two = firmify(PresentedModule.from_factors(V2, 1, [PExp(2, 1, 1)], 1))
+    one = const_tower(PresentedModule.cyclic(V2, Fraction(1)))
+    assert not IndMap(two, one).check_commutes(2 * J + _LOOKAHEAD)
+    assert not is_almost_iso(IndMap(two, one), J).holds
+    # mu itself is natural
+    assert mu_map(two.closed_form).check_commutes(2 * J + _LOOKAHEAD)
 
 
 def test_firmify_produces_firm_idempotently():
@@ -178,24 +209,29 @@ def test_scalar_map_is_not_almost_iso():
 
 
 def test_residuals_of_a_table_tower_match_raw_loop():
-    def raw_lines(j):
-        return (Fraction(1, 3 ** j), None, Fraction(2) - Fraction(1, 3 ** j))
+    def raw_bound(i, j):
+        return (Fraction(1, 3 ** j), Fraction(2) - Fraction(1, 3 ** j),
+                None)[i]
 
-    def raw_trans(j):
-        return Fraction(1, 3 ** j) - Fraction(1, 3 ** (j + 1))
+    def raw_trans(i, j):
+        # each line moves at its own rate
+        return (i + 1) * (Fraction(1, 3 ** j) - Fraction(1, 3 ** (j + 1)))
 
     def table(n):
-        # the same tower as integers: every exponent of stages 0..n is an
-        # integer once scaled by 3^n
+        # the same tower as integers, one column per line: every exponent
+        # of stages 0..n is an integer once scaled by 3^n
         def scaled(a):
+            if a is None:
+                return None
             q = a * 3 ** n
             assert q.denominator == 1
             return q.numerator
 
         return (n,
-                [tuple(None if a is None else scaled(a)
-                       for a in raw_lines(j)) for j in range(n + 1)],
-                [scaled(raw_trans(j)) for j in range(n)])
+                [[scaled(raw_bound(i, j)) for j in range(n + 1)]
+                 for i in range(3)],
+                [[scaled(raw_trans(i, j)) for j in range(n)]
+                 for i in range(3)])
 
     T = MonomialTower(V3, table)
     assert not colim_is_zero(T, J)
@@ -205,19 +241,21 @@ def test_residuals_of_a_table_tower_match_raw_loop():
 
     # perfect ring: every annihilator bound is the line's own exponent
     want = []
-    for j in range(J + 1):
-        best = [None] * len(raw_lines(j))
-        acc = Fraction(0)
-        for k in range(j, j + J + _LOOKAHEAD + 1):
-            for i, a in enumerate(raw_lines(k)[:len(best)]):
-                if a is not None and (best[i] is None or a - acc < best[i]):
-                    best[i] = a - acc
-            acc += raw_trans(k)
-        want.append(best)
+    for i in range(3):
+        col = []
+        for j in range(J + 1):
+            best, acc = None, Fraction(0)
+            for k in range(j, j + J + _LOOKAHEAD + 1):
+                a = raw_bound(i, k)
+                if a is not None and (best is None or a - acc < best):
+                    best = a - acc
+                acc += raw_trans(i, k)
+            col.append(best)
+        want.append(col)
     # a residual <= 0 (dies exactly) is reported as 0
-    assert [[None if r is None else Fraction(r, 3 ** K) for r in row]
-            for row in got] == \
-        [[None if r is None else max(r, 0) for r in row] for row in want]
+    assert [[None if r is None else Fraction(r, 3 ** K) for r in col]
+            for col in got] == \
+        [[None if r is None else max(r, 0) for r in col] for col in want]
 
 
 def test_closed_forms_live_at_a_fractional_truncation_level():

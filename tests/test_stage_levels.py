@@ -54,14 +54,15 @@ def _stage_at_j_plus_1(tower, j):
 
 
 def _transition_at_j_plus_1(tower, j):
-    """The t^c diagonal transition between stages built at level j + 1."""
-    c = tower.trans_exp(j)
+    """The transition between stages built at level j + 1: line i's t^c_i
+    on the diagonal."""
+    cs = tower.trans_exp(j)
     src, tgt = _stage_at_j_plus_1(tower, j), _stage_at_j_plus_1(tower, j + 1)
-    L = max(src.level, tgt.level, c.k)
+    L = max([src.level, tgt.level] + [c.k for c in cs])
     src, tgt = src.at_level(L), tgt.at_level(L)
     p = tower.cfg.p
     mat = PolyMatrix(tgt.rank, src.rank, p, modulus=src.modulus)
-    for i in range(min(src.rank, tgt.rank)):
+    for i, c in enumerate(cs):
         mat.set(i, i, poly_monomial(1, c.to_int_at_level(L), p))
     return ModuleMap(src, tgt, mat)
 
