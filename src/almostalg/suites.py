@@ -755,7 +755,7 @@ def tilting_suite(opts: SuiteOptions) -> SuiteReport:
         return True
 
     def zigzag():
-        return all(towermod.tilting_zigzag_mixed(p, 2, J)
+        return all(towermod.tilting_zigzag_mixed(p, 2)
                    for p in opts.primes)
 
     def a_plus():
