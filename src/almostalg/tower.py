@@ -187,23 +187,26 @@ def a_n_plus_checks(n, j: int, cfg: RingConfig) -> bool:
     return _unit_generator_check(Q)
 
 
-def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6) -> bool:
-    """(A_n)_!! -> A_n^+ is a canonical isomorphism in the colimit: at
-    each tested stage the map is surjective with kernel annihilated by
-    t^(1/p^j), and the A_n^+ side is stage-independent.
+def verify_lemmaA(n, cfg: RingConfig, J: int) -> bool:
+    """(A_n)_!! -> A_n^+ is a canonical isomorphism in the colimit, for
+    A = V: at stages J - 1 and J the identity on generators is a
+    well-defined surjection whose kernel is annihilated by t^(1/p^j), the
+    A_n^+ side is stage-independent, and its V-coordinate generates it,
+    so the module iso is the ring comparison.
 
     The two sides come from disjoint pipelines (shriek closure of the
-    truncated module vs the direct cokernel of the defining diagram)."""
+    truncated module vs the direct cokernel of the defining diagram).
+    A free of rank r adds r - 1 summands V/(t^n) compared with themselves
+    by the identity, since both pipelines touch only generator 0 of the
+    A block; tests/test_tower.py pins that premise."""
     p = cfg.p
-    stages = (J - 1, J)
     plus_decomps = []
-    for j in stages:
-        An = direct_sum(*[PresentedModule.cyclic(cfg, n, level=max(j, 1))
-                          for _ in range(A_rank)])
+    for j in (J - 1, J):
+        An = PresentedModule.cyclic(cfg, n, level=max(j, 1))
         Qb, _, _ = b_shriek_shriek(An, j)
-        plus, _, _ = a_n_plus(A_rank, n, j, cfg)
+        plus, _, _ = a_n_plus(1, n, j, cfg)
         plus_decomps.append(tuple(plus.decompose_exponents()))
-        # canonical map: V-coordinate to V-coordinate, block to block
+        # canonical map: V-coordinate to V-coordinate, A to A
         L = max(Qb.level, plus.level)
         Qb, Qp = Qb.at_level(L), plus.at_level(L)
         mat = PolyMatrix.identity(Qb.rank, p, ring_modulus(cfg, L))
@@ -223,13 +226,10 @@ def verify_lemmaA(A_rank: int, n, cfg: RingConfig, J: int = 6) -> bool:
     # the target is the honest colimit: stage-independent
     if len(set(plus_decomps)) != 1:
         return False
-    if A_rank == 1:
-        # ring structure on the cyclic cokernel: the generator is a unit
-        # on both sides, so matching the module iso on generators is the
-        # ring comparison; plus is A_n^+ at stage J, as the loop built it
-        if plus.rank and not _unit_generator_check(plus):
-            return False
-    return True
+    # ring structure on the cyclic cokernel: the generator is a unit on
+    # both sides, so matching the module iso on generators is the ring
+    # comparison; plus is A_n^+ at stage J, as the loop built it
+    return not plus.rank or _unit_generator_check(plus)
 
 
 def _unit_generator_check(Q: PresentedModule) -> bool:
@@ -251,7 +251,7 @@ def tilting_zigzag_mixed(p: int, n: int) -> bool:
     x^k, x acting as t to the exponent the dictionary pairs with x, and
     x^(p^n) = p = 0.  The transport holds when that module is V/(t),
     A^flat mod t.  The Lemma A comparison on the char-p side is
-    verify_lemmaA(1, 1, ...), which the tilting suite runs once."""
+    verify_lemmaA(1, ...), which the tilting suite runs once."""
     flat = RingConfig.perfect(p)
     table = tilt_basis_iso(p, n)
     N = len(table)

@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 
 from almostalg import tower
+from almostalg.algebra import b_shriek_shriek
 from almostalg.base_ring import RingConfig
+from almostalg.exponents import PExp
 from almostalg.linalg import PolyMatrix
-from almostalg.modules import ModuleMap, cokernel_map
+from almostalg.modules import (
+    ModuleMap,
+    PresentedModule,
+    cokernel_map,
+    direct_sum,
+)
 from almostalg.tower import (
     TowerSpec,
     a_n_plus,
@@ -66,8 +73,34 @@ def test_lemma_a_pipelines():
     for p in (2, 3):
         cfg = RingConfig.perfect(p)
         for n in (1, 2):
-            assert verify_lemmaA(1, n, cfg, J=5)
-        assert verify_lemmaA(p, 1, cfg, J=5)
+            assert verify_lemmaA(n, cfg, J=5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_r_lemma_a_sides_are_rank_one_plus_copies_of_v_mod_t_n(p):
+    """verify_lemmaA compares A = V only.  At rank r both of its pipelines
+    touch generator 0 of the A block alone: the diagonal is the rank-1
+    diagonal with zero rows below, so each side is the rank-1 side plus
+    r - 1 summands V/(t^n), matched by the identity.  If this fails, a
+    pipeline reads past generator 0, and verify_lemmaA must compare rank r
+    again (the tilting suite compared rank p)."""
+    cfg = RingConfig.perfect(p)
+    for n in (1, 2, Fraction(1, p)):
+        copy = PExp.from_fraction(p, n)
+        for j in (3, 4):
+            def sides(r):
+                An = direct_sum(*[PresentedModule.cyclic(cfg, n, level=j)
+                                  for _ in range(r)])
+                return (b_shriek_shriek(An, j)[:2], a_n_plus(r, n, j, cfg)[:2])
+            ones = sides(1)
+            for r in {2, p}:
+                for (Q1, diag1), (Qr, diagr) in zip(ones, sides(r)):
+                    assert diagr.matrix.nonzero == (
+                        diag1.matrix.nonzero + [{}] * (r - 1)), (n, j, r)
+                    assert Qr.free_rank() == Q1.free_rank() == 0
+                    assert Qr.decompose_exponents() == sorted(
+                        Q1.decompose_exponents() + [copy] * (r - 1)), (
+                            n, j, r)
 
 
 def _a_n_plus_without_unit_leg(A_rank, n, j, cfg):
@@ -83,9 +116,7 @@ def _a_n_plus_without_unit_leg(A_rank, n, j, cfg):
 def test_lemma_a_refuses_a_diagonal_without_its_unit_leg(monkeypatch):
     monkeypatch.setattr(tower, "a_n_plus", _a_n_plus_without_unit_leg)
     for p in (2, 3):
-        cfg = RingConfig.perfect(p)
-        for rank in (1, p):
-            assert not verify_lemmaA(rank, 1, cfg, J=5), (p, rank)
+        assert not verify_lemmaA(1, RingConfig.perfect(p), J=5), p
 
 
 def test_tilting_zigzag(monkeypatch):
