@@ -11,6 +11,8 @@ Jacobian of the presentation is block diagonal.
 """
 from __future__ import annotations
 
+from math import prod
+
 from .almost import MonomialTower, colim_is_zero, firmify
 from .base_ring import RingConfig
 from .complexes import ChainComplex
@@ -460,8 +462,7 @@ class AlgebraPresentation:
 
     A coefficient of f_j is an int or an F_p[t] coefficient list (integer
     t-exponents), lowest degree first.  The quotient is free as an
-    A-module on the monomials x^a with a_j < deg f_j; multiplication
-    operators reduce through the relations.
+    A-module on the monomials x^a with a_j < deg f_j.
     """
 
     __slots__ = ("cfg", "rels", "degrees", "rank")
@@ -477,83 +478,65 @@ class AlgebraPresentation:
                 raise ValueError("relations must be monic of degree >= 1")
             self.rels.append(coeffs)
         self.degrees = [len(f) - 1 for f in self.rels]
-        self.rank = 1
-        for d in self.degrees:
-            self.rank *= d
+        self.rank = prod(self.degrees)
 
-    @property
-    def nvars(self):
-        return len(self.rels)
+    def mult_table(self, j, g, level=0) -> PolyMatrix:
+        """Matrix over R_level of multiplication by g on A[x_j]/(f_j), on
+        the basis 1, x_j, ..., x_j^(d - 1) with d = deg f_j.  g is a list
+        of at most d F_p[t] coefficient lists, lowest degree in x_j first.
 
-    def basis(self):
-        out = [()]
-        for d in self.degrees:
-            out = [b + (i,) for b in out for i in range(d)]
-        return out
-
-    def mult_operator(self, elem, level=0) -> PolyMatrix:
-        """Matrix over R_level of multiplication by elem, a map from
-        monomial exponent tuples to F_p[t] coefficient lists, on the
-        monomial basis.  Coefficients are lifted to s = t^(1/p^level)."""
+        Coefficients are lifted to s = t^(1/p^level).  Column 0 is g and
+        column b + 1 is x_j times column b; that column has degree below
+        d, so its one x_j^d term folds once through
+        x_j^d = -(f_j minus its top term)."""
         p = self.cfg.p
         mod = ring_modulus(self.cfg, level)
 
         def lift(c):
             return reduce_mod(lift_poly(c, level, p), mod)
 
-        # x_j^(deg f_j) = -(f_j minus its top term)
-        tails = [[lift(poly_neg(c, p)) for c in f[:-1]] for f in self.rels]
-        index = {b: i for i, b in enumerate(self.basis())}
-        out = PolyMatrix(self.rank, self.rank, p, modulus=mod)
-        for b, col in index.items():
-            work = {}
-            for mono, coef in elem.items():
-                m = tuple(x + y for x, y in zip(mono, b))
-                work[m] = poly_add(work.get(m, []), lift(coef), p)
-            while work:
-                mono, coef = work.popitem()
-                if not coef:
-                    continue
-                j = next((j for j, d in enumerate(self.degrees)
-                          if mono[j] >= d), None)
-                if j is None:
-                    out.set(index[mono], col,
-                            poly_add(out.entry(index[mono], col), coef, p))
-                    continue
-                for i, c in enumerate(tails[j]):
-                    if c:
-                        nm = mono[:j] + (mono[j] - self.degrees[j] + i,) \
-                            + mono[j + 1:]
-                        add = reduce_mod(poly_mul(coef, c, p), mod)
-                        work[nm] = poly_add(work.get(nm, []), add, p)
-        return out
-
-    def jacobian_entry(self, j):
-        """d f_j / d x_j as a multivariate element (the monic top term is
-        the i = deg summand of the loop)."""
-        out = {}
-        p = self.cfg.p
-        for i in range(1, len(self.rels[j])):
-            c = poly_scale(self.rels[j][i], i, p)
-            if c:
-                mono = tuple((i - 1) if t == j else 0
-                             for t in range(self.nvars))
-                out[mono] = c
+        f = self.rels[j]
+        d = len(f) - 1
+        tail = [(i, e) for i, c in enumerate(f[:-1])
+                if (e := lift(poly_neg(c, p)))]
+        col = {i: e for i, c in enumerate(g) if (e := lift(c))}
+        out = PolyMatrix(d, d, p, modulus=mod)
+        for b in range(d):
+            for i, e in col.items():
+                out.set(i, b, e)
+            top = col.pop(d - 1, None)
+            col = {i + 1: e for i, e in col.items()}
+            if top:
+                for i, c in tail:
+                    col[i] = reduce_mod(poly_add(col.get(i, []),
+                                                 poly_mul(top, c, p), p), mod)
         return out
 
 
 def naive_cotangent(P: AlgebraPresentation, level=0) -> ChainComplex:
     """Two-term complex (relations -> differentials) in degrees [-1, 0]:
-    B^k --Jacobian--> B^k, the degree-0 part spanned by the dx_i."""
+    B^k --Jacobian--> B^k, the degree-0 part spanned by the dx_i.
+
+    The Jacobian is block diagonal.  The block of x_j is multiplication
+    by f_j' on B, which is I_pre (x) C_j (x) I_post: C_j is
+    P.mult_table(j, f_j'), pre = d_0 ... d_(j-1) and
+    post = d_(j+1) ... d_(k-1), because the monomial basis of B runs
+    through the last variable fastest."""
     cfg = P.cfg
-    k = P.nvars
+    p = cfg.p
+    k = len(P.rels)
     if k == 0:
         return ChainComplex.zero(cfg)
-    blocks = [P.mult_operator(P.jacobian_entry(j), level) for j in range(k)]
+    mod = ring_modulus(cfg, level)
+    placements = []
+    for j, f in enumerate(P.rels):
+        fprime = [poly_scale(f[i], i, p) for i in range(1, len(f))]
+        pre = PolyMatrix.identity(prod(P.degrees[:j]), p, mod)
+        post = PolyMatrix.identity(prod(P.degrees[j + 1:]), p, mod)
+        block = kron(kron(pre, P.mult_table(j, fprime, level)), post)
+        placements.append((j * P.rank, j * P.rank, block))
     n = k * P.rank
-    mat = PolyMatrix.block(n, n, cfg.p, ring_modulus(cfg, level),
-                           [(j * P.rank, j * P.rank, B)
-                            for j, B in enumerate(blocks)])
+    mat = PolyMatrix.block(n, n, p, mod, placements)
     M0 = PresentedModule.free(cfg, level, n)
     M1 = PresentedModule.free(cfg, level, n)
     d0 = ModuleMap(M0, M1, mat, check=False)

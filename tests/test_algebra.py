@@ -6,8 +6,9 @@ import pytest
 from almostalg import algebra as alg
 from almostalg.base_ring import RingConfig
 from almostalg.modules import ModuleMap, PresentedModule, ring_modulus
-from almostalg.linalg import PolyMatrix
-from almostalg.polys import poly_trim
+from almostalg.linalg import PolyMatrix, lift_poly, reduce_mod
+from almostalg.polys import (poly_add, poly_mul, poly_neg, poly_scale,
+                             poly_trim)
 from almostalg.suites import _random_element
 
 V2 = RingConfig.perfect(2)
@@ -129,7 +130,7 @@ def test_mult_operator_is_the_companion_matrix(cfg):
     for n in (1, 2):
         P = alg.AlgebraPresentation(cfg, [[0, [0] * n + [1], 0, 1]])
         for level in (0, 1):
-            M = P.mult_operator({(1,): [1]}, level)
+            M = P.mult_table(0, [[], [1]], level)
             m = ring_modulus(cfg, level)
             tn = [0] * (n * 2 ** level) + [1]
             if m is not None and len(tn) > m:
@@ -138,6 +139,116 @@ def test_mult_operator_is_the_companion_matrix(cfg):
             assert M.entries == [[[], [], []],
                                  [[1], [], tn],
                                  [[], [1], []]]
+
+
+def _walk_operator(P, elem, level):
+    """Reference for the cotangent blocks: the matrix of multiplication by
+    elem, a map from monomial exponent tuples to F_p[t] coefficient lists,
+    on the monomial basis of P (last variable fastest), reducing every
+    product term by term through the relations."""
+    p = P.cfg.p
+    mod = ring_modulus(P.cfg, level)
+
+    def lift(c):
+        return reduce_mod(lift_poly(c, level, p), mod)
+
+    basis = [()]
+    for d in P.degrees:
+        basis = [b + (i,) for b in basis for i in range(d)]
+    tails = [[lift(poly_neg(c, p)) for c in f[:-1]] for f in P.rels]
+    index = {b: i for i, b in enumerate(basis)}
+    out = PolyMatrix(P.rank, P.rank, p, modulus=mod)
+    for b, col in index.items():
+        work = {}
+        for mono, coef in elem.items():
+            m = tuple(x + y for x, y in zip(mono, b))
+            work[m] = poly_add(work.get(m, []), lift(coef), p)
+        while work:
+            mono, coef = work.popitem()
+            if not coef:
+                continue
+            j = next((j for j, d in enumerate(P.degrees) if mono[j] >= d),
+                     None)
+            if j is None:
+                out.set(index[mono], col,
+                        poly_add(out.entry(index[mono], col), coef, p))
+                continue
+            for i, c in enumerate(tails[j]):
+                if c:
+                    nm = mono[:j] + (mono[j] - P.degrees[j] + i,) \
+                        + mono[j + 1:]
+                    add = reduce_mod(poly_mul(coef, c, p), mod)
+                    work[nm] = poly_add(work.get(nm, []), add, p)
+    return out
+
+
+def _jacobian_entry(P, j):
+    """d f_j / d x_j as a map from monomial exponent tuples to
+    coefficients."""
+    p = P.cfg.p
+    k = len(P.rels)
+    out = {}
+    for i in range(1, len(P.rels[j])):
+        c = poly_scale(P.rels[j][i], i, p)
+        if c:
+            out[tuple(i - 1 if t == j else 0 for t in range(k))] = c
+    return out
+
+
+def _random_presentation(rng, cfg):
+    p = cfg.p
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randrange(-p, 2 * p)
+        return [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+
+    rels = [[coeff() for _ in range(rng.randint(1, 4))]
+            + [rng.choice((1, [1]))] for _ in range(rng.randint(1, 3))]
+    return alg.AlgebraPresentation(cfg, rels)
+
+
+def test_naive_cotangent_blocks_match_the_multivariate_walk():
+    # the Kronecker placement of one univariate table per relation against
+    # the term-by-term walk on the full monomial basis
+    rng = random.Random(27)
+    rings = [RingConfig.perfect(2), RingConfig.perfect(3),
+             RingConfig.perfect(5), RingConfig.truncated(2, 3),
+             RingConfig.truncated(3, 2), RingConfig.truncated(5, 1)]
+    seen = set()
+    for trial in range(360):
+        cfg = rings[trial % len(rings)]
+        level = trial // len(rings) % 3
+        P = _random_presentation(rng, cfg)
+        seen.add((len(P.rels), max(P.degrees)))
+        mod = ring_modulus(cfg, level)
+        n = len(P.rels) * P.rank
+        want = PolyMatrix.block(n, n, cfg.p, mod, [
+            (j * P.rank, j * P.rank,
+             _walk_operator(P, _jacobian_entry(P, j), level))
+            for j in range(len(P.rels))])
+        got = alg.naive_cotangent(P, level).diffs[0].matrix
+        assert (got.rows, got.cols, got.modulus) == (n, n, mod)
+        assert got.nonzero == want.nonzero, (cfg.p, cfg.trunc, level, P.rels)
+    assert seen == {(k, d) for k in (1, 2, 3) for d in (1, 2, 3, 4)}
+
+
+def test_ladder_jacobian_block_has_two_entries():
+    # x^deg - t^n x at p = 13, n = m = 3: deg = 3 * 13^3 + 1 = 6592 is
+    # 1 mod p, so f' = x^(deg - 1) - t^n; x f' = x^deg - t^n x = 0 in B,
+    # so every column after the first folds to zero
+    p, n, m = 13, 3, 3
+    deg = n * p ** m + 1
+    assert deg == 6592
+    coeffs = [0] * (deg + 1)
+    coeffs[1] = [0] * n + [p - 1]
+    coeffs[deg] = 1
+    P = alg.AlgebraPresentation(RingConfig.perfect(p), [coeffs])
+    M = alg.naive_cotangent(P).diffs[0].matrix
+    assert (M.rows, M.cols) == (deg, deg)
+    assert {(i, j): e for i, row in enumerate(M.nonzero)
+            for j, e in row.items()} == {(0, 0): [0] * n + [p - 1],
+                                         (deg - 1, 0): [1]}
 
 
 def test_naive_cotangent_amplitude():
