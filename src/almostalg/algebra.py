@@ -321,21 +321,18 @@ def shriek_split_check(B: PresentedModule, J: int) -> bool:
         for j, exps in enumerate(measured[kind]):
             if exps != tuple(e.scale_pow(-j) for e in base):
                 return False
-        if not colim_is_zero(_shriek_tower(cfg, base, f"shriek-{kind}"), J):
+        if not colim_is_zero(_shriek_tower(cfg, base, f"shriek-{kind}")):
             return False
     return True
 
 
 def _shriek_tower(cfg, base, name):
     """firmify of the pattern tower with one line e/p^j per base exponent
-    e and identity transitions.  The pattern is tabled at K = n + the
-    largest level of base, stage j holding base at level K - j; K >= n, so
-    firmify keeps that table and adds m's transitions."""
-    def pattern(n):
-        K = max([0] + [e.k for e in base]) + n
-        return (K, [[e.to_int_at_level(K - j) for j in range(n + 1)]
-                    for e in base], [[0] * n] * len(base))
-    return firmify(MonomialTower(cfg, pattern, name=name))
+    e and identity transitions, at K = the largest level of base."""
+    K = max([0] + [e.k for e in base])
+    return firmify(MonomialTower(
+        cfg, K, [((0, (0, e.to_int_at_level(K)), (0, 0)),) for e in base],
+        name=name))
 
 
 def _bshriek_inclusion(B, j, Q):
@@ -543,41 +540,15 @@ def naive_cotangent(P: AlgebraPresentation, level=0) -> ChainComplex:
     return ChainComplex(cfg, {0: M0, -1: M1}, {0: d0}, check=False)
 
 
-def tensor_complex(E: ChainComplex, M: PresentedModule) -> ChainComplex:
-    from .complexes import complex_at_level
-    L = max(E.level(), M.level)
-    E = complex_at_level(E, L)
-    Mm = M.at_level(L)
-    terms = {d: tensor(T, Mm) for d, T in E.terms.items()}
-    ident = PolyMatrix.identity(Mm.rank, M.cfg.p, Mm.modulus)
-    diffs = {}
-    for d, f in E.diffs.items():
-        diffs[d] = ModuleMap(terms[d], terms[d - 1],
-                             kron(f.matrix, ident), check=False)
-    return ChainComplex(E.cfg, terms, diffs, check=False)
-
-
 def tor_amplitude_check(E: ChainComplex, lo: int, hi: int) -> bool:
-    """Homology of E tensor (test cyclic modules) vanishes outside
-    [lo, hi]."""
-    from .complexes import homology
-    cfg = E.cfg
-    p = cfg.p
-    exps = [PExp(p, 1), PExp(p, 1, 1), PExp(p, 2), PExp(p, 1, 2)]
-    battery = [PresentedModule.free(cfg, 1, 1)]
-    cmax = cfg.trunc  # None over the perfect ring
-    for e in exps:
-        if cmax is not None and e >= cmax:
-            continue
-        battery.append(PresentedModule.cyclic(cfg, e))
-    for T in battery:
-        F = tensor_complex(E, T)
-        for i in range(F.min_deg - 1, F.max_deg + 2):
-            if lo <= i <= hi:
-                continue
-            if not homology(F, i).is_zero_module():
-                return False
-    return True
+    """Tor amplitude in [lo, hi], decided on what E shows: every term lies
+    in degrees lo..hi and is free.  For a complex of finite free modules
+    that is sufficient, since E tensor N then has no term outside [lo, hi]
+    for any module N.  It is not necessary: a complex with a term outside
+    [lo, hi], or a term that is not free, is refused although it may be
+    quasi-isomorphic to one that passes."""
+    return all(lo <= d <= hi and not T.invariant_factors()
+               for d, T in E.terms.items())
 
 
 def is_almost_finite_syntomic(P: AlgebraPresentation | None,
@@ -611,15 +582,13 @@ def cotangent_transitivity_check(P_B: AlgebraPresentation,
     L_BA = naive_cotangent(P_B, level)
     L_CA = naive_cotangent(P_C, level)
     L_CB = naive_cotangent(P_g, level)
-    # base change L_{B/A} tensor C and L_{C/B}'s model over C: multiply
-    # ranks by the complementary factors
+    # base change L_{B/A} tensor C and L_{C/B}'s model over C: C is free of
+    # rank d over B, and of rank P_B.rank over A[y]/(g); tensoring a free
+    # complex with a free module of rank r makes each homology r copies
     d_extra = P_C.degrees[-1]
-    scale_B = PresentedModule.free(cfg, level, d_extra)
-    L_BA_C = tensor_complex(L_BA, scale_B)
-    scale_g = PresentedModule.free(cfg, level, P_B.rank)
-    L_CB_C = tensor_complex(L_CB, scale_g)
     for i in (-1, 0):
-        left = direct_sum(homology(L_BA_C, i), homology(L_CB_C, i))
+        left = direct_sum(*[homology(L_BA, i)] * d_extra,
+                          *[homology(L_CB, i)] * P_B.rank)
         if not iso_test(left, homology(L_CA, i)):
             return False
     return True

@@ -11,33 +11,34 @@ bookkeeping line by line: a generator of line i at stage j is zero in the
 colimit iff the line's accumulated transition exponent reaches its
 annihilator bound at some later stage.
 
-Every tower is given by its integer stage table (see MonomialTower.table):
-per line, a column of annihilator bounds and a column of transition
-exponents over stages 0..n, every exponent scaled by one power p^K.  The
-base towers (m, V/m, constant towers) write theirs in closed form; derived
-towers (firmify, kernel_tower, cokernel_tower) map their source's table
-line by line in integer arithmetic.  A query at working level J reads
-stages 0..2J + _LOOKAHEAD of every tower it touches, so each table is
-built once per query.  PExp values are built only where a stage is read
-as exponents or modules, and for the witnesses and margins of
-certificates.
+Every tower is given in closed form (see MonomialTower): each line is cut
+into finitely many stage intervals, its pieces, and on each piece its
+annihilator bound and the running sum of its transition exponents are
+(a + g*p^(-j)) / p^K.  The base towers (m, V/m, constant towers, the
+shriek patterns of algebra.py) write theirs; firmify, kernel_tower and
+cokernel_tower map their source's pieces line by line, cutting a piece at
+the one stage where a min of two forms changes sides.  Colimit questions
+are answered from the pieces for every stage at once (see _residuals), so
+a tower's verdicts are exact.  lines(), trans_exp() and component()
+evaluate the pieces at one stage.
 
 A query is also answered once per tower: firmify(x) returns the tower it
 built for the same x while that tower is alive (a weak reference on x, so
 the memo neither keeps a tower alive nor forms a reference cycle), and
 is_firm keeps its certificate on the tower, one per working level.
 
-All "for all levels" statements are finitized at a working level J;
-verdicts say so explicitly (see AlmostCertificate).
+Only the levelwise module checks are finitized at a working level J: the
+almost-zero test of a module over a truncated ring (_fp_almost_zero) and
+the stagewise Hom and Ext^1 computations (_levelwise_vanishing).  Their
+verdicts say so (see AlmostCertificate).
 """
 from __future__ import annotations
 
 import weakref
-from itertools import accumulate
+from bisect import bisect_left
 
 from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
-from .linalg import PolyMatrix
 from .modules import (
     ModuleMap,
     PresentedModule,
@@ -46,30 +47,22 @@ from .modules import (
     hom_module,
     kernel_map,
 )
-from .polys import poly_monomial
 
 IDEAL_M = "IDEAL_M"
 RESIDUE = "RESIDUE_V_MOD_M"
 
-# extra lookahead stages when searching for the death of a generator
-_LOOKAHEAD = 6
-
-
-def _stages(J):
-    """The last stage a query at working level J reads: the residual of
-    stage J looks J + _LOOKAHEAD stages ahead."""
-    return 2 * J + _LOOKAHEAD
-
-# compares exactly with every int: a line with no annihilator bound
-_INF = float("inf")
+# the form that is 0 at every stage
+_ZERO = (0, 0)
 
 
 class AlmostCertificate:
-    """Outcome of a finitized almost-mathematics test.
+    """Outcome of an almost-mathematics test.
 
     verdict is one of:
-      "certified-structural" -- exact, from the closed form of the tower
-      "holds-at-level"       -- verified through working level J
+      "certified-structural" -- exact; on a tower, proved for every stage
+                                from its closed form
+      "holds-at-level"       -- verified through working level J (the
+                                levelwise module checks only)
       "fails"                -- a concrete witness contradicts the claim
     """
 
@@ -101,95 +94,122 @@ def _floor(cfg):
     return cfg.trunc.k if cfg.mode == CHAR_P_TRUNCATED else 0
 
 
-def _scaled(cols, s):
-    """Table columns with every exponent multiplied by s (None stays)."""
-    if s == 1:
-        return cols
-    return [[None if a is None else a * s for a in col] for col in cols]
+# -- closed forms ----------------------------------------------------------
+#
+# A form is a pair (a, g) of ints standing for (a + g*p^(-j)) / p^K at
+# stage j, K the level of the tower it belongs to; _at gives its value's
+# numerator over p^(K + j).  A form is monotone in j.
+
+def _at(f, j, p):
+    return f[0] * p ** j + f[1]
 
 
-def _bounded(cols, s, cfg, K):
-    """Effective annihilator bounds of bounds columns scaled by s to level
-    K: a free line has no bound (None) over the domain, and is bounded by
-    the truncation (which must live at level K) over a truncated ring."""
-    if cfg.mode != CHAR_P_TRUNCATED:
-        return _scaled(cols, s)
-    cap = cfg.trunc.to_int_at_level(K)
-    return [[cap if a is None else a * s for a in col] for col in cols]
+def _piece(line, j):
+    """The piece of line that covers stage j."""
+    for piece in reversed(line):
+        if piece[0] <= j:
+            return piece
+    raise ValueError(f"stage {j} is not covered")
+
+
+def _spans(line):
+    """(lo, hi, A, S) per piece of line; hi is None on the last one."""
+    ends = [lo for lo, _, _ in line[1:]] + [None]
+    return [(lo, hi, A, S) for (lo, A, S), hi in zip(line, ends)]
+
+
+def _trans(line, j, p):
+    """Numerator over p^(K + j + 1) of c(j) = S(j + 1) - S(j)."""
+    return _at(_piece(line, j + 1)[2], j + 1, p) - p * _at(_piece(line, j)[2],
+                                                            j, p)
+
+
+def _transition_signs(line, p):
+    """Numbers with the signs of all of line's transition exponents.
+    Inside a piece whose running sum is (a, g), c(j) is -g(p - 1)p^(-j-1)
+    over p^K, one sign; so -g for each piece of two or more stages, and
+    c(b - 1) at the start b of each later piece."""
+    for lo, hi, _, S in _spans(line):
+        if hi is None or hi - lo > 1:
+            yield -S[1]
+        if hi is not None:
+            yield _trans(line, hi - 1, p)
+
+
+def _crossing(f, lo, hi, p):
+    """The first stage j > lo, below hi (None: no end), at which f(j) > 0
+    is no longer what it is at lo, or None.  f is monotone in j, so that
+    happens at most once, and not at all when f(j) > 0 already has at lo
+    the truth value it has for large j."""
+    a, g = f
+    first = _at(f, lo, p) > 0
+    if first == (a > 0 or (a == 0 and g > 0)):
+        return None
+    j, pj = lo + 1, p ** (lo + 1)
+    while (a * pj + g > 0) == first:
+        j, pj = j + 1, pj * p
+    return j if hi is None or j < hi else None
 
 
 class MonomialTower:
     """Ind-module with monomial stages and a monomial transition on each
-    line, given by table_fn(n) -> its integer stage table for stages 0..n
-    (see table()).
+    line, in closed form.
 
-    The table is kept, rebuilt by table_fn when a later stage is asked
-    for, and never changed in place.  lines(), trans_exp(), component()
-    and transition() build PExp values and modules from it when they are
-    read.
+    forms has one entry per line, a tuple of pieces (lo, A, S) with lo
+    ascending from 0: the piece covers stages lo up to the next piece's lo
+    (the last piece, every later stage).  A is the line's annihilator bound
+    (None for a free line) and S the running sum of its transition
+    exponents, S(j) = c(0) + ... + c(j - 1), so S(0) = 0 and c(j) =
+    S(j + 1) - S(j).  Each is a form (a, g): (a + g*p^(-j)) / p^K at stage
+    j.  Every tower the library builds has this shape; a running sum has
+    no a + b*j part, since no transition has a constant part.  Free lines
+    come after the bounded ones, as component() presents them.
+
+    Transitions must be nonnegative (the residuals rely on it, see
+    _residuals); pieces that give a negative one are refused.
 
     A tower also keeps what was asked of it: _firm is a weak reference to
     firmify(self) (see firmify), and _firm_certs maps a working level J to
     is_firm(self, J).
     """
 
-    __slots__ = ("cfg", "table_fn", "tag", "name", "closed_form",
-                 "az_delegate", "_components", "_table", "_firm",
-                 "_firm_certs", "__weakref__")
+    __slots__ = ("cfg", "K", "forms", "tag", "name", "closed_form",
+                 "_components", "_firm", "_firm_certs", "__weakref__")
 
-    def __init__(self, cfg, table_fn, tag=None, name="", closed_form=None,
-                 az_delegate=None):
+    def __init__(self, cfg, K, forms, tag=None, name="", closed_form=None):
+        p = cfg.p
+        for line in forms:
+            lo, _, S = line[0]
+            if lo != 0 or S[0] + S[1] != 0:
+                raise ValueError(f"{name}: a line starts at stage 0 with "
+                                 f"running sum 0")
+            # one piece (most lines): the sign of -g is every transition's
+            if (S[1] > 0 if len(line) == 1
+                    else min(_transition_signs(line, p)) < 0):
+                raise ValueError(f"negative transition exponent in {name}")
         self.cfg = cfg
-        self.table_fn = table_fn
+        self.K = K
+        self.forms = tuple(forms)
         self.tag = tag
         self.name = name
         # PresentedModule X with self = (m-tilde tensor)^k X for some k >= 0,
         # when a closed form is known; drives closedify
         self.closed_form = closed_form
-        # object whose almost-zero status equals ours (m-tilde tensor x is
-        # almost zero iff x is, since mu is an almost isomorphism)
-        self.az_delegate = az_delegate
         self._components = {}
-        # (n, K, bounds, trans): the kept table, built for stages 0..n
-        self._table = (-1, 0, [], [])
         self._firm = None
         self._firm_certs = {}
-
-    def table(self, n):
-        """Stages 0..n as (K, bounds, trans), every exponent scaled by p^K
-        to an integer, one column per line: bounds[i][j] is the annihilator
-        exponent of line i at stage j (None for a free line), and
-        trans[i][j], j < n, the exponent of the transition out of stage j
-        on line i.  Free lines come after the bounded ones, as component()
-        presents them.
-
-        K is a level every exponent of the table lives at, set by the
-        tower's table_fn (each constructor says which).  It may exceed what
-        stages 0..n alone need, when a longer table was built first."""
-        m, K, bounds, trans = self._grown(n)
-        if m == n:
-            return K, bounds, trans
-        return K, [col[:n + 1] for col in bounds], [col[:n] for col in trans]
-
-    def _grown(self, n):
-        """The kept table, first rebuilt to stage n if it stops before."""
-        if self._table[0] < n:
-            self._table = (n, *self.table_fn(n))
-        return self._table
 
     def lines(self, j):
         """Annihilator exponents of stage j as PExp values, None for a free
         line."""
-        _, K, bounds, _ = self._grown(j)
-        p = self.cfg.p
-        return tuple(None if col[j] is None else PExp(p, col[j], K)
-                     for col in bounds)
+        p, k = self.cfg.p, self.K + j
+        return tuple(None if A is None else PExp(p, _at(A, j, p), k)
+                     for _, A, _ in (_piece(line, j) for line in self.forms))
 
     def trans_exp(self, j):
         """Transition exponents out of stage j, one PExp per line."""
-        _, K, _, trans = self._grown(j + 1)
-        p = self.cfg.p
-        return tuple(PExp(p, col[j], K) for col in trans)
+        p, k = self.cfg.p, self.K + j + 1
+        return tuple(PExp(p, _trans(line, j, p), k) for line in self.forms)
 
     def component(self, j) -> PresentedModule:
         """Stage j, presented at the least level its exponents (and the
@@ -208,56 +228,53 @@ class MonomialTower:
                 self.cfg, level, exps, len(lines) - len(exps))
         return self._components[j]
 
-    def transition(self, j) -> ModuleMap:
-        """Stage j -> stage j+1: line i's exponent on the diagonal."""
-        cs = self.trans_exp(j)
-        src, tgt = self.component(j), self.component(j + 1)
-        L = max([src.level, tgt.level] + [c.k for c in cs])
-        src, tgt = src.at_level(L), tgt.at_level(L)
-        p = self.cfg.p
-        mat = PolyMatrix(tgt.rank, src.rank, p, modulus=src.modulus)
-        for i, c in enumerate(cs):
-            mat.set(i, i, poly_monomial(1, c.to_int_at_level(L), p))
-        return ModuleMap(src, tgt, mat)
-
     def __repr__(self):
         label = self.tag or self.name or "tower"
         return f"<ind {label} over {self.cfg!r}>"
+
+
+def _bounded(t):
+    """(K, lines): t's lines as spans (lo, hi, A, S) at K = max(t's K,
+    the truncation bound's level), with the effective bounds: a free line
+    is bounded by the truncation over a truncated ring and keeps None over
+    the domain."""
+    cfg, p = t.cfg, t.cfg.p
+    K = max(t.K, _floor(cfg))
+    s = p ** (K - t.K)
+    cap = (cfg.trunc.to_int_at_level(K), 0) \
+        if cfg.mode == CHAR_P_TRUNCATED else None
+    return K, [[(lo, hi, cap if A is None else (A[0] * s, A[1] * s),
+                 (S[0] * s, S[1] * s)) for lo, hi, A, S in _spans(line)]
+                for line in t.forms]
 
 
 # -- tower constructors ----------------------------------------------------
 
 def ideal_m(cfg: RingConfig) -> MonomialTower:
     """m = colim t^(1/p^j)V: one free line, inclusion by
-    t^((p - 1)/p^(j+1)), tabled at K = n."""
-    p = cfg.p
-    return MonomialTower(
-        cfg, lambda n: (n, [[None] * (n + 1)],
-                        [[(p - 1) * p ** (n - j - 1) for j in range(n)]]),
-        tag=IDEAL_M, name="m",
-        closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
+    t^((p - 1)/p^(j+1)), so S(j) = 1 - p^(-j), at K = 0."""
+    return MonomialTower(cfg, 0, [((0, None, (1, -1)),)], tag=IDEAL_M,
+                         name="m",
+                         closed_form=PresentedModule.free(cfg, _floor(cfg), 1))
 
 
 def residue(cfg: RingConfig) -> MonomialTower:
     """V/m = colim V/(t^(1/p^j)) along the quotient (identity) maps: one
-    line, tabled at K = n."""
-    p = cfg.p
-    return MonomialTower(
-        cfg, lambda n: (n, [[p ** (n - j) for j in range(n + 1)]], [[0] * n]),
-        tag=RESIDUE, name="V/m",
-        closed_form=PresentedModule.zero(cfg, _floor(cfg)))
+    line with bound p^(-j), at K = 0."""
+    return MonomialTower(cfg, 0, [((0, (0, 1), _ZERO),)], tag=RESIDUE,
+                         name="V/m",
+                         closed_form=PresentedModule.zero(cfg, _floor(cfg)))
 
 
 def const_tower(M: PresentedModule) -> MonomialTower:
     """M at every stage along identities, one constant line per summand,
-    tabled at K = M.level."""
+    at K = M.level."""
     K = M.level
-    line = [e.to_int_at_level(K) for e in M.decompose_exponents()] \
-        + [None] * M.free_rank()
-    return MonomialTower(
-        M.cfg, lambda n: (K, [[a] * (n + 1) for a in line],
-                          [[0] * n] * len(line)),
-        name=f"const({M!r})", closed_form=M, az_delegate=M)
+    forms = [((0, (e.to_int_at_level(K), 0), _ZERO),)
+             for e in M.decompose_exponents()]
+    forms += [((0, None, _ZERO),)] * M.free_rank()
+    return MonomialTower(M.cfg, K, forms, name=f"const({M!r})",
+                         closed_form=M)
 
 
 def as_tower(x) -> MonomialTower:
@@ -269,44 +286,31 @@ def as_tower(x) -> MonomialTower:
 
 
 def firmify(x) -> MonomialTower:
-    """m-tilde tensor x, stage j realized as t^(1/p^j)V tensor (stage j).
+    """m-tilde tensor x, stage j realized as t^(1/p^j)V tensor (stage j):
+    x's bounds, and every running sum gains m's, 1 - p^(-j).
 
     While the tower built for x is alive, firmify(x) returns it again: x
     holds it by a weak reference (x._firm), so the memo never extends its
     life, and the tower's own reference back to x forms no cycle.  A
-    module and its constant tower are different x: firmify(M) answers
-    almost-zero questions through M, firmify(as_tower(M)) through the
-    tower."""
+    module and its constant tower are different x, with towers of the same
+    pieces."""
     if isinstance(x, (PresentedModule, MonomialTower)) and x._firm:
         tower = x._firm()
         if tower is not None:
             return tower
     t = as_tower(x)
+    q = t.cfg.p ** t.K
+    forms = [tuple((lo, A, (S[0] + q, S[1] - q)) for lo, A, S in line)
+             for line in t.forms]
     tower = MonomialTower(
-        t.cfg,
-        table_fn=lambda n: _firm_table(t, n),
+        t.cfg, t.K, forms,
         name=f"firmify({t.name})" if t.name else "firmify",
-        closed_form=t.closed_form,
-        az_delegate=x if isinstance(x, PresentedModule) else t,
-    )
+        closed_form=t.closed_form)
     if isinstance(x, PresentedModule):
         if x.free_rank() == 1 and not x.invariant_factors():
             tower.tag = IDEAL_M
     x._firm = weakref.ref(tower)
     return tower
-
-
-def _firm_table(t, n):
-    """Table of firmify(t) at K = max(t's K, n): t's bounds, and every
-    transition column gains eps_j = (p - 1)/p^(j+1), scaled
-    (p - 1)p^(K-j-1)."""
-    p = t.cfg.p
-    Kt, bounds, trans = t.table(n)
-    K = max(Kt, n)
-    s = p ** (K - Kt)
-    eps = [(p - 1) * p ** (K - j - 1) for j in range(n)]
-    return K, _scaled(bounds, s), [[c * s + e for c, e in zip(col, eps)]
-                                   for col in trans]
 
 
 def closedify(x) -> PresentedModule:
@@ -332,8 +336,8 @@ def shriek(x) -> MonomialTower:
 
 class IndMap:
     """The map family of mu between towers of matching line shape: stage
-    j multiplies every line by t^(u_j), u_j = 1/p^j, which is p^(K-j) in
-    a table at level K."""
+    j multiplies every line by t^(u_j), u_j = 1/p^j, the form (0, p^K) at
+    level K."""
 
     __slots__ = ("source", "target", "name")
 
@@ -342,21 +346,28 @@ class IndMap:
         self.target = target
         self.name = name
 
-    def check_commutes(self, upto):
+    def check_commutes(self):
         """Naturality: target transition after map = map after source
-        transition, as exponents, on every line out of every stage
-        j < upto.  Towers with different line counts are refused."""
-        p = self.source.cfg.p
-        Ks, _, src = self.source.table(upto)
-        Kt, _, tgt = self.target.table(upto)
-        if len(src) != len(tgt):
+        transition, c'_j + u_j = u_(j+1) + c_j, on every line out of every
+        stage.  Summed from stage 0 this says that the source's running
+        sum minus the target's is m's, 1 - p^(-j), at every stage: checked
+        on each stretch of stages where both lines keep one piece, as forms
+        (values on a one-stage stretch).  Towers with different line counts
+        are refused."""
+        src, tgt = self.source, self.target
+        if len(src.forms) != len(tgt.forms):
             return False
-        K = max(Ks, Kt, upto)
-        ss, st = p ** (K - Ks), p ** (K - Kt)
-        u = [p ** (K - j) for j in range(upto + 1)]
-        return all(b * st + u[j] == u[j + 1] + a * ss
-                   for A, B in zip(src, tgt)
-                   for j, (a, b) in enumerate(zip(A, B)))
+        p = src.cfg.p
+        K = max(src.K, tgt.K)
+        ss, st, q = p ** (K - src.K), p ** (K - tgt.K), p ** K
+        for a, b in zip(src.forms, tgt.forms):
+            cuts = sorted({lo for lo, _, _ in a} | {lo for lo, _, _ in b})
+            for lo, hi in zip(cuts, cuts[1:] + [None]):
+                S, T = _piece(a, lo)[2], _piece(b, lo)[2]
+                d = (S[0] * ss - T[0] * st - q, S[1] * ss - T[1] * st + q)
+                if d != _ZERO and (hi != lo + 1 or _at(d, lo, p)):
+                    return False
+        return True
 
 
 def mu_map(x) -> IndMap:
@@ -365,136 +376,171 @@ def mu_map(x) -> IndMap:
     return IndMap(firmify(t), t, name="mu")
 
 
+def _mu_cut(t):
+    """(K, lines): t's bounded lines (see _bounded), every piece cut where
+    its bound crosses mu's u_j = p^(-j), as pieces (lo, A, S, above) with
+    above whether A(j) > u_j on the piece (False for a line without a
+    bound)."""
+    K, lines = _bounded(t)
+    p = t.cfg.p
+    q = p ** K
+    out = []
+    for line in lines:
+        cut = []
+        for lo, hi, A, S in line:
+            if A is None:
+                cut.append((lo, A, S, False))
+                continue
+            d = (A[0], A[1] - q)  # A - u
+            above = _at(d, lo, p) > 0
+            cut.append((lo, A, S, above))
+            j = _crossing(d, lo, hi, p)
+            if j is not None:
+                cut.append((j, A, S, not above))
+        out.append(cut)
+    return K, out
+
+
 def kernel_tower(f: IndMap) -> MonomialTower:
     """Kernel of a scalar map family, line by line.
 
     ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(off) with
     off = a - min(a,u); each line's generator offsets shift its transition
-    exponents.
+    exponents, c_j + off(j) - off(j+1), so its running sum becomes
+    S - off + off(0).  A line without a bound (free over the domain) has
+    kernel 0 and offset 0.
     """
-    return MonomialTower(f.source.cfg, table_fn=lambda n: _kernel_table(f, n),
-                         name=f"ker({f.name})")
-
-
-def _kernel_table(f, n):
-    """Table of kernel_tower(f) at K = max(source's K, n, truncation
-    level).  Line i's transition out of stage j is the source's c_j moved
-    by the line's own offsets: c_j + off_i(j) - off_i(j+1).  A line
-    without a bound (free over the domain) has kernel 0 and offset 0."""
-    cfg, p = f.source.cfg, f.source.cfg.p
-    Ks, bounds, trans = f.source.table(n)
-    K = max(Ks, n, _floor(cfg))
-    s = p ** (K - Ks)
-    u = [p ** (K - j) for j in range(n + 1)]
-    out, shifted = [], []
-    for A, C in zip(_bounded(bounds, s, cfg, K), trans):
-        out.append([0 if a is None else min(a, uj) for a, uj in zip(A, u)])
-        off = [0 if a is None else a - k for a, k in zip(A, out[-1])]
-        shifted.append([c * s + off[j] - off[j + 1] for j, c in enumerate(C)])
-    if any(c < 0 for col in shifted for c in col):
-        raise ValueError(f"negative transition exponent in {f.name} kernel")
-    return K, out, shifted
+    K, lines = _mu_cut(f.source)
+    q = f.source.cfg.p ** K
+    forms = []
+    for cut in lines:
+        offs = [(A[0], A[1] - q) if above else _ZERO
+                for _, A, _, above in cut]
+        off0 = sum(offs[0])
+        forms.append(tuple(
+            (lo, _ZERO if A is None else (0, q) if above else A,
+             (S[0] - off[0] + off0, S[1] - off[1]))
+            for (lo, A, S, above), off in zip(cut, offs)))
+    return MonomialTower(f.source.cfg, K, forms, name=f"ker({f.name})")
 
 
 def cokernel_tower(f: IndMap) -> MonomialTower:
     """coker(t^u on R/t^a) = R/t^(min(a,u)); free lines give R/t^u.
     Transitions are those of the target."""
-    return MonomialTower(f.target.cfg,
-                         table_fn=lambda n: _cokernel_table(f, n),
-                         name=f"coker({f.name})")
-
-
-def _cokernel_table(f, n):
-    """Table of cokernel_tower(f) at K = max(target's K, n, truncation
-    level)."""
-    cfg, p = f.target.cfg, f.target.cfg.p
-    Kt, bounds, trans = f.target.table(n)
-    K = max(Kt, n, _floor(cfg))
-    s = p ** (K - Kt)
-    u = [p ** (K - j) for j in range(n + 1)]
-    return K, [[uj if a is None else min(a, uj) for a, uj in zip(A, u)]
-               for A in _bounded(bounds, s, cfg, K)], _scaled(trans, s)
+    K, lines = _mu_cut(f.target)
+    u = (0, f.target.cfg.p ** K)
+    forms = [tuple((lo, u if A is None or above else A, S)
+                   for lo, A, S, above in cut) for cut in lines]
+    return MonomialTower(f.target.cfg, K, forms, name=f"coker({f.name})")
 
 
 # -- colimit bookkeeping ---------------------------------------------------
 
-def _residuals(tower: MonomialTower, J: int):
-    """(K, cols): for each line i and stage j <= J, cols[i][j] is the min
-    over k in [j, j+J+lookahead] of (annihilator of line i at stage k) -
-    (line i's accumulated transition exponent j -> k), scaled by p^K, or
-    None for a line with no annihilator bound.  0 means the generator dies
-    exactly (a difference below 0 is reported as 0); small positive means
-    it dies up to that exponent.
+class _Residual:
+    """The residuals of one bounded line at every stage: r_j is the
+    infimum over k >= j of A_k - (S_k - S_j), what the transitions from
+    stage j leave of the bound at their best.  The generator of stage j
+    dies in the colimit iff some k makes that difference <= 0, and t^e
+    kills it there for every e > 0 iff r_j <= 0.
 
-    The stages are read from tower.table(_stages(J)), raised to the
-    truncation bound's level when a free line is bounded by it.  With A_k
-    a line's scaled annihilator at stage k and S_k the scaled sum of its
-    transition exponents below stage k, the residual at (j, k) is
-    A_k - (S_k - S_j), so best_j = S_j + min over k of (A_k - S_k)."""
-    cfg = tower.cfg
-    horizon = J + _LOOKAHEAD
-    K, bounds, trans = tower.table(_stages(J))
-    Kb = max(K, _floor(cfg))
-    s = cfg.p ** (Kb - K)
-    cols = []
-    for A, C in zip(_bounded(bounds, s, cfg, Kb), _scaled(trans, s)):
-        S = [0, *accumulate(C)]
-        # A_k - S_k; a stage without an annihilator bound is +infinity
-        D = [_INF if a is None else a - Sk for a, Sk in zip(A, S)]
-        best = [min(D[j:j + horizon + 1]) + S[j] for j in range(J + 1)]
-        cols.append([None if b == _INF else max(b, 0) for b in best])
-    return Kb, cols
+    On a piece, D_k = A_k - S_k is a form, so monotone in k: its infimum
+    over the piece's stages from j on is taken at the first of them when
+    D does not decrease, and otherwise at the piece's last stage, or on
+    the last piece in the limit, which no stage reaches.  at(j) reads r_j
+    off those candidates.
+
+    Transitions are nonnegative, so r_j does not decrease with j, and a
+    generator that dies at stage j dies at every earlier stage.  Both
+    colimit questions are therefore decided on the last piece, where
+    A = (a, g), S = (a_S, g_S) and D = (a - a_S, g - g_S):
+      - r_j tends to a / p^K, its supremum (limit);
+      - when D decreases (g > g_S), r_j = (a + g_S p^(-j)) / p^K, never
+        reached, and every generator dies iff a < 0, or a = 0 and g_S < 0;
+      - otherwise r_j = A_j, reached at k = j, and every generator dies
+        iff a < 0, or a = 0 and g <= 0.
+    """
+
+    __slots__ = ("line", "p", "K", "limit", "dies")
+
+    def __init__(self, line, p, K):
+        self.line, self.p, self.K = line, p, K
+        _, _, (a, g), (_, gs) = line[-1]
+        self.limit = a  # over p^K
+        self.dies = a < 0 or (a == 0 and (gs < 0 if g > gs else g <= 0))
+
+    def at(self, j):
+        """(r_j, reached): r_j as a PExp, a negative infimum reported as 0,
+        and whether some stage k >= j reaches it."""
+        p = self.p
+        n = max(j, self.line[-1][0])  # no stage read is past n
+        cands = []
+        for lo, hi, A, S in self.line:
+            if hi is not None and hi <= j:
+                continue
+            if lo <= j:
+                Sj = _at(S, j, p) * p ** (n - j)
+            D = (A[0] - S[0], A[1] - S[1])
+            if hi is None and D[1] > 0:
+                cands.append((D[0] * p ** n, False))
+            else:
+                k = hi - 1 if D[1] > 0 else max(lo, j)
+                cands.append((_at(D, k, p) * p ** (n - k), True))
+        # every value is over p^(K + n); the least, a reached one on a tie
+        v, reached = min(cands, key=lambda c: (c[0], not c[1]))
+        r = Sj + v
+        return (PExp(p, 0), True) if r < 0 else (PExp(p, r, self.K + n),
+                                                 reached)
+
+    def first_positive(self):
+        """The first stage whose residual is positive; asked only when the
+        limit is, so that some stage's is."""
+        hi = 1
+        while self.at(hi)[0].is_zero():
+            hi *= 2
+        return bisect_left(range(hi + 1), True,
+                           key=lambda j: not self.at(j)[0].is_zero())
 
 
-def colim_is_zero(tower: MonomialTower, J: int) -> bool:
-    """Every generator of every tested stage dies exactly (a line without
-    a bound never does: its residual is None)."""
-    _, cols = _residuals(tower, J)
-    return all(r == 0 for col in cols for r in col)
+def _residuals(tower: MonomialTower):
+    """The residuals of every line of tower, at every stage j >= 0: per
+    line a _Residual, or None for a line without an annihilator bound
+    (free over the domain).  A free line over a truncated ring is bounded
+    by the truncation."""
+    K, lines = _bounded(tower)
+    p = tower.cfg.p
+    return [None if line[0][2] is None else _Residual(line, p, K)
+            for line in lines]
+
+
+def colim_is_zero(tower: MonomialTower) -> bool:
+    """Every generator of every stage dies exactly (a line without a
+    bound never does)."""
+    return all(r is not None and r.dies for r in _residuals(tower))
 
 
 def is_almost_zero(x, J: int) -> AlmostCertificate:
-    """Does t^e kill x for every e > 0 (finitized at exponent 1/p^J)?"""
+    """Does t^e kill x for every e > 0?  Exact on a tower: every residual
+    must have infimum 0 (see _residuals); a failure names the first stage
+    with a positive residual, its first such line and the residual.  On a
+    module see _fp_almost_zero."""
     if J < 1:
         raise ValueError("working level J must be at least 1")
     if isinstance(x, PresentedModule):
         return _fp_almost_zero(x, J)
-    t = as_tower(x)
-    if t.az_delegate is not None:
-        # m-tilde tensor x is almost zero iff x is (mu is an almost iso)
-        inner = is_almost_zero(t.az_delegate, J)
-        return AlmostCertificate(inner.verdict, inner.holds, J,
-                                 {"via": "firm twist base", **inner.witness})
-    K, cols = _residuals(t, J)
-    free = [(col.index(None), i) for i, col in enumerate(cols) if None in col]
+    res = _residuals(as_tower(x))
+    free = [i for i, r in enumerate(res) if r is None]
     if free:
-        j, i = min(free)
         return AlmostCertificate(
             "fails", False, J,
-            {"stage": j, "line": i, "reason": "free line survives"})
-    stage_worst = [max(rs) for rs in zip(*cols)] or [0]
-    worst = max(stage_worst)
-    monotone = all(b <= a for a, b in zip(stage_worst, stage_worst[1:]))
-    if worst == 0:
-        verdict = "certified-structural" if monotone else "holds-at-level"
-        return AlmostCertificate(verdict, True, J,
-                                 {"reason": "all tested generators die exactly"})
-    # the first stage, and its first line, with the worst residual
-    j = stage_worst.index(worst)
-    i = [col[j] for col in cols].index(worst)
-    worst = PExp(t.cfg.p, worst, K)
-    if worst <= PExp(t.cfg.p, 1, J):
-        if t.tag == RESIDUE:
-            # structural upgrade: the annihilator exponents 1/p^j tend to 0
-            # by construction, so every positive power kills the colimit
-            return AlmostCertificate("certified-structural", True, J,
-                                     {"reason": "annihilator exponents "
-                                                "tend to zero"})
-        return AlmostCertificate("holds-at-level", True, J,
-                                 {"max_residual": worst.as_fraction()})
+            {"stage": 0, "line": free[0], "reason": "free line survives"})
+    bad = [(r.first_positive(), i) for i, r in enumerate(res) if r.limit > 0]
+    if not bad:
+        return AlmostCertificate("certified-structural", True, J,
+                                 {"reason": "every residual has infimum 0"})
+    j, i = min(bad)
     return AlmostCertificate("fails", False, J,
                              {"stage": j, "line": i,
-                              "residual": worst.as_fraction()})
+                              "residual": res[i].at(j)[0].as_fraction()})
 
 
 def _fp_almost_zero(M: PresentedModule, J: int) -> AlmostCertificate:
@@ -523,7 +569,7 @@ def is_almost_iso(f, J: int) -> AlmostCertificate:
         ck = is_almost_zero(K, J)
         cc = is_almost_zero(C, J)
     elif isinstance(f, IndMap):
-        if not f.check_commutes(_stages(J)):
+        if not f.check_commutes():
             return AlmostCertificate("fails", False, J,
                                      {"reason": "map family not natural"})
         ck = is_almost_zero(kernel_tower(f), J)
@@ -542,11 +588,11 @@ def is_almost_iso(f, J: int) -> AlmostCertificate:
                                   "cokernel_witness": cc.witness})})
 
 
-def is_exact_iso_levelwise(f: IndMap, J: int) -> bool:
+def is_exact_iso_levelwise(f: IndMap) -> bool:
     """Kernel and cokernel towers both have zero colimit (exact death)."""
-    return (f.check_commutes(_stages(J))
-            and colim_is_zero(kernel_tower(f), J)
-            and colim_is_zero(cokernel_tower(f), J))
+    return (f.check_commutes()
+            and colim_is_zero(kernel_tower(f))
+            and colim_is_zero(cokernel_tower(f)))
 
 
 def is_firm(x, J: int) -> AlmostCertificate:
@@ -554,7 +600,7 @@ def is_firm(x, J: int) -> AlmostCertificate:
 
     A tower keeps the certificate of each working level J it was asked at
     (x._firm_certs), so asking again, for instance of shriek(M) while
-    firmify(M) is alive, builds no table."""
+    firmify(M) is alive, builds no tower."""
     if isinstance(x, PresentedModule):
         if x.is_zero_module():
             return AlmostCertificate("certified-structural", True, J, {})
@@ -566,7 +612,7 @@ def is_firm(x, J: int) -> AlmostCertificate:
     t = as_tower(x)
     cert = t._firm_certs.get(J)
     if cert is None:
-        if is_exact_iso_levelwise(mu_map(t), J):
+        if is_exact_iso_levelwise(mu_map(t)):
             cert = AlmostCertificate(
                 "certified-structural", True, J,
                 {"reason": "mu kernel and cokernel die exactly"})
@@ -594,8 +640,7 @@ def is_closed(x, J: int) -> AlmostCertificate:
         return AlmostCertificate("certified-structural", False, J,
                                  {"reason": "Hom(m, V/m) = 0 but V/m != 0"})
     if t.closed_form is not None and t.tag != IDEAL_M:
-        cz = is_almost_zero(t, J)
-        if cz.verdict == "certified-structural" and not cz.holds \
+        if not is_almost_zero(t, J).holds \
                 and all(c.is_zero() for c in t.trans_exp(0)):
             # constant tower of a module: same verdict as the module
             return is_closed(t.closed_form, J)
@@ -614,7 +659,8 @@ def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
     # Hom: if every transition exponent of M is positive and N is killed by
     # every positive power, any map vanishes stage by stage:
     # phi(x_j) = t^(c_j) phi(x_{j+1}) = 0.
-    pos = all(map(all, Mt.table(_stages(J))[2]))
+    p = Mt.cfg.p
+    pos = all(min(_transition_signs(line, p)) > 0 for line in Mt.forms)
     if pos and n_az.verdict == "certified-structural":
         hom_ok = AlmostCertificate("certified-structural", True, J,
                                    {"reason": "positive transitions into an "

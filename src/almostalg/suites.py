@@ -178,7 +178,7 @@ def quillen_suite(opts: SuiteOptions) -> SuiteReport:
         return True
 
     def i_tilde():
-        return all(is_exact_iso_levelwise(mu_map(ideal_m(cfg)), J)
+        return all(is_exact_iso_levelwise(mu_map(ideal_m(cfg)))
                    for cfg in _configs(opts.primes))
 
     def colocal():

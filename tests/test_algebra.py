@@ -5,6 +5,7 @@ import pytest
 
 from almostalg import algebra as alg
 from almostalg.base_ring import RingConfig
+from almostalg.complexes import ChainComplex
 from almostalg.modules import ModuleMap, PresentedModule, ring_modulus
 from almostalg.linalg import PolyMatrix, lift_poly, reduce_mod
 from almostalg.polys import (poly_add, poly_mul, poly_neg, poly_scale,
@@ -255,6 +256,22 @@ def test_naive_cotangent_amplitude():
     P = alg.AlgebraPresentation(W32, [[MINUS_T, 0, 1]])
     E = alg.naive_cotangent(P)
     assert alg.tor_amplitude_check(E, -1, 0)
+
+
+def test_tor_amplitude_is_decided_on_the_terms():
+    # x^3 over V/(t^2) at p = 3: a two-term free complex in degrees -1, 0
+    P = alg.AlgebraPresentation(W32, [[0, 0, 0, 1]])
+    E = alg.naive_cotangent(P)
+    assert sorted(E.terms) == [-1, 0] and alg.tor_amplitude_check(E, -1, 0)
+    # the same complex one degree up has a term in degree 1
+    up = ChainComplex(W32, {d + 1: T for d, T in E.terms.items()},
+                      {1: E.diffs[0]}, check=False)
+    assert not alg.tor_amplitude_check(up, -1, 0)
+    assert alg.tor_amplitude_check(up, 0, 1)
+    # a term that is not free is refused
+    torsion = ChainComplex(W32, {0: PresentedModule.cyclic(W32, Fraction(1))},
+                           {}, check=False)
+    assert not alg.tor_amplitude_check(torsion, -1, 0)
 
 
 def test_cotangent_transitivity():

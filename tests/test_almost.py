@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from almostalg.almost import (
-    _LOOKAHEAD,
     IndMap,
     MonomialTower,
     _residuals,
@@ -68,7 +67,7 @@ def test_mu_and_mu_prime_almost_iso():
 def test_mu_on_ideal_is_levelwise_iso():
     # m-tilde tensor m -> m is already an isomorphism, not just almost
     for cfg in (V2, V3, W21):
-        assert is_exact_iso_levelwise(mu_map(ideal_m(cfg)), J)
+        assert is_exact_iso_levelwise(mu_map(ideal_m(cfg)))
 
 
 def test_ideal_m_is_firm_and_modules_are_not():
@@ -93,17 +92,17 @@ def test_constant_towers_are_not_firm_through_their_tower():
 def test_check_commutes_refuses_families_that_are_not_mu():
     # identity towers under t^(1/p^j): the squares do not commute
     f = IndMap(ideal_m(V2), ideal_m(V2))
-    assert not f.check_commutes(2 * J + _LOOKAHEAD)
+    assert not f.check_commutes()
     cert = is_almost_iso(f, J)
     assert not cert.holds and cert.witness == {
         "reason": "map family not natural"}
     # two lines against one: no line-by-line square to compare
     two = firmify(PresentedModule.from_factors(V2, 1, [PExp(2, 1, 1)], 1))
     one = const_tower(PresentedModule.cyclic(V2, Fraction(1)))
-    assert not IndMap(two, one).check_commutes(2 * J + _LOOKAHEAD)
+    assert not IndMap(two, one).check_commutes()
     assert not is_almost_iso(IndMap(two, one), J).holds
     # mu itself is natural
-    assert mu_map(two.closed_form).check_commutes(2 * J + _LOOKAHEAD)
+    assert mu_map(two.closed_form).check_commutes()
 
 
 def test_firmify_produces_firm_idempotently():
@@ -121,10 +120,10 @@ def test_firmify_returns_the_tower_it_built_while_it_is_alive():
     assert firmify(M) is T and shriek(M) is T
     TT = firmify(T)
     assert firmify(T) is TT and mu_map(T).source is TT
-    # a module and its constant tower are different sources: the module's
-    # firm tower answers almost-zero questions through the module itself
-    assert firmify(as_tower(M)) is not T
-    assert T.az_delegate is M
+    # a module and its constant tower are different sources, whose firm
+    # towers have the same pieces
+    S = firmify(as_tower(M))
+    assert S is not T and (S.K, S.forms) == (T.K, T.forms)
 
 
 def test_the_firmify_memo_keeps_no_tower_alive():
@@ -163,6 +162,18 @@ def test_closedify_identity_on_monomial_modules():
     assert iso_test(closedify(closedify(M)), M)
 
 
+def test_constant_towers_are_closed_like_their_module():
+    # a constant tower that is not almost zero has its module's verdict,
+    # over the perfect ring and over a truncation alike
+    for cfg in (V2, W21):
+        for M in (PresentedModule.cyclic(cfg, Fraction(1, 2)),
+                  PresentedModule.free(cfg, 0, 1)):
+            cert = is_closed(const_tower(M), J)
+            assert cert.holds and cert.verdict == "certified-structural"
+        with pytest.raises(ValueError):
+            is_closed(firmify(PresentedModule.free(cfg, 0, 1)), J)
+
+
 def test_residue_is_not_closed():
     assert not is_closed(residue(V2), J).holds
 
@@ -189,10 +200,10 @@ def test_colocal_precondition_enforced():
 def test_colim_death():
     from almostalg.almost import cokernel_tower
     # coker(mu on m) dies exactly stage by stage
-    assert colim_is_zero(cokernel_tower(mu_map(ideal_m(V2))), J)
+    assert colim_is_zero(cokernel_tower(mu_map(ideal_m(V2))))
     # the residue tower only dies in the limit, never at a finite stage
-    assert not colim_is_zero(residue(V2), J)
-    assert not colim_is_zero(const_tower(PresentedModule.free(V2, 0, 1)), J)
+    assert not colim_is_zero(residue(V2))
+    assert not colim_is_zero(const_tower(PresentedModule.free(V2, 0, 1)))
 
 
 def test_compactness_chain():
@@ -208,7 +219,7 @@ def test_scalar_map_is_not_almost_iso():
     assert not is_almost_iso(f, J).holds
 
 
-def test_residuals_of_a_table_tower_match_raw_loop():
+def test_residuals_of_a_closed_form_tower_match_raw_loop():
     def raw_bound(i, j):
         return (Fraction(1, 3 ** j), Fraction(2) - Fraction(1, 3 ** j),
                 None)[i]
@@ -217,45 +228,91 @@ def test_residuals_of_a_table_tower_match_raw_loop():
         # each line moves at its own rate
         return (i + 1) * (Fraction(1, 3 ** j) - Fraction(1, 3 ** (j + 1)))
 
-    def table(n):
-        # the same tower as integers, one column per line: every exponent
-        # of stages 0..n is an integer once scaled by 3^n
-        def scaled(a):
-            if a is None:
-                return None
-            q = a * 3 ** n
-            assert q.denominator == 1
-            return q.numerator
-
-        return (n,
-                [[scaled(raw_bound(i, j)) for j in range(n + 1)]
-                 for i in range(3)],
-                [[scaled(raw_trans(i, j)) for j in range(n)]
-                 for i in range(3)])
-
-    T = MonomialTower(V3, table)
-    assert not colim_is_zero(T, J)
+    # the same tower in closed form at K = 0: per line its bound and the
+    # running sum (i + 1)(1 - 3^(-j)) of its transitions, each a + g*3^(-j)
+    T = MonomialTower(V3, 0, [((0, (0, 1), (1, -1)),),
+                              ((0, (2, -1), (2, -2)),),
+                              ((0, None, (3, -3)),)])
+    for j in range(2 * J + 6):
+        assert T.lines(j) == tuple(
+            None if raw_bound(i, j) is None
+            else PExp.from_fraction(3, raw_bound(i, j)) for i in range(3))
+        assert T.trans_exp(j) == tuple(
+            PExp.from_fraction(3, raw_trans(i, j)) for i in range(3))
+    assert not colim_is_zero(T)
     assert not is_almost_zero(T, J).holds  # the free line survives
     is_almost_iso(mu_map(T), J)            # kernel and cokernel towers of T
-    K, got = _residuals(T, J)
 
-    # perfect ring: every annihilator bound is the line's own exponent
-    want = []
-    for i in range(3):
-        col = []
+    # perfect ring: every annihilator bound is the line's own exponent; a
+    # residual the raw loop reaches within 40 stages is the exact one (a
+    # difference below 0 is reported as 0), and one reached only in the
+    # limit lies below every stage's
+    for i, res in enumerate(_residuals(T)):
         for j in range(J + 1):
             best, acc = None, Fraction(0)
-            for k in range(j, j + J + _LOOKAHEAD + 1):
+            for k in range(j, j + 41):
                 a = raw_bound(i, k)
                 if a is not None and (best is None or a - acc < best):
                     best = a - acc
                 acc += raw_trans(i, k)
-            col.append(best)
-        want.append(col)
-    # a residual <= 0 (dies exactly) is reported as 0
-    assert [[None if r is None else Fraction(r, 3 ** K) for r in col]
-            for col in got] == \
-        [[None if r is None else max(r, 0) for r in col] for col in want]
+            if res is None:
+                assert best is None
+                continue
+            r, reached = res.at(j)
+            if reached:
+                assert r.as_fraction() == max(best, 0), (i, j)
+            else:
+                assert r.as_fraction() < best, (i, j)
+
+
+def test_a_bound_below_the_working_level_is_not_almost_zero():
+    # one line of constant bound 1/3^5 and no transitions, at p = 3, J = 4:
+    # its colimit V/(t^(1/3^5)) is not almost zero although the bound is
+    # below 1/p^J, so the line is the witness
+    T = MonomialTower(V3, 5, [((0, (1, 0), (0, 0)),)])
+    cert = is_almost_zero(T, 4)
+    assert not cert.holds and cert.verdict == "fails"
+    assert cert.witness == {"stage": 0, "line": 0,
+                            "residual": Fraction(1, 243)}
+
+
+def test_a_generator_that_dies_past_any_window_has_residual_zero():
+    # bound 1 - 3^(-20) and transitions 2*3^(-j-1), so S(j) = 1 - 3^(-j):
+    # the generator of stage 0 dies at stage 20 and no later one dies
+    q = 3 ** 20
+    T = MonomialTower(V3, 20, [((0, (q - 1, 0), (q, -q)),)])
+    [res] = _residuals(T)
+    assert res.at(0) == (PExp(3, 0), True)
+    assert res.at(1) == (PExp(3, 2 * 3 ** 19 - 1, 20), False)
+    assert not colim_is_zero(T)
+    cert = is_almost_zero(T, 4)
+    assert not cert.holds and cert.witness["stage"] == 1
+
+
+def test_residuals_are_read_off_every_piece():
+    # bound 3^(-j) on stages 0..2 and 5 from stage 3 on, no transitions:
+    # the least bound from stage 0 on is 1/9, at the last stage of the
+    # first piece, and the limit 5 is the supremum
+    T = MonomialTower(V3, 0, [((0, (0, 1), (0, 0)), (3, (5, 0), (0, 0)))])
+    [res] = _residuals(T)
+    assert res.at(0) == (PExp(3, 1, 2), True)
+    assert res.at(2) == (PExp(3, 1, 2), True)
+    assert res.at(3) == (PExp(3, 5), True)
+    cert = is_almost_zero(T, J)
+    assert cert.witness == {"stage": 0, "line": 0,
+                            "residual": Fraction(1, 9)}
+    # a line that is 0 at every stage dies, with or without transitions
+    for S in ((0, 0), (1, -1)):
+        assert colim_is_zero(MonomialTower(V3, 0, [((0, (0, 0), S),)]))
+
+
+def test_a_negative_transition_is_refused():
+    # S(j) = 3^(-j) - 1 decreases inside its piece; S(2) = 0 < S(1) = 2/3
+    # across two pieces
+    for line in (((0, None, (-1, 1)),),
+                 ((0, None, (1, -1)), (2, None, (0, 0)))):
+        with pytest.raises(ValueError, match="negative transition"):
+            MonomialTower(V3, 0, [line])
 
 
 def test_closed_forms_live_at_a_fractional_truncation_level():

@@ -1,14 +1,15 @@
 """Differential for the tower bookkeeping.
 
-The kernel and cokernel towers of mu, and the residuals that decide
-colimit death, are computed from integer stage tables.  Here they are
-recomputed from explicit modules and maps: the stage map of mu built by
-hand as t^(1/p^j) on the diagonal, kernel_map/cokernel_map of it, and
-compositions of the towers' transition maps."""
-import weakref
-from collections import Counter
+The towers, the kernel and cokernel towers of mu, and the residuals that
+decide colimit death, are computed from closed forms.  Here they are
+recomputed two ways: from explicit modules and maps (the stage map of mu
+built by hand as t^(1/p^j) on the diagonal, kernel_map/cokernel_map of
+it, and compositions of the towers' transition maps), and from integer
+stage tables built stage by stage (tests/tower_reference.py)."""
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -38,13 +39,27 @@ from almostalg.modules import (
     kernel_map,
 )
 from almostalg.polys import poly_monomial, poly_valuation
-from almostalg.suites import monomial_corpus
+from almostalg.suites import SuiteOptions, monomial_corpus, run_suite
+from tower_reference import (
+    const_table,
+    firm_table,
+    ideal_m_table,
+    pattern_table,
+    record_towers,
+    residue_table,
+    table_stages,
+    transition,
+)
 
-# working level J and corpus size per prime; the bookkeeping reads stages
-# up to 2J + 6, presented at up to level 2J + 7 (s = t^(1/p^(2J+7)))
+# working level J and corpus size per prime; stages 0..2J + 6 are
+# compared, presented at up to level 2J + 7 (s = t^(1/p^(2J+7))), the
+# stages the colimit bookkeeping read before it had closed forms
 CASES = {2: (2, 6), 3: (1, 6)}
-# the lookahead of the colimit bookkeeping, spelled out
-LOOKAHEAD = 6
+
+
+def _last(J):
+    """The last stage compared at working level J."""
+    return 2 * J + 6
 
 
 def _rings(p):
@@ -153,7 +168,7 @@ def _alike(f, g):
 @pytest.mark.parametrize("p", sorted(CASES))
 def test_kernel_and_cokernel_towers_match_explicit_stage_maps(p):
     J, size = CASES[p]
-    stages = 2 * J + LOOKAHEAD + 1
+    stages = _last(J) + 1
     for x in _sources(p, size):
         mu = mu_map(x)
         t = mu.target  # x as a tower
@@ -171,62 +186,62 @@ def test_kernel_and_cokernel_towers_match_explicit_stage_maps(p):
             # moved by the line's offsets at stage j and at stage j + 1
             for c, o, o1, want in zip(ker.trans_exp(j), _offsets(incl),
                                       _offsets(kers[j + 1][1]),
-                                      _diagonal_exps(mu.source.transition(j))):
+                                      _diagonal_exps(transition(mu.source,
+                                                                j))):
                 c = c.as_fraction() - o + o1
                 if want is None:
                     assert c >= t.cfg.trunc.as_fraction(), (x, j)
                 else:
                     assert c == want, (x, j)
             # the target's transition induces the cokernel's transition
-            sigma = t.transition(j)
+            sigma = transition(t, j)
             C1, _ = cokernel_map(mus[j + 1])
             L = max(sigma.level, C.level, C1.level)
             induced = ModuleMap(C.at_level(L), C1.at_level(L),
                                 sigma.at_level(L).matrix)
             assert cok.trans_exp(j) == t.trans_exp(j), (x, j)
-            assert _alike(induced, cok.transition(j)), (x, j)
+            assert _alike(induced, transition(cok, j)), (x, j)
 
 
 def test_kernel_towers_of_mixed_offsets_are_exact():
     """ker(mu) of a sum of cyclics whose kernel offsets grow at different
     rates contains V/m from the larger summand, so its colimit is not 0:
-    V/(t^(1/4)) + V/(t^(1/2)) at J = 1, V/(t^(1/2^12)) + V/(t) at J = 2.
-    mu is still an almost isomorphism, decided at the working level."""
+    V/(t^(1/4)) + V/(t^(1/2)) and V/(t^(1/2^12)) + V/(t).  mu is still an
+    almost isomorphism, proved for every stage."""
     M, N = _mixed_offsets(2)
-    assert not colim_is_zero(kernel_tower(mu_map(M)), 1)
+    assert not colim_is_zero(kernel_tower(mu_map(M)))
     cert = is_almost_iso(mu_map(M), 1)
-    assert cert.holds and cert.witness["kernel"] == "holds-at-level"
-    assert not colim_is_zero(kernel_tower(mu_map(N)), 2)
+    assert cert.holds and cert.witness["kernel"] == "certified-structural"
+    assert not colim_is_zero(kernel_tower(mu_map(N)))
 
 
 def test_kernel_of_a_direct_sum_dies_when_both_kernels_do():
     """ker(mu) of M + N is ker(mu on M) + ker(mu on N) line by line, so
     it dies exactly iff both do: every sum of two cyclics V/(t^a) with
-    0 < a < 2 of denominator at most p^4, p = 2 and 3, at J = 1 and 2."""
+    0 < a < 2 of denominator at most p^4, p = 2 and 3."""
     for p in (2, 3):
         cfg = RingConfig.perfect(p)
         exps = [PExp(p, a, 4) for a in range(1, 2 * p ** 4)]
-        for J in (1, 2):
-            dies = {e: colim_is_zero(kernel_tower(mu_map(
-                PresentedModule.cyclic(cfg, e, e.k))), J) for e in exps}
-            for a, b in combinations_with_replacement(exps, 2):
-                M = PresentedModule.from_factors(cfg, max(a.k, b.k), [a, b])
-                assert colim_is_zero(kernel_tower(mu_map(M)), J) == \
-                    (dies[a] and dies[b]), (a, b, J)
+        dies = {e: colim_is_zero(kernel_tower(mu_map(
+            PresentedModule.cyclic(cfg, e, e.k)))) for e in exps}
+        for a, b in combinations_with_replacement(exps, 2):
+            M = PresentedModule.from_factors(cfg, max(a.k, b.k), [a, b])
+            assert colim_is_zero(kernel_tower(mu_map(M))) == \
+                (dies[a] and dies[b]), (a, b)
 
 
-def _brute_residuals(tower, J):
+def _brute_residuals(tower, J, horizon):
     """For line i and stage j <= J: the least of (annihilator of line i at
     stage k) - (exponent of the composite transition j -> k) over
-    k = j, ..., j + J + 6, from the composed transition maps; 0 when the
+    k = j, ..., j + horizon, from the composed transition maps; 0 when the
     composite kills the line, None for a line without annihilator."""
     out = []
     for j in range(J + 1):
         comp = ModuleMap.identity(tower.component(j))
         best = [None] * comp.source.rank
-        for k in range(j, j + J + LOOKAHEAD + 1):
+        for k in range(j, j + horizon + 1):
             if k > j:
-                comp = tower.transition(k - 1).compose(comp)
+                comp = transition(tower, k - 1).compose(comp)
             bounds = _row_bounds(comp.target)
             for i in range(min(len(best), len(bounds))):
                 if bounds[i] is None:
@@ -241,6 +256,9 @@ def _brute_residuals(tower, J):
 
 @pytest.mark.parametrize("p", sorted(CASES))
 def test_residuals_match_composed_transitions(p):
+    """The exact residual of every stage j <= J equals the least one that
+    composed stage maps reach within 2J + 6 stages of j wherever the exact
+    one is reached, and lies below it where it is only a limit."""
     J, size = CASES[p]
     for x in _sources(p, size):
         f = mu_map(x)
@@ -248,19 +266,16 @@ def test_residuals_match_composed_transitions(p):
         if isinstance(x, MonomialTower):  # ideal_m and residue themselves
             towers.append(x)
         for tower in towers:
-            K, cols = _residuals(tower, J)
-            got = [[None if r is None else Fraction(r, p ** K) for r in col]
-                   for col in cols]
-            assert got == _brute_residuals(tower, J), (tower, x)
-
-
-def _as_fractions(tower, n):
-    """tower.table(n) with every entry divided by p^K."""
-    K, bounds, trans = tower.table(n)
-    q = tower.cfg.p ** K
-    return ([[None if a is None else Fraction(a, q) for a in col]
-             for col in bounds], [[Fraction(c, q) for c in col]
-                                  for col in trans])
+            exact = [[None if r is None else r.at(j) for j in range(J + 1)]
+                     for r in _residuals(tower)]
+            brute = _brute_residuals(tower, J, _last(J))
+            for line, want in zip(exact, brute):
+                for got, b in zip(line, want):
+                    if got is None:
+                        assert b is None, (tower, x)
+                        continue
+                    r, reached = got[0].as_fraction(), got[1]
+                    assert b == r if reached else b > r, (tower, x, got, b)
 
 
 def _shriek_towers(p, monkeypatch):
@@ -270,9 +285,9 @@ def _shriek_towers(p, monkeypatch):
     towers = []
     colim_is_zero = alg.colim_is_zero
 
-    def catch(tower, J):
+    def catch(tower):
         towers.append(tower)
-        return colim_is_zero(tower, J)
+        return colim_is_zero(tower)
 
     with monkeypatch.context() as m:
         m.setattr(alg, "colim_is_zero", catch)
@@ -286,7 +301,7 @@ def _shriek_towers(p, monkeypatch):
 @pytest.mark.parametrize("p", sorted(CASES))
 def test_base_tables_match_their_definitions(p, monkeypatch):
     J, size = CASES[p]
-    last = 2 * J + LOOKAHEAD
+    last = _last(J)
     zero = PExp(p, 0)
     # (tower, lines of stage j, transition out of stage j on every line)
     want = []
@@ -306,13 +321,12 @@ def test_base_tables_match_their_definitions(p, monkeypatch):
         want.append((t, lambda j, base=base: tuple(e.scale_pow(-j)
                                                    for e in base),
                      lambda j: PExp(p, p - 1, j + 1)))
-    # a base with fractional exponents: its table lives above level n
+    # a base with fractional exponents
     base = (PExp(p, 1, 2), PExp(p, 2 * p + 1, 1), PExp(p, 3))
     want.append((alg._shriek_tower(RingConfig.perfect(p), base, "shriek"),
                  lambda j: tuple(e.scale_pow(-j) for e in base),
                  lambda j: PExp(p, p - 1, j + 1)))
     for tower, lines, trans in want:
-        tower.table(last)
         for j in range(last + 1):
             assert tower.lines(j) == lines(j), (tower, j)
             if j < last:
@@ -322,52 +336,109 @@ def test_base_tables_match_their_definitions(p, monkeypatch):
 
 @pytest.mark.parametrize("p", sorted(CASES))
 def test_a_longer_table_extends_a_shorter_one(p, monkeypatch):
+    """A reference table built to stage 10 extends the one built to stage
+    3, and both agree with the closed form on every stage they hold,
+    whatever the order the stages are read in."""
     J, size = CASES[p]
-    towers = [t for cfg in _rings(p) for t in (ideal_m(cfg), residue(cfg))]
-    towers += [const_tower(M) for M in monomial_corpus(p, size, primes=(p,))]
-    towers += _shriek_towers(p, monkeypatch)
-    for tower in towers:
-        short = _as_fractions(tower, 3)
-        bounds, trans = _as_fractions(tower, 10)
-        assert short == ([col[:4] for col in bounds],
-                         [col[:3] for col in trans]), tower
+    towers = []
+    for cfg in _rings(p):
+        towers.append((ideal_m(cfg), ideal_m_table(cfg)))
+        towers.append((residue(cfg), residue_table(cfg)))
+    for M in monomial_corpus(p, size, primes=(p,)):
+        towers.append((const_tower(M), const_table(M)))
+    for t in _shriek_towers(p, monkeypatch):
+        towers.append((t, firm_table(pattern_table(t.lines(0)), p)))
+    for tower, table in towers:
+        short = table_stages(table, p, 3)
+        lines, steps = table_stages(table, p, 10)
+        assert short == (lines[:4], steps[:3]), tower
+        for n in (10, 3):
+            lines, steps = table_stages(table, p, n)
+            for j in reversed(range(n + 1)):
+                assert tower.lines(j) == lines[j], (tower, n, j)
+                if j < n:
+                    assert tower.trans_exp(j) == steps[j], (tower, n, j)
 
 
-def test_each_tower_table_is_built_once_per_query(monkeypatch):
-    """A query reads every tower it touches to the same stage, so no
-    table is built twice: each tower's table in is_firm(firmify(M)) and
-    in is_almost_iso(mu_map(M)) is built exactly once.  A query already
-    answered builds none: holding T = firmify(M), is_firm(shriek(M), J)
-    after is_firm(T, J), as the deep-level benchmark asks."""
-    calls = Counter()
+def _deep_level(seeds):
+    """The checks of perfbench's deep-level workload (p = 3, J = 10) on
+    the modules it draws for each seed."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    for seed in seeds:
+        for spec in gen.deep_modules(seed):
+            assert all(ok for _, ok in workloads._deep_checks(spec)), spec
+    return gen.DEEP_J
+
+
+def _run(name):
+    """Build towers through the library's own paths; returns the working
+    level J of the run.  The acceptance gate covers p = 2, 3 over the
+    perfect ring and two truncations, deep-level's checks p = 3, perfect
+    and truncated at 2, and the quillen and algebra suites p = 5."""
+    if name == "gate":
+        run_suite("all", SuiteOptions(seed=0, corpus_size=50,
+                                      working_level=8, depth=4))
+        return 8
+    if name == "deep-level":
+        return _deep_level((1, 2, 3))
+    for suite in ("quillen", "algebra"):
+        run_suite(suite, SuiteOptions(seed=0, corpus_size=10,
+                                      working_level=3, primes=(5,)))
+    return 3
+
+
+@pytest.mark.parametrize("run", ["deep-level", "gate", "p5"])
+def test_closed_forms_match_the_reference_tables(run, monkeypatch):
+    """Every tower a run builds, evaluated at stages 0..2J + 6, equals the
+    reference table of the same construction: base, shriek, firmify,
+    kernel and cokernel towers."""
+    built = record_towers(monkeypatch)
+    J = _run(run)
+    for _, tower, table in built:
+        p = tower.cfg.p
+        lines, steps = table_stages(table, p, _last(J))
+        for j, want in enumerate(lines):
+            assert tower.lines(j) == want, (run, tower, j)
+        for j, want in enumerate(steps):
+            assert tower.trans_exp(j) == want, (run, tower, j)
+    kinds = {kind for kind, _, _ in built}
+    assert kinds >= {"const_tower", "firmify", "kernel_tower",
+                     "cokernel_tower"}, kinds
+    if run != "deep-level":
+        assert kinds >= {"ideal_m", "residue", "_shriek_tower"}, kinds
+
+
+def test_each_closed_form_is_built_once_per_tower(monkeypatch):
+    """A query builds each tower it needs once, and with it the tower's
+    closed form: no two towers built in is_firm(firmify(M), J) or in
+    is_almost_iso(mu_map(M), J) have the same name and pieces.  A query
+    already answered builds none: holding T = firmify(M),
+    is_firm(shriek(M), J) after is_firm(T, J), as the deep-level benchmark
+    asks."""
+    built = []
     init = MonomialTower.__init__
 
-    def counting_init(self, *args, **kwargs):
+    def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        table_fn = self.table_fn
-        # counted by a weak reference: a counter that held the tower would
-        # keep it, and so firmify's memo of it, alive past its query
-        tower = weakref.ref(self)
+        built.append((self.name, self.K, self.forms))
 
-        def counted(n):
-            calls[tower] += 1
-            return table_fn(n)
-
-        self.table_fn = counted
-
-    monkeypatch.setattr(MonomialTower, "__init__", counting_init)
+    monkeypatch.setattr(MonomialTower, "__init__", recording_init)
     for p in sorted(CASES):
         J, size = CASES[p]
         for M in monomial_corpus(p, size, primes=(p,)):
             for query in (lambda: is_firm(firmify(M), J),
                           lambda: is_almost_iso(mu_map(M), J)):
-                calls.clear()
+                built.clear()
                 query()
-                assert calls and set(calls.values()) == {1}, (M, calls)
+                assert built and len(set(built)) == len(built), (M, built)
             T = firmify(M)
-            calls.clear()
             is_firm(T, J)
-            assert calls and set(calls.values()) == {1}, (M, calls)
-            calls.clear()
+            built.clear()
             assert is_firm(shriek(M), J) is is_firm(T, J)
-            assert not calls, (M, calls)
+            assert not built, (M, built)
