@@ -27,26 +27,19 @@ built for the same x while that tower is alive (a weak reference on x, so
 the memo neither keeps a tower alive nor forms a reference cycle), and
 is_firm keeps its certificate on the tower, one per working level.
 
-Only the levelwise module checks are finitized at a working level J: the
-almost-zero test of a module over a truncated ring (_fp_almost_zero) and
-the stagewise Hom and Ext^1 computations (_levelwise_vanishing).  Their
-verdicts say so (see AlmostCertificate).
+Every verdict is exact.  A finitely presented module is almost zero only
+when it is zero, and colocal_ext_vanishing reads Hom and Ext^1 off the
+firm tower's closed form.  The tests here keep their working level J
+and record it on each certificate, but no verdict depends on it.
 """
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
 
-from .base_ring import CHAR_P_PERFECT, CHAR_P_TRUNCATED, RingConfig
+from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
-from .modules import (
-    ModuleMap,
-    PresentedModule,
-    cokernel_map,
-    ext,
-    hom_module,
-    kernel_map,
-)
+from .modules import ModuleMap, PresentedModule, cokernel_map, kernel_map
 
 IDEAL_M = "IDEAL_M"
 RESIDUE = "RESIDUE_V_MOD_M"
@@ -59,11 +52,12 @@ class AlmostCertificate:
     """Outcome of an almost-mathematics test.
 
     verdict is one of:
-      "certified-structural" -- exact; on a tower, proved for every stage
-                                from its closed form
-      "holds-at-level"       -- verified through working level J (the
-                                levelwise module checks only)
+      "certified-structural" -- decided exactly: on a tower, for every stage
+                                from its closed form; on a module, from its
+                                decomposition.  holds says which way.
       "fails"                -- a concrete witness contradicts the claim
+
+    level is the working level J the test was asked at.
     """
 
     __slots__ = ("verdict", "holds", "level", "witness")
@@ -521,12 +515,22 @@ def colim_is_zero(tower: MonomialTower) -> bool:
 def is_almost_zero(x, J: int) -> AlmostCertificate:
     """Does t^e kill x for every e > 0?  Exact on a tower: every residual
     must have infimum 0 (see _residuals); a failure names the first stage
-    with a positive residual, its first such line and the residual.  On a
-    module see _fp_almost_zero."""
+    with a positive residual, its first such line and the residual.
+
+    A finitely presented module is almost zero exactly when it is zero,
+    over either ring: a summand V/(t^a), a > 0, is not killed by t^(a/2),
+    a free R over V/(t^c) not by t^(c/2), and a free R over the domain by
+    no power of t."""
     if J < 1:
         raise ValueError("working level J must be at least 1")
     if isinstance(x, PresentedModule):
-        return _fp_almost_zero(x, J)
+        if x.is_zero_module():
+            return AlmostCertificate("certified-structural", True, J,
+                                     {"reason": "zero module"})
+        return AlmostCertificate(
+            "fails", False, J,
+            {"reason": "nonzero finitely presented module",
+             "decomposition": x.decompose()})
     res = _residuals(as_tower(x))
     free = [i for i, r in enumerate(res) if r is None]
     if free:
@@ -543,31 +547,11 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
                               "residual": res[i].at(j)[0].as_fraction()})
 
 
-def _fp_almost_zero(M: PresentedModule, J: int) -> AlmostCertificate:
-    if M.cfg.mode == CHAR_P_PERFECT:
-        # over the domain a finitely presented almost-zero module is zero
-        if M.is_zero_module():
-            return AlmostCertificate("certified-structural", True, J,
-                                     {"reason": "zero module"})
-        return AlmostCertificate(
-            "certified-structural", False, J,
-            {"reason": "nonzero finitely presented module over the domain",
-             "decomposition": M.decompose()})
-    ann = M.annihilator_exponent()
-    margin = PExp(M.cfg.p, 1, J)
-    if ann is not None and ann <= margin:
-        return AlmostCertificate("holds-at-level", True, J,
-                                 {"annihilator": ann})
-    return AlmostCertificate("fails", False, J, {"annihilator": ann})
-
-
 def is_almost_iso(f, J: int) -> AlmostCertificate:
     """Kernel and cokernel both almost zero."""
     if isinstance(f, ModuleMap):
-        K, _ = kernel_map(f)
-        C, _ = cokernel_map(f)
-        ck = is_almost_zero(K, J)
-        cc = is_almost_zero(C, J)
+        ck = is_almost_zero(kernel_map(f)[0], J)
+        cc = is_almost_zero(cokernel_map(f)[0], J)
     elif isinstance(f, IndMap):
         if not f.check_commutes():
             return AlmostCertificate("fails", False, J,
@@ -576,16 +560,14 @@ def is_almost_iso(f, J: int) -> AlmostCertificate:
         cc = is_almost_zero(cokernel_tower(f), J)
     else:
         raise TypeError(f"expected map, got {type(f).__name__}")
-    holds = ck.holds and cc.holds
-    verdict = "fails" if not holds else (
-        "certified-structural"
-        if ck.verdict == cc.verdict == "certified-structural"
-        else "holds-at-level")
-    return AlmostCertificate(verdict, holds, J,
+    if ck.holds and cc.holds:
+        return AlmostCertificate("certified-structural", True, J,
+                                 {"kernel": ck.verdict,
+                                  "cokernel": cc.verdict})
+    return AlmostCertificate("fails", False, J,
                              {"kernel": ck.verdict, "cokernel": cc.verdict,
-                              **({} if holds else
-                                 {"kernel_witness": ck.witness,
-                                  "cokernel_witness": cc.witness})})
+                              "kernel_witness": ck.witness,
+                              "cokernel_witness": cc.witness})
 
 
 def is_exact_iso_levelwise(f: IndMap) -> bool:
@@ -648,62 +630,27 @@ def is_closed(x, J: int) -> AlmostCertificate:
 
 
 def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
-    """Hom(M, N) = Ext^1(M, N) = 0 for M firm and N almost zero."""
+    """Hom(M, N) = Ext^1(M, N) = 0 for M firm and N almost zero, read off
+    M's closed form:
+      - Hom: every transition of M is positive and N is killed by every
+        positive power, so any map vanishes stage by stage,
+        phi(x_j) = t^(c_j) phi(x_(j+1)) = 0;
+      - Ext^1: every line of M is free on every piece, so every stage is
+        free and its Ext^1 is 0 at every j.
+    Any other firm M raises ValueError."""
     Mt = as_tower(M)
     if not is_firm(Mt, J):
         raise ValueError("M is not firm")
-    n_az = is_almost_zero(N, J)
-    if not n_az.holds:
+    if not is_almost_zero(N, J):
         raise ValueError("N is not almost zero")
-
-    # Hom: if every transition exponent of M is positive and N is killed by
-    # every positive power, any map vanishes stage by stage:
-    # phi(x_j) = t^(c_j) phi(x_{j+1}) = 0.
     p = Mt.cfg.p
-    pos = all(min(_transition_signs(line, p)) > 0 for line in Mt.forms)
-    if pos and n_az.verdict == "certified-structural":
-        hom_ok = AlmostCertificate("certified-structural", True, J,
-                                   {"reason": "positive transitions into an "
-                                              "exactly-almost-zero target"})
-    else:
-        # levelwise computation against a representative of N
-        hom_ok = _levelwise_vanishing(Mt, N, J, hom_module, "hom")
-    if not hom_ok.holds:
-        return AlmostCertificate("fails", False, J,
-                                 {"ext0": hom_ok.witness})
-
-    # Ext^1 levelwise on representatives
-    ext_ok = _levelwise_vanishing(Mt, N, J, lambda A, B: ext(A, B, 1),
-                                  "ext1")
-    if not ext_ok.holds:
-        return AlmostCertificate("fails", False, J, {"ext1": ext_ok.witness})
-    verdict = "certified-structural" if (
-        hom_ok.verdict == ext_ok.verdict == "certified-structural") \
-        else "holds-at-level"
-    return AlmostCertificate(verdict, True, J,
-                             {"ext0": hom_ok.verdict, "ext1": ext_ok.verdict})
-
-
-def _representative(N, j):
-    if isinstance(N, PresentedModule):
-        return N
-    return as_tower(N).component(j)
-
-
-def _levelwise_vanishing(Mt, N, J, functor, key):
-    """functor(stage j of Mt, a representative of N) is zero for every
-    j <= J; exact when every stage is free.  A nonzero stage is the
-    witness, under key."""
-    all_free = True
-    for j in range(J + 1):
-        comp = Mt.component(j)
-        H = functor(comp, _representative(N, j))
-        if not H.is_zero_module():
-            return AlmostCertificate("fails", False, J,
-                                     {"stage": j, key: H.decompose()})
-        all_free = all_free and not comp.invariant_factors()
+    if not all(min(_transition_signs(line, p)) > 0
+               and all(A is None for _, A, _ in line) for line in Mt.forms):
+        raise ValueError(f"colocal_ext_vanishing is not decidable for {Mt!r}")
     return AlmostCertificate(
-        "certified-structural" if all_free else "holds-at-level", True, J, {})
+        "certified-structural", True, J,
+        {"ext0": "positive transitions into an almost-zero target",
+         "ext1": "every stage is free"})
 
 
 def compactness_check(exponents) -> bool:

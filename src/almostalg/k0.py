@@ -98,14 +98,8 @@ def firm_phi_acyclic(E: PerfPlus, J: int) -> bool:
     C = firmify_perf(phi_object(E))
     R = C.realize(J)
     bound = PExp(E.cfg.p, 1, J)
-    for i in range(R.min_deg, R.max_deg + 1):
-        H = homology(R, i)
-        if H.free_rank() > 0:
-            return False
-        for e in H.decompose_exponents():
-            if not e <= bound:
-                return False
-    return True
+    return all(homology(R, i).killed_by(bound)
+               for i in range(R.min_deg, R.max_deg + 1))
 
 
 def split_check(E: PerfPlus, J: int = 8) -> bool:

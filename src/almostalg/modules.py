@@ -3,7 +3,7 @@
 A module is presented at a working level n: generators are a free module
 over R_n = F_p[s] with s = t^(1/p^n), relations are the columns of a
 polynomial matrix.  Truncated configs V/(t^c) turn R_n into the chain ring
-F_p[s]/(s^(c*p^n)).  All structure (kernels, cokernels, Tor, Ext, ...) is
+F_p[s]/(s^(c*p^n)).  All structure (kernels, cokernels, homology, ...) is
 computed by Smith normal form over these rings; modules at different
 levels are compared after lifting to a common level via s -> s^p.
 
@@ -16,17 +16,15 @@ have this shape.  Other relation matrices go through snf(); the full Smith
 form with its transforms is computed only on demand (PresentedModule.snf).
 
 Each derived object has one construction: kernels and homology are one
-kernel-modulo step (_kernel_modulo) on different spans, Tor and Ext are
-homology of one resolved complex (_resolution_homology) taken down or
-up, and a map's well-definedness and its vanishing are one span test
-(_in_span).
+kernel-modulo step (_kernel_modulo) on different spans, and a map's
+well-definedness and its vanishing are one span test (_in_span).
 """
 from __future__ import annotations
 
 from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .linalg import PolyMatrix, kernel_basis, kron, lift_matrix, snf, solve
-from .polys import poly_monomial, poly_mul, poly_to_string, poly_valuation
+from .polys import poly_monomial, poly_to_string, poly_valuation
 
 
 def ring_modulus(cfg: RingConfig, level: int):
@@ -164,14 +162,16 @@ class PresentedModule:
     def is_zero_module(self):
         return self.free_rank() == 0 and not self.invariant_factors()
 
-    def annihilator_exponent(self):
-        """Least e with t^e * M = 0, or None if no such e exists."""
-        if self.free_rank() > 0:
-            if self.modulus is None:
-                return None
-            return self.cfg.trunc
-        exps = self.decompose_exponents()
-        return max(exps) if exps else PExp(self.cfg.p, 0)
+    def killed_by(self, e):
+        """Does t^e kill M: no free summand, and every torsion exponent at
+        most e?  The stage tests ask this of t^(1/p^j) at stage j.
+
+        A free summand never counts as killed, even over V/(t^c) with
+        e >= c, where t^e is 0: R is not almost zero (t^(c/2) does not
+        kill it), and counting it as killed would pass stage 0 over V/(t),
+        where the bound is t^1 = 0."""
+        return not self.free_rank() and all(
+            a <= e for a in self.decompose_exponents())
 
     def at_level(self, level):
         """The same module presented at a higher level."""
@@ -233,42 +233,6 @@ def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     I_n = PolyMatrix.identity(N.rank, p, mod)
     rel = kron(M.relations, I_n).hstack(kron(I_m, N.relations))
     return PresentedModule(M.cfg, L, M.rank * N.rank, rel)
-
-
-def hom_module(M: PresentedModule, N: PresentedModule) -> PresentedModule:
-    """Hom(M, N), assembled from the monomial building blocks.
-
-    Requires monomial invariant factors (raises otherwise): with cyclic
-    annihilator exponents a, b one has Hom(V/t^a, V/t^b) = V/t^min(a,b),
-    Hom(V, X) = X, and Hom(V/t^a, V) = 0 over the untruncated domain.
-    """
-    if M.cfg != N.cfg:
-        raise ValueError("ring config mismatch")
-    cfg = M.cfg
-    L = common_level_of(M, N)
-    truncated = cfg.mode == CHAR_P_TRUNCATED
-    ring_exp = cfg.trunc if truncated else None
-    m_exps = M.decompose_exponents() + [None] * M.free_rank()
-    n_exps = N.decompose_exponents() + [None] * N.free_rank()
-    factors = []
-    free_rank = 0
-    for a in m_exps:
-        for b in n_exps:
-            if a is None:
-                # Hom(R, X) = X
-                if b is None:
-                    free_rank += 1
-                else:
-                    factors.append(b)
-            else:
-                if b is None:
-                    if truncated:
-                        # Hom(R/t^a, R) = ann(t^a) = t^(c-a) R = R/t^a
-                        factors.append(min(a, ring_exp))
-                    # over the domain: torsion into free is zero
-                else:
-                    factors.append(min(a, b))
-    return PresentedModule.from_factors(cfg, L, factors, free_rank)
 
 
 def _in_span(T: PresentedModule, vectors) -> bool:
@@ -421,77 +385,3 @@ def homology_at(f: ModuleMap | None, g: ModuleMap | None):
     if not g.compose(f).is_zero_map():
         raise ValueError("maps do not compose to zero")
     return _kernel_modulo(g, f.matrix.hstack(g.source.relations))[0]
-
-
-def free_resolution(M: PresentedModule, length: int):
-    """Differentials [d1, ..., dk] of a free resolution F_k -> ... -> F_0 -> M.
-
-    Over the untruncated domain the relation module is free, so the
-    resolution stops at length 1; over a truncation it continues (up to the
-    requested length) via iterated kernels.
-    """
-    if length < 1:
-        raise ValueError("resolution length must be at least 1")
-    p = M.cfg.p
-    if not M.rank:
-        return []
-    res = M.snf()
-    # the columns of U*D at nonzero invariant factors: a generating set of
-    # the relation span that is independent over the domain.  D is
-    # diagonal, so column i of U*D is column i of U times factor i.
-    cols = [[poly_mul(u, d, p) for u in res.U.column(i)]
-            for i, d in enumerate(res.invariant_factors) if d]
-    diffs = [PolyMatrix.from_columns(cols, M.rank, p, M.modulus)]
-    while len(diffs) < length:
-        k = kernel_basis(diffs[-1])
-        if k.cols == 0:
-            break
-        diffs.append(k)
-    return diffs
-
-
-def tor(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
-    """Tor_i(M, N) for i in {0, 1, 2} from a free resolution of M."""
-    if i not in (0, 1, 2):
-        raise ValueError("tor implemented for i in {0, 1, 2}")
-    if i == 0:
-        return tensor(M, N)
-    return _resolution_homology(M, N, i, up=False)
-
-
-def ext(M: PresentedModule, N: PresentedModule, i: int) -> PresentedModule:
-    """Ext^i(M, N) for i in {0, 1, 2} as cohomology of Hom(F_*, N)."""
-    if i not in (0, 1, 2):
-        raise ValueError("ext implemented for i in {0, 1, 2}")
-    return _resolution_homology(M, N, i, up=True)
-
-
-def _resolution_homology(M, N, i, up):
-    """Homology at position i of F_* tensor N (up False) or of Hom(F_*, N)
-    (up True), for F_* a free resolution of M.
-
-    Term k is N^(rank F_k) in both; the differential d_(k+1) acts as
-    kron(d, I_N) down from term k + 1, or as kron(d^T, I_N) up from term
-    k.  A position past the resolution is the zero module."""
-    L = common_level_of(M, N)
-    M, N = M.at_level(L), N.at_level(L)
-    diffs = free_resolution(M, i + 1)
-    I_n = PolyMatrix.identity(N.rank, M.cfg.p, ring_modulus(M.cfg, L))
-    terms = [direct_sum(*[N] * r) if r else PresentedModule.zero(M.cfg, L)
-             for r in [M.rank] + [d.cols for d in diffs]]
-
-    def induced(k):
-        """The map d_(k+1) induces, or None past the resolution."""
-        if not 0 <= k < len(diffs):
-            return None
-        if up:
-            return ModuleMap(terms[k], terms[k + 1],
-                             kron(diffs[k].transpose(), I_n), check=False)
-        return ModuleMap(terms[k + 1], terms[k], kron(diffs[k], I_n),
-                         check=False)
-
-    below, above = induced(i - 1), induced(i)
-    f, g = (below, above) if up else (above, below)
-    if f is None and g is None:
-        return PresentedModule.zero(M.cfg, L)
-    return homology_at(f, g)

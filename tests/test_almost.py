@@ -49,9 +49,51 @@ def test_fp_module_almost_zero_only_when_zero_over_domain():
 
 
 def test_tiny_torsion_almost_zero_at_level_over_truncation():
+    # V/(t^(1/2^J)) over V/(t) is not killed by t^(1/2^(J+1)): not almost
+    # zero at any level, exactly
     M = PresentedModule.cyclic(W21, Fraction(1, 2 ** J))
     cert = is_almost_zero(M, J)
-    assert cert.holds and cert.verdict == "holds-at-level"
+    assert not cert.holds and cert.verdict == "fails"
+    assert cert.witness["decomposition"] == M.decompose()
+
+
+def _grid_modules(p, c, J):
+    """V/(t^(1/p^k)) for k <= J + 2, V/(t^c) itself and the zero module,
+    over V/(t^c)."""
+    cfg = RingConfig.truncated(p, c)
+    yield PresentedModule.zero(cfg)
+    yield PresentedModule.free(cfg, 0, 1)
+    for k in range(J + 3):
+        yield PresentedModule.cyclic(cfg, PExp(p, 1, k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("c", [1, 2])
+def test_a_module_its_constant_tower_and_its_firmification_agree(p, c):
+    """is_almost_zero gives a module, const_tower(M) and firmify(M) one
+    verdict: holds exactly for the zero module, as certified-structural,
+    and fails exactly otherwise, past the working level included."""
+    J = 3
+    for M in _grid_modules(p, c, J):
+        certs = [is_almost_zero(x, J)
+                 for x in (M, const_tower(M), firmify(M))]
+        want = M.is_zero_module()
+        assert [(x.holds, x.verdict) for x in certs] == [
+            (want, "certified-structural" if want else "fails")] * 3, M
+
+
+def test_a_tiny_scalar_on_v_mod_t_is_not_almost_iso():
+    # t^(1/p^J) on V/(t) has kernel and cokernel V/(t^(1/p^J)), which are
+    # not almost zero; over V/(t), V/(t) is the free module R
+    from almostalg.modules import ModuleMap
+    for p in (2, 3):
+        for M in (PresentedModule.free(RingConfig.truncated(p, 1), 0, 1),
+                  PresentedModule.cyclic(RingConfig.perfect(p), 1)):
+            for level in (1, J):
+                f = ModuleMap.scalar(M, PExp(p, 1, level))
+                cert = is_almost_iso(f, level)
+                assert not cert.holds and cert.verdict == "fails", (M, level)
+                assert cert.witness["cokernel"] == "fails"
 
 
 def test_mu_and_mu_prime_almost_iso():
@@ -187,14 +229,42 @@ def test_shriek_roundtrip():
 
 
 def test_colocal_ext_vanishing():
-    cert = colocal_ext_vanishing(ideal_m(V2), residue(V2), J)
-    assert cert.holds
+    for cfg in (V2, V3, W21):
+        cert = colocal_ext_vanishing(ideal_m(cfg), residue(cfg), J)
+        assert cert.holds and cert.verdict == "certified-structural"
+
+
+def test_colocal_refuses_a_firm_tower_with_torsion_stages():
+    # firmify(V/(t)) is firm, but its stages are not free, so Ext^1 is
+    # not read off its closed form
+    M = firmify(PresentedModule.cyclic(V2, 1))
+    assert is_firm(M, J).holds
+    with pytest.raises(ValueError, match="not decidable"):
+        colocal_ext_vanishing(M, residue(V2), J)
 
 
 def test_colocal_precondition_enforced():
     with pytest.raises(ValueError):
         colocal_ext_vanishing(const_tower(PresentedModule.free(V2, 0, 1)),
                               residue(V2), J)
+
+
+def test_every_certificate_of_a_gate_run_is_exact(monkeypatch):
+    """The acceptance gate's certificates, every one as it is built, are
+    certified-structural or fail: no verdict is finitized at a level."""
+    from almostalg.almost import AlmostCertificate
+    from almostalg.suites import SuiteOptions, run_suite
+    verdicts = []
+    init = AlmostCertificate.__init__
+
+    def recording_init(self, verdict, *args, **kwargs):
+        init(self, verdict, *args, **kwargs)
+        verdicts.append(verdict)
+
+    monkeypatch.setattr(AlmostCertificate, "__init__", recording_init)
+    run_suite("all", SuiteOptions(seed=0, corpus_size=50, working_level=8,
+                                  depth=4))
+    assert set(verdicts) == {"certified-structural", "fails"}, set(verdicts)
 
 
 def test_colim_death():

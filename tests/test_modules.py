@@ -13,14 +13,10 @@ from almostalg.modules import (
     _column_monomial_factors,
     cokernel_map,
     direct_sum,
-    ext,
-    free_resolution,
-    hom_module,
     iso_test,
     kernel_map,
     ring_modulus,
     tensor,
-    tor,
 )
 
 V2 = RingConfig.perfect(2)
@@ -65,30 +61,6 @@ def test_direct_sum_and_tensor():
     T = tensor(A, B)
     assert [e.as_fraction() for e in T.decompose_exponents()] == [
         Fraction(1, 4)]
-
-
-def test_hom_and_ext_cyclic():
-    # Hom(R/a, R/b) = R/min(a,b) = Ext^1(R/a, R/b) over the PID
-    A = PresentedModule.cyclic(V2, Fraction(1))
-    B = PresentedModule.cyclic(V2, Fraction(1, 2))
-    H = hom_module(A, B)
-    E = ext(A, B, 1)
-    for X in (H, E):
-        assert [e.as_fraction() for e in X.decompose_exponents()] == [
-            Fraction(1, 2)]
-    # Hom(free, N) = N, Ext^1(free, N) = 0
-    F = PresentedModule.free(V2, 0, 1)
-    assert iso_test(hom_module(F, B), B)
-    assert ext(F, B, 1).is_zero_module()
-
-
-def test_tor_cyclic():
-    A = PresentedModule.cyclic(V2, Fraction(1))
-    B = PresentedModule.cyclic(V2, Fraction(1, 2))
-    T1 = tor(A, B, 1)
-    assert [e.as_fraction() for e in T1.decompose_exponents()] == [
-        Fraction(1, 2)]
-    assert tor(PresentedModule.free(V2, 0, 2), B, 1).is_zero_module()
 
 
 def test_kernel_cokernel_image_of_scalar():
@@ -254,42 +226,13 @@ def test_snf_is_computed_once_on_demand(monkeypatch):
     assert [f for f in res.invariant_factors if f] == [[0, 1]]
 
 
-# (decompose(), rank, relation columns) of Tor_i(M, N) and Ext^i(M, N) for
-# the modules of test_tor_ext_of_diagonal_modules, as computed by a full
-# Smith form of every relation matrix
-TOR_EXT = {
-    "char-p-perfect": [
-        ((0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 5,
-         (0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 3),
-        ((0, [[0, 1], [0, 0, 1]]), 2, 2, (0, [[0, 1], [0, 0, 1]]), 2, 5),
-        ((0, []), 0, 0, (0, []), 0, 0),
-    ],
-    "char-p-truncated": [
-        ((0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 3, 5,
-         (0, [[0, 1], [0, 0, 1], [0, 0, 1]]), 4, 5),
-        ((0, [[0, 1]]), 4, 6, (0, [[0, 1]]), 2, 5),
-        ((0, [[0, 1]]), 2, 3, (0, [[0, 1]]), 2, 4),
-    ],
-}
-RESOLUTIONS = {
-    "char-p-perfect": [[[[0, 1], []], [[], [0, 0, 0, 0, 0, 0, 1]],
-                        [[], []]]],
-    "char-p-truncated": [[[[0, 1]], [[]], [[]]], [[[0, 0, 1]]],
-                         [[[0, 1]]]],
-}
-
-
-@pytest.mark.parametrize("cfg", [RingConfig.perfect(3),
-                                 RingConfig.truncated(3, 1)],
-                         ids=["perfect", "truncated"])
-def test_tor_ext_of_diagonal_modules(cfg):
-    M = PresentedModule.from_factors(
-        cfg, 1, [PExp(3, 1, 1), PExp(3, 2, 0)], 1)
-    N = PresentedModule.from_factors(cfg, 1, [PExp(3, 2, 1)], 0)
-    assert [d.entries for d in free_resolution(M, 3)] == \
-        RESOLUTIONS[cfg.mode]
-    for i, want in enumerate(TOR_EXT[cfg.mode]):
-        T, E = tor(M, N, i), ext(M, N, i)
-        got = (T.decompose(), T.rank, T.relations.cols,
-               E.decompose(), E.rank, E.relations.cols)
-        assert got == want
+def test_killed_by_never_counts_a_free_summand():
+    # over V/(t), t^1 = 0 kills the free module R, yet R is not killed at
+    # stage 0; torsion is killed exactly up to its largest exponent
+    W = RingConfig.truncated(2, 1)
+    assert not PresentedModule.free(W, 0, 1).killed_by(PExp(2, 1))
+    assert not PresentedModule.free(V2, 0, 1).killed_by(PExp(2, 5))
+    M = PresentedModule.from_factors(W, 2, [PExp(2, 1, 2), PExp(2, 1, 1)])
+    assert M.killed_by(PExp(2, 1, 1)) and M.killed_by(PExp(2, 1))
+    assert not M.killed_by(PExp(2, 1, 2))
+    assert PresentedModule.zero(W).killed_by(PExp(2, 0))

@@ -142,13 +142,22 @@ def test_tower_roundtrip_grid():
     for p in (2, 3):
         for rank in (1, 2, 3, 4):
             for depth in (1, 2, 3, 4):
-                spec = TowerSpec(RingConfig.perfect(p), 1, depth)
+                spec = TowerSpec(RingConfig.perfect(p), depth)
                 assert tower_roundtrip(spec, rank), (p, rank, depth)
 
 
 def test_tower_roundtrip_with_firm_twist():
-    spec = TowerSpec(V2, 1, 3)
+    spec = TowerSpec(V2, 3)
     assert tower_roundtrip(spec, 2, firm_stage=3)
+
+
+def test_tower_spec_refuses_depth_zero_and_past_the_truncation():
+    # omega = t: A/t^depth must still be a quotient of V/(t^c)
+    W = RingConfig.truncated(2, 2)
+    assert TowerSpec(W, 2).depth == 2
+    for cfg, depth in ((V2, 0), (W, 3)):
+        with pytest.raises(ValueError):
+            TowerSpec(cfg, depth)
 
 
 def test_quotient_by_a_power_past_the_truncation_is_the_module():
