@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from math import prod
 
-from .almost import MonomialTower, colim_is_zero, firmify
+from . import almost
+from .almost import (
+    IndMap,
+    const_tower,
+    diagonal_cokernel,
+    firmify,
+    is_almost_iso,
+    is_exact_iso_levelwise,
+)
 from .base_ring import RingConfig
 from .complexes import ChainComplex
 from .exponents import PExp
@@ -233,33 +241,26 @@ def unitalize_roundtrip_check(B: NonUnitalAlgebra) -> bool:
 
 # -- shriek functors on algebra carriers ----------------------------------
 
-def b_shriek(B: PresentedModule, j: int) -> PresentedModule:
-    """Stage-j realization of m-tilde tensor Hom(m-tilde, B).
-
-    On the monomial class Hom(m-tilde, -) is the identity, so the stage
-    realization is B itself (the t^(1/p^j) twist lives in the maps)."""
-    return B.at_level(max(B.level, j))
-
-
 def b_shriek_shriek(B: PresentedModule, j: int):
     """coker of the diagonal m-tilde -> V + B_! at stage j.
 
-    The left leg is the inclusion t^(1/p^j) into V, the right leg sends
-    the stage generator to the unit of B, generator 0.  Returns (module,
-    diag, proj)."""
+    B_! = m-tilde tensor Hom(m-tilde, B) is B itself at stage j on the
+    monomial class (the t^(1/p^j) twist lives in the maps).  The left leg
+    is the inclusion t^(1/p^j) into V, the right leg sends the stage
+    generator to the unit of B, generator 0.  Returns (module, diag,
+    proj)."""
     cfg = B.cfg
     p = cfg.p
-    Bj = b_shriek(B, j)
+    Bj = B.at_level(max(B.level, j))
     V = PresentedModule.free(cfg, Bj.level, 1)
     tgt = direct_sum(V, Bj)
-    src = PresentedModule.free(cfg, Bj.level, 1)
     L = tgt.level
     mod = ring_modulus(cfg, L)
     mat = PolyMatrix(tgt.rank, 1, p, modulus=mod)
     k = PExp(p, 1, j).to_int_at_level(L)
     mat.set(0, 0, [0] * k + [1])  # 0 once k reaches mod
     mat.set(1, 0, [p - 1])
-    diag = ModuleMap(src.at_level(L), tgt, mat, check=False)
+    diag = ModuleMap(V.at_level(L), tgt, mat, check=False)
     Q, proj = cokernel_map(diag)
     return Q, diag, proj
 
@@ -277,84 +278,44 @@ def shriek_sequence_check(B: PresentedModule, j: int) -> bool:
     return C.is_zero_module()
 
 
-def _theta_map(B: PresentedModule, j: int):
-    """B_!! -> B: the unit coordinate to 1_B, the B_! block by t^(1/p^j)."""
-    cfg = B.cfg
-    p = cfg.p
-    Q, _, _ = b_shriek_shriek(B, j)
-    Bj = B.at_level(Q.level)
-    L = Q.level
-    mod = ring_modulus(cfg, L)
-    mat = PolyMatrix(Bj.rank, Q.rank, p, modulus=mod)
-    tw = [0] * PExp(p, 1, j).to_int_at_level(L) + [1]  # 0 once it reaches mod
-    mat.set(0, 0, [1])
-    for i in range(Bj.rank):
-        mat.set(i, 1 + i, tw)
-    return ModuleMap(Q, Bj, mat, check=False), Q
+def _unit_tower(B: PresentedModule):
+    """B as a constant tower whose line 0 is B's generator 0, the unit of
+    B_!!'s diagonal: const_tower orders summands by exponent."""
+    if B.is_zero_module() or B.rank > 1 and B.invariant_factors():
+        raise ValueError(f"B must be a nonzero cyclic or free module: {B!r}")
+    return const_tower(B)
 
 
-def shriek_split_check(B: PresentedModule, J: int) -> bool:
-    """After tensoring with m-tilde the sequence splits: the cokernel and
-    kernel of B_! -> B_!! form towers that die exactly along the firm
-    transitions.
-
-    Stage j lives at ring level j, so the honest computation is done
-    through a probe depth; the measured annihilators must follow the exact
-    geometric pattern e/p^j, and colimit death is then decided on that
-    pattern (stage j needs only stage j+1, which the pattern supplies).
-    The probe depth is 5 for p = 2 and 4 otherwise, at most J."""
-    cfg = B.cfg
-    probe = min(5 if cfg.p == 2 else 4, J)
-
-    measured = {"coker": [], "ker": []}
-    for j in range(probe + 1):
-        Q, _, _ = b_shriek_shriek(B, j)
-        incl = _bshriek_inclusion(B, j, Q)
-        for kind, (M, _) in (("coker", cokernel_map(incl)),
-                             ("ker", kernel_map(incl))):
-            if M.free_rank() > 0:
-                return False
-            measured[kind].append(tuple(M.decompose_exponents()))
-
-    for kind in ("coker", "ker"):
-        base = measured[kind][0]
-        for j, exps in enumerate(measured[kind]):
-            if exps != tuple(e.scale_pow(-j) for e in base):
-                return False
-        if not colim_is_zero(_shriek_tower(cfg, base, f"shriek-{kind}")):
-            return False
-    return True
+def theta_map(B: PresentedModule) -> IndMap:
+    """theta: B_!! -> B on towers, B_!! the diagonal cokernel of
+    B_! = firmify(B): V's line to B's generator 0 by the identity, each
+    B_! line by t^(1/p^j), mu's exponent."""
+    Bt = _unit_tower(B)
+    return IndMap(diagonal_cokernel(firmify(Bt)), Bt,
+                  [(0, 0)] + [almost.MU] * (len(Bt.forms) - 1), "theta")
 
 
-def _shriek_tower(cfg, base, name):
-    """firmify of the pattern tower with one line e/p^j per base exponent
-    e and identity transitions, at K = the largest level of base."""
-    K = max([0] + [e.k for e in base])
-    return firmify(MonomialTower(
-        cfg, K, [((0, (0, e.to_int_at_level(K)), (0, 0)),) for e in base],
-        name=name))
+def shriek_inclusion(B: PresentedModule) -> IndMap:
+    """B_! -> B_!! through V + B_! on towers: generator 0 is t^(1/p^j)
+    times V's generator in B_!!, the others go to themselves."""
+    Bs = firmify(_unit_tower(B))
+    return IndMap(Bs, diagonal_cokernel(Bs),
+                  [almost.MU] + [(0, 0)] * (len(Bs.forms) - 1), "incl")
 
 
-def _bshriek_inclusion(B, j, Q):
-    """B_! -> B_!! through V + B_!."""
-    cfg = B.cfg
-    Bj = b_shriek(B, j).at_level(Q.level)
-    mod = ring_modulus(cfg, Q.level)
-    mat = PolyMatrix.block(Q.rank, Bj.rank, cfg.p, mod,
-                           [(1, 0, PolyMatrix.identity(Bj.rank, cfg.p, mod))])
-    return ModuleMap(Bj, Q, mat, check=False)
+def shriek_split_check(B: PresentedModule) -> bool:
+    """After tensoring with m-tilde the sequence splits: m-tilde tensor
+    (B_! -> B_!!), the inclusion's u between the firmified towers, has
+    kernel and cokernel that die exactly, decided for every stage."""
+    f = shriek_inclusion(B)
+    return is_exact_iso_levelwise(
+        IndMap(firmify(f.source), firmify(f.target), f.u))
 
 
 def shriek_almost_iso_check(B: PresentedModule, J: int) -> bool:
-    """B_!! -> B is an almost isomorphism: at stages J-1 and J the kernel
-    and cokernel are torsion with annihilator exponent at most 1/p^j."""
-    for j in (J - 1, J):
-        theta, _ = _theta_map(B, j)
-        bound = PExp(B.cfg.p, 1, j)
-        if not (kernel_map(theta)[0].killed_by(bound)
-                and cokernel_map(theta)[0].killed_by(bound)):
-            return False
-    return True
+    """B_!! -> B is an almost isomorphism: theta's kernel and cokernel
+    towers are almost zero, proved for every stage."""
+    return is_almost_iso(theta_map(B), J).holds
 
 
 def monoidal_equiv_check(B: PresentedModule, J: int = 8) -> bool:
@@ -363,7 +324,7 @@ def monoidal_equiv_check(B: PresentedModule, J: int = 8) -> bool:
     m-tilde (certified through the dying coker/kernel towers)."""
     return (shriek_sequence_check(B, J)
             and shriek_almost_iso_check(B, J)
-            and shriek_split_check(B, J))
+            and shriek_split_check(B))
 
 
 def firm_retract_check(cfg: RingConfig, j: int) -> bool:

@@ -5,22 +5,27 @@ the shriek functor.
 Ind-objects are modelled as *monomial towers*: a list of lines, line i of
 stage j a monomial cyclic V/(t^a) or free, and the transition stage j ->
 stage j+1 multiplying line i by its own monomial t^(c_ij).  Every tower
-the library constructs (m, m tensor M, V/m, constant towers, their kernels
-and cokernels) has this shape, and colimit questions reduce to exponent
-bookkeeping line by line: a generator of line i at stage j is zero in the
-colimit iff the line's accumulated transition exponent reaches its
-annihilator bound at some later stage.
+the library constructs (m, m tensor M, V/m, constant towers, B_!! and
+A_n^+, kernels and cokernels) has this shape, and colimit questions
+reduce to exponent bookkeeping line by line: a generator of line i at
+stage j is zero in the colimit iff the line's accumulated transition
+exponent reaches its annihilator bound at some later stage.
 
 Every tower is given in closed form (see MonomialTower): each line is cut
 into finitely many stage intervals, its pieces, and on each piece its
 annihilator bound and the running sum of its transition exponents are
-(a + g*p^(-j)) / p^K.  The base towers (m, V/m, constant towers, the
-shriek patterns of algebra.py) write theirs; firmify, kernel_tower and
-cokernel_tower map their source's pieces line by line, cutting a piece at
-the one stage where a min of two forms changes sides.  Colimit questions
-are answered from the pieces for every stage at once (see _residuals), so
-a tower's verdicts are exact.  lines(), trans_exp() and component()
-evaluate the pieces at one stage.
+(a + g*p^(-j)) / p^K.  The base towers (m, V/m, constant towers) write
+theirs; firmify, kernel_tower, cokernel_tower and diagonal_cokernel map
+their sources' pieces line by line, cutting a piece at the one stage
+where a min of two forms changes sides.  A map of towers (IndMap)
+multiplies line i of stage j by t^(u_i(j)), u_i a form: mu is p^(-j) on
+every line (MU), theta, B_! -> B_!! and Lemma A's comparison
+(algebra.py, tower.py) mix it with 0.  ker(t^u: R/t^a -> R/t^b) is
+R/t^(min(a, a + u - b)), its cokernel R/t^(min(b, u)).
+
+Colimit questions are answered from the pieces for every stage at once
+(see _residuals), so a tower's verdicts are exact.  lines(), trans_exp()
+and component() evaluate the pieces at one stage.
 
 A query is also answered once per tower: firmify(x) returns the tower it
 built for the same x while that tower is alive (a weak reference on x, so
@@ -46,16 +51,22 @@ RESIDUE = "RESIDUE_V_MOD_M"
 
 # the form that is 0 at every stage
 _ZERO = (0, 0)
+# mu's stage exponent u_j = p^(-j), a form at level 0: m tensor x -> x
+# multiplies stage j by t^(u_j).  The one place it is written; mu_map,
+# diagonal_cokernel and complexes.mu_perf_map read it from here
+MU = (0, 1)
 
 
 class AlmostCertificate:
     """Outcome of an almost-mathematics test.
 
     verdict is one of:
-      "certified-structural" -- decided exactly: on a tower, for every stage
-                                from its closed form; on a module, from its
-                                decomposition.  holds says which way.
-      "fails"                -- a concrete witness contradicts the claim
+      "certified-structural" -- the claim holds, proved exactly: on a tower,
+                                for every stage from its closed form; on a
+                                module, from its decomposition
+      "fails"                -- the claim is false, decided the same ways;
+                                the witness says why
+    so holds is True exactly when verdict is "certified-structural".
 
     level is the working level J the test was asked at.
     """
@@ -227,19 +238,19 @@ class MonomialTower:
         return f"<ind {label} over {self.cfg!r}>"
 
 
-def _bounded(t):
-    """(K, lines): t's lines as spans (lo, hi, A, S) at K = max(t's K,
-    the truncation bound's level), with the effective bounds: a free line
-    is bounded by the truncation over a truncated ring and keeps None over
+def _bounded(t, K=0):
+    """(K, lines): t's lines as pieces at level K = max(K, t's K, the
+    truncation bound's level), with the effective bounds: a free line is
+    bounded by the truncation over a truncated ring and keeps None over
     the domain."""
     cfg, p = t.cfg, t.cfg.p
-    K = max(t.K, _floor(cfg))
+    K = max(K, t.K, _floor(cfg))
     s = p ** (K - t.K)
     cap = (cfg.trunc.to_int_at_level(K), 0) \
         if cfg.mode == CHAR_P_TRUNCATED else None
-    return K, [[(lo, hi, cap if A is None else (A[0] * s, A[1] * s),
-                 (S[0] * s, S[1] * s)) for lo, hi, A, S in _spans(line)]
-                for line in t.forms]
+    return K, [[(lo, cap if A is None else (A[0] * s, A[1] * s),
+                 (S[0] * s, S[1] * s)) for lo, A, S in line]
+               for line in t.forms]
 
 
 # -- tower constructors ----------------------------------------------------
@@ -329,39 +340,47 @@ def shriek(x) -> MonomialTower:
 
 
 class IndMap:
-    """The map family of mu between towers of matching line shape: stage
-    j multiplies every line by t^(u_j), u_j = 1/p^j, the form (0, p^K) at
-    level K."""
+    """A map family between towers with the same number of lines: stage j
+    multiplies line i by t^(u_i(j)), u_i a form at level 0, by default
+    mu's MU.  Line i of the source maps into line i of the target."""
 
-    __slots__ = ("source", "target", "name")
+    __slots__ = ("source", "target", "u", "name", "_aligned")
 
-    def __init__(self, source, target, name=""):
+    def __init__(self, source, target, u=None, name=""):
         self.source = source
         self.target = target
+        self.u = tuple(u) if u is not None else (MU,) * len(source.forms)
         self.name = name
+        self._aligned = None  # _aligned(self), built once
 
     def check_commutes(self):
-        """Naturality: target transition after map = map after source
-        transition, c'_j + u_j = u_(j+1) + c_j, on every line out of every
-        stage.  Summed from stage 0 this says that the source's running
-        sum minus the target's is m's, 1 - p^(-j), at every stage: checked
-        on each stretch of stages where both lines keep one piece, as forms
-        (values on a one-stage stretch).  Towers with different line counts
-        are refused."""
-        src, tgt = self.source, self.target
-        if len(src.forms) != len(tgt.forms):
+        """Naturality, and each stage map well defined, on every line.
+
+        Naturality: target transition after map = map after source
+        transition, c'_j + u(j) = u(j + 1) + c_j, out of every stage;
+        summed from stage 0, the source's running sum minus the target's
+        is u(0) - u(j) (for mu, m's 1 - p^(-j)).  Well defined: t^u maps
+        R/t^a into R/t^b when a + u >= b, a line free over the domain only
+        into a free one.  Both are checked as forms on each stretch where
+        all forms keep one piece; different line counts are refused."""
+        if not len(self.source.forms) == len(self.target.forms) \
+                == len(self.u):
             return False
-        p = src.cfg.p
-        K = max(src.K, tgt.K)
-        ss, st, q = p ** (K - src.K), p ** (K - tgt.K), p ** K
-        for a, b in zip(src.forms, tgt.forms):
-            cuts = sorted({lo for lo, _, _ in a} | {lo for lo, _, _ in b})
-            for lo, hi in zip(cuts, cuts[1:] + [None]):
-                S, T = _piece(a, lo)[2], _piece(b, lo)[2]
-                d = (S[0] * ss - T[0] * st - q, S[1] * ss - T[1] * st + q)
+        p = self.source.cfg.p
+        for line in _aligned(self)[1]:
+            for lo, hi, A, S, B, T, u in line:
+                d = (S[0] - T[0] - u[1], S[1] - T[1] + u[1])
                 if d != _ZERO and (hi != lo + 1 or _at(d, lo, p)):
                     return False
+                if A is not None and (B is None or not _nonneg(
+                        (A[0] + u[0] - B[0], A[1] + u[1] - B[1]), lo, hi, p)):
+                    return False
         return True
+
+
+def mu_exponent(p, j) -> PExp:
+    """mu's stage exponent u_j = 1/p^j, read off MU."""
+    return PExp(p, _at(MU, j, p), j)
 
 
 def mu_map(x) -> IndMap:
@@ -370,62 +389,115 @@ def mu_map(x) -> IndMap:
     return IndMap(firmify(t), t, name="mu")
 
 
-def _mu_cut(t):
-    """(K, lines): t's bounded lines (see _bounded), every piece cut where
-    its bound crosses mu's u_j = p^(-j), as pieces (lo, A, S, above) with
-    above whether A(j) > u_j on the piece (False for a line without a
-    bound)."""
-    K, lines = _bounded(t)
-    p = t.cfg.p
-    q = p ** K
+def _nonneg(f, lo, hi, p):
+    """f(j) >= 0 at every stage j from lo, below hi (None: no end); f is
+    monotone, so its least value is at an end of the stretch, or its
+    limit a."""
+    return _at(f, lo, p) >= 0 and (f[0] >= 0 if hi is None
+                                   else _at(f, hi - 1, p) >= 0)
+
+
+def _aligned(f):
+    """(K, lines): per line of f, the stretches (lo, hi, A, S, B, T, u) on
+    which the source's bound A and running sum S and the target's B and T
+    each keep one form, at a common level K (bounds as _bounded gives
+    them), u f's exponent; computed once per map."""
+    if f._aligned:
+        return f._aligned
+    K, src = _bounded(f.source, f.target.K)
+    K, tgt = _bounded(f.target, K)
+    s = f.source.cfg.p ** K
     out = []
-    for line in lines:
-        cut = []
-        for lo, hi, A, S in line:
-            if A is None:
-                cut.append((lo, A, S, False))
-                continue
-            d = (A[0], A[1] - q)  # A - u
-            above = _at(d, lo, p) > 0
-            cut.append((lo, A, S, above))
-            j = _crossing(d, lo, hi, p)
-            if j is not None:
-                cut.append((j, A, S, not above))
-        out.append(cut)
-    return K, out
+    for a, b, u in zip(src, tgt, f.u):
+        cuts = sorted({lo for lo, _, _ in a} | {lo for lo, _, _ in b})
+        u = (u[0] * s, u[1] * s)
+        out.append([(lo, hi, *_piece(a, lo)[1:], *_piece(b, lo)[1:], u)
+                    for lo, hi in zip(cuts, cuts[1:] + [None])])
+    f._aligned = K, out
+    return f._aligned
+
+
+def _cut(line, p):
+    """line's stretches (see _aligned) cut where the target's bound B
+    crosses u, as pieces (lo, A, S, B, T, u, above) with above whether
+    B(j) > u(j) on the piece (None, for B or u, stands for no bound)."""
+    out = []
+    for lo, hi, A, S, B, T, u in line:
+        if B is None or u is None:
+            out.append((lo, A, S, B, T, u, B is None))
+            continue
+        d = (B[0] - u[0], B[1] - u[1])
+        above = _at(d, lo, p) > 0
+        out.append((lo, A, S, B, T, u, above))
+        j = _crossing(d, lo, hi, p)
+        if j is not None:
+            out.append((j, A, S, B, T, u, not above))
+    return out
 
 
 def kernel_tower(f: IndMap) -> MonomialTower:
-    """Kernel of a scalar map family, line by line.
-
-    ker(t^u on R/t^a) = R/t^(min(u,a)), generated by t^(off) with
-    off = a - min(a,u); each line's generator offsets shift its transition
-    exponents, c_j + off(j) - off(j+1), so its running sum becomes
-    S - off + off(0).  A line without a bound (free over the domain) has
-    kernel 0 and offset 0.
+    """Kernel of a per-line monomial map family, line by line:
+    ker(t^u: R/t^a -> R/t^b) = R/t^(min(a, a + u - b)), generated by t^off
+    with off = max(0, b - u); each line's generator offsets shift its
+    transition exponents, c_j + off(j) - off(j+1), so its running sum
+    becomes S - off + off(0).  A line free over the domain has kernel 0
+    into a free line, and is free with offset off into a bounded one.
     """
-    K, lines = _mu_cut(f.source)
-    q = f.source.cfg.p ** K
+    K, lines = _aligned(f)
+    p = f.source.cfg.p
     forms = []
-    for cut in lines:
-        offs = [(A[0], A[1] - q) if above else _ZERO
-                for _, A, _, above in cut]
-        off0 = sum(offs[0])
-        forms.append(tuple(
-            (lo, _ZERO if A is None else (0, q) if above else A,
-             (S[0] - off[0] + off0, S[1] - off[1]))
-            for (lo, A, S, above), off in zip(cut, offs)))
+    for line in lines:
+        pieces = []
+        for lo, A, S, B, _, u, above in _cut(line, p):
+            off = (B[0] - u[0], B[1] - u[1]) if B and above else _ZERO
+            bound = _ZERO if B is None else A and (A[0] - off[0],
+                                                   A[1] - off[1])
+            pieces.append((lo, bound, S, off))
+        off0 = sum(pieces[0][3])
+        forms.append(tuple((lo, bound, (S[0] - off[0] + off0, S[1] - off[1]))
+                           for lo, bound, S, off in pieces))
     return MonomialTower(f.source.cfg, K, forms, name=f"ker({f.name})")
 
 
 def cokernel_tower(f: IndMap) -> MonomialTower:
-    """coker(t^u on R/t^a) = R/t^(min(a,u)); free lines give R/t^u.
-    Transitions are those of the target."""
-    K, lines = _mu_cut(f.target)
-    u = (0, f.target.cfg.p ** K)
-    forms = [tuple((lo, u if A is None or above else A, S)
-                   for lo, A, S, above in cut) for cut in lines]
+    """coker(t^u: R/t^a -> R/t^b) = R/t^(min(b, u)); a target line free
+    over the domain gives R/t^u.  Transitions are those of the target."""
+    K, lines = _aligned(f)
+    forms = [tuple((lo, u if above else B, T)
+                   for lo, _, _, B, T, u, above in _cut(line, f.target.cfg.p))
+             for line in lines]
     return MonomialTower(f.target.cfg, K, forms, name=f"coker({f.name})")
+
+
+def diagonal_cokernel(X: MonomialTower, leg=None) -> MonomialTower:
+    """coker(m-tilde -> V/(t^leg) + X), stage j sending m-tilde's generator
+    to (t^(u_j), -(X's generator 0)), u = MU: B_!! (leg None, V itself)
+    and A_n^+ (leg n).  X's generator 0 is t^(u_j) times V's, so V's
+    spans line 0, the cokernel of t^(a + u_j) on V/(t^leg), a X's line-0
+    bound, with no transitions; X's other lines stay.  X's line 0 must
+    carry m's transitions, or the unit leg would not be a map of towers."""
+    cfg, p = X.cfg, X.cfg.p
+    leg = None if leg is None else PExp.from_fraction(p, leg)
+    K, lines = _bounded(X, 0 if leg is None else leg.k)
+    q = p ** K
+    if any(S != (q, -q) for _, _, S in lines[0]):
+        raise ValueError(f"{X.name}: line 0 does not carry m's transitions")
+    leg = cfg.trunc if leg is None else leg  # V: the truncation, or none
+    V = None if leg is None else (leg.to_int_at_level(K), 0)
+    line = [(lo, hi, None, None, V, _ZERO,
+             A and (A[0] + MU[0] * q, A[1] + MU[1] * q))
+            for lo, hi, A, _ in _spans(lines[0])]
+    first = tuple((lo, u if above else B, T)
+                  for lo, _, _, B, T, u, above in _cut(line, p))
+    return MonomialTower(cfg, K, [first] + lines[1:], name=f"diag({X.name})")
+
+
+def same_stages(s: MonomialTower, t: MonomialTower) -> bool:
+    """Are s and t the same module at every stage, line for line: the same
+    bound pieces at a common level?  Transitions are not compared."""
+    K = max(s.K, t.K)
+    return [[(lo, A) for lo, A, _ in line] for line in _bounded(s, K)[1]] \
+        == [[(lo, A) for lo, A, _ in line] for line in _bounded(t, K)[1]]
 
 
 # -- colimit bookkeeping ---------------------------------------------------
@@ -502,7 +574,7 @@ def _residuals(tower: MonomialTower):
     by the truncation."""
     K, lines = _bounded(tower)
     p = tower.cfg.p
-    return [None if line[0][2] is None else _Residual(line, p, K)
+    return [None if line[0][1] is None else _Residual(_spans(line), p, K)
             for line in lines]
 
 
@@ -588,7 +660,7 @@ def is_firm(x, J: int) -> AlmostCertificate:
             return AlmostCertificate("certified-structural", True, J, {})
         # coker(mu) at stage j is x/t^(1/p^j)x, nonzero for all j
         return AlmostCertificate(
-            "certified-structural", False, J,
+            "fails", False, J,
             {"reason": "nonzero finitely presented module is never firm",
              "cokernel_stage_J": f"x/t^(1/p^{J})x"})
     t = as_tower(x)
@@ -619,7 +691,7 @@ def is_closed(x, J: int) -> AlmostCertificate:
     if t.tag == RESIDUE:
         # Hom(m, V/m) = 0 since m has positive transition exponents and V/m
         # is killed by every positive power; mu' has kernel V/m
-        return AlmostCertificate("certified-structural", False, J,
+        return AlmostCertificate("fails", False, J,
                                  {"reason": "Hom(m, V/m) = 0 but V/m != 0"})
     if t.closed_form is not None and t.tag != IDEAL_M:
         if not is_almost_zero(t, J).holds \

@@ -14,8 +14,8 @@ from .almost import (
     firmify,
     is_almost_iso,
     is_almost_zero,
+    mu_exponent,
 )
-from .exponents import PExp
 from .linalg import PolyMatrix
 from .modules import ModuleMap, PresentedModule, direct_sum, homology_at
 
@@ -338,7 +338,8 @@ def firmify_perf(P: PerfPlus) -> PerfPlus:
 
 
 def mu_perf_map(P: PerfPlus) -> PerfPlusMap:
-    """mu_P : m-tilde tensor P -> P, stage j is t^(1/p^j) in every degree.
+    """mu_P : m-tilde tensor P -> P, stage j is t^(1/p^j) (mu_exponent) in
+    every degree.
 
     firmify_perf realizes m-tilde tensor P with P's own stage complexes, so
     each component is the scalar on P's stage-j term itself."""
@@ -347,7 +348,7 @@ def mu_perf_map(P: PerfPlus) -> PerfPlusMap:
 
     def realize(j):
         E = FP.realize(j)
-        e = PExp(p, 1, j)
+        e = mu_exponent(p, j)
         comps = {d: ModuleMap.scalar(M, e) for d, M in E.terms.items()}
         return ChainMap(E, P.realize(j), comps, check=False)
 

@@ -162,17 +162,6 @@ class PresentedModule:
     def is_zero_module(self):
         return self.free_rank() == 0 and not self.invariant_factors()
 
-    def killed_by(self, e):
-        """Does t^e kill M: no free summand, and every torsion exponent at
-        most e?  The stage tests ask this of t^(1/p^j) at stage j.
-
-        A free summand never counts as killed, even over V/(t^c) with
-        e >= c, where t^e is 0: R is not almost zero (t^(c/2) does not
-        kill it), and counting it as killed would pass stage 0 over V/(t),
-        where the bound is t^1 = 0."""
-        return not self.free_rank() and all(
-            a <= e for a in self.decompose_exponents())
-
     def at_level(self, level):
         """The same module presented at a higher level."""
         if level < self.level:

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import stage_reference
 from almostalg import algebra as alg
+from almostalg.almost import kernel_tower
+from almostalg.exponents import PExp
 from almostalg.base_ring import RingConfig
 from almostalg.complexes import ChainComplex
 from almostalg.modules import ModuleMap, PresentedModule, ring_modulus
@@ -58,24 +61,33 @@ def test_theta_is_almost_iso():
 
 def test_shriek_maps_at_stage_zero_over_the_residue_ring():
     # over V/(t), t^(1/p^0) = t = 0: the t^(1/p^j) entries of the diagonal
-    # and of theta are zero, so theta misses the B_! block at stage 0 and
-    # is an almost isomorphism only from stage 1 on
+    # and of theta are zero, so theta misses the B_! block at stage 0, and
+    # the stage test at J = 1 (stages 0 and 1) says no.  The colimit does
+    # not see stage 0: on towers theta is an almost isomorphism at every J
     W = RingConfig.truncated(2, 1)
     B = PresentedModule.free(W, 0, 2)
     Q, diag, proj = alg.b_shriek_shriek(B, 0)
     assert diag.matrix.entries == [[[]], [[1]], [[]]]
     assert (Q.level, Q.rank, Q.free_rank()) == (0, 3, 2)
     assert not Q.invariant_factors()
-    theta, _ = alg._theta_map(B, 0)
+    theta = stage_reference.theta_stage_map(B, 0)
     assert theta.matrix.entries == [[[1], [], []], [[], [], []]]
     assert alg.shriek_sequence_check(B, 0)
-    assert not alg.shriek_almost_iso_check(B, 1)
+    assert not stage_reference.shriek_almost_iso_check(B, 1)
+    assert stage_reference.shriek_almost_iso_check(B, 2)
+    # the tower's kernel is the whole B_! line at stage 0 and t^(1/2^j)
+    # after: free at stage 0 over V/(t), almost zero all the same
+    ker = kernel_tower(alg.theta_map(B))
+    assert ker.component(0).free_rank() == 1
+    assert [ker.component(j).decompose_exponents() for j in (1, 2)] == [
+        [PExp(2, 1, 1)], [PExp(2, 1, 2)]]
+    assert alg.shriek_almost_iso_check(B, 1)
     assert alg.shriek_almost_iso_check(B, 2)
 
 
 def test_shriek_split_after_firm_twist():
-    assert alg.shriek_split_check(PresentedModule.free(V2, 0, 1), 8)
-    assert alg.shriek_split_check(PresentedModule.cyclic(V3, Fraction(2)), 8)
+    assert alg.shriek_split_check(PresentedModule.free(V2, 0, 1))
+    assert alg.shriek_split_check(PresentedModule.cyclic(V3, Fraction(2)))
 
 
 def test_monoidal_equiv_full():

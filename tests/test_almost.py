@@ -114,7 +114,9 @@ def test_mu_on_ideal_is_levelwise_iso():
 
 def test_ideal_m_is_firm_and_modules_are_not():
     assert is_firm(ideal_m(V2), J).holds
-    assert not is_firm(PresentedModule.free(V2, 0, 1), J).holds
+    # a structural no is a failure like every other no
+    cert = is_firm(PresentedModule.free(V2, 0, 1), J)
+    assert not cert.holds and cert.verdict == "fails"
 
 
 def test_constant_towers_are_not_firm_through_their_tower():
@@ -217,7 +219,8 @@ def test_constant_towers_are_closed_like_their_module():
 
 
 def test_residue_is_not_closed():
-    assert not is_closed(residue(V2), J).holds
+    cert = is_closed(residue(V2), J)
+    assert not cert.holds and cert.verdict == "fails"
 
 
 def test_shriek_roundtrip():
@@ -251,20 +254,23 @@ def test_colocal_precondition_enforced():
 
 def test_every_certificate_of_a_gate_run_is_exact(monkeypatch):
     """The acceptance gate's certificates, every one as it is built, are
-    certified-structural or fail: no verdict is finitized at a level."""
+    certified-structural or fail: no verdict is finitized at a level, and
+    the verdict says which way it went (holds exactly when it is
+    certified-structural)."""
     from almostalg.almost import AlmostCertificate
     from almostalg.suites import SuiteOptions, run_suite
     verdicts = []
     init = AlmostCertificate.__init__
 
-    def recording_init(self, verdict, *args, **kwargs):
-        init(self, verdict, *args, **kwargs)
-        verdicts.append(verdict)
+    def recording_init(self, verdict, holds, *args, **kwargs):
+        init(self, verdict, holds, *args, **kwargs)
+        verdicts.append((verdict, holds))
 
     monkeypatch.setattr(AlmostCertificate, "__init__", recording_init)
     run_suite("all", SuiteOptions(seed=0, corpus_size=50, working_level=8,
                                   depth=4))
-    assert set(verdicts) == {"certified-structural", "fails"}, set(verdicts)
+    assert set(verdicts) == {("certified-structural", True),
+                             ("fails", False)}, set(verdicts)
 
 
 def test_colim_death():

@@ -53,7 +53,7 @@ def test_phi_idempotent_on_classes():
 
 def test_split_check_full():
     for P in corpus()[:10]:
-        assert split_check(P, J=6)
+        assert split_check(P)
 
 
 def test_ledger_verifies_and_descends():

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import stage_reference
 from almostalg import tower
+from almostalg.almost import (
+    MonomialTower, cokernel_tower, firmify, mu_map)
 from almostalg.algebra import b_shriek_shriek
 from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
@@ -113,10 +116,24 @@ def _a_n_plus_without_unit_leg(A_rank, n, j, cfg):
     return Q, cut, proj
 
 
+def _a_n_plus_tower_without_unit_leg(n, cfg):
+    """A_n^+ on towers with the diagonal's unit leg left out: the cokernel
+    of mu on V/(t^n), next to m tensor V/(t^n) untouched."""
+    leg = cokernel_tower(mu_map(PresentedModule.cyclic(cfg, n)))
+    X = firmify(PresentedModule.cyclic(cfg, n))
+    assert leg.K == X.K
+    return MonomialTower(cfg, X.K, leg.forms + X.forms)
+
+
 def test_lemma_a_refuses_a_diagonal_without_its_unit_leg(monkeypatch):
-    monkeypatch.setattr(tower, "a_n_plus", _a_n_plus_without_unit_leg)
+    monkeypatch.setattr(tower, "a_n_plus_tower",
+                        _a_n_plus_tower_without_unit_leg)
+    monkeypatch.setattr(stage_reference, "a_n_plus",
+                        _a_n_plus_without_unit_leg)
     for p in (2, 3):
-        assert not verify_lemmaA(1, RingConfig.perfect(p), J=5), p
+        cfg = RingConfig.perfect(p)
+        assert not verify_lemmaA(1, cfg, J=5), p
+        assert not stage_reference.verify_lemmaA(1, cfg, J=5), p
 
 
 def test_tilting_zigzag(monkeypatch):

@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-import almostalg.algebra as alg
 from almostalg.almost import (
     MonomialTower,
     _residuals,
     cokernel_tower,
     colim_is_zero,
     const_tower,
+    diagonal_cokernel,
     firmify,
     ideal_m,
     is_almost_iso,
@@ -42,9 +42,9 @@ from almostalg.polys import poly_monomial, poly_valuation
 from almostalg.suites import SuiteOptions, monomial_corpus, run_suite
 from tower_reference import (
     const_table,
+    diagonal_table,
     firm_table,
     ideal_m_table,
-    pattern_table,
     record_towers,
     residue_table,
     table_stages,
@@ -278,28 +278,23 @@ def test_residuals_match_composed_transitions(p):
                     assert b == r if reached else b > r, (tower, x, got, b)
 
 
-def _shriek_towers(p, monkeypatch):
-    """The towers shriek_split_check builds for V and V/(t^(1/p)) over
-    the perfect ring and V/(t^2), caught on their way to colim_is_zero
-    (over V/(t) the check fails before it builds any)."""
-    towers = []
-    colim_is_zero = alg.colim_is_zero
-
-    def catch(tower):
-        towers.append(tower)
-        return colim_is_zero(tower)
-
-    with monkeypatch.context() as m:
-        m.setattr(alg, "colim_is_zero", catch)
-        for cfg in (RingConfig.perfect(p), RingConfig.truncated(p, 2)):
-            for B in (PresentedModule.free(cfg, 0, 1),
-                      PresentedModule.cyclic(cfg, PExp(p, 1, 1))):
-                assert alg.shriek_split_check(B, 3)
-    return towers
+def _shriek_towers(p):
+    """(B, B_!!) for V and V/(t^(1/p)) over the perfect ring and V/(t^2),
+    and for a sum of cyclics with fractional exponents: B_!! is the
+    diagonal cokernel of firmify(B), as theta and shriek_split_check
+    build it."""
+    for cfg in (RingConfig.perfect(p), RingConfig.truncated(p, 2)):
+        for B in (PresentedModule.free(cfg, 0, 1),
+                  PresentedModule.cyclic(cfg, PExp(p, 1, 1))):
+            yield B, diagonal_cokernel(firmify(const_tower(B)))
+    B = PresentedModule.from_factors(
+        RingConfig.perfect(p), 2,
+        [PExp(p, 1, 2), PExp(p, 2 * p + 1, 1), PExp(p, 3)])
+    yield B, diagonal_cokernel(firmify(const_tower(B)))
 
 
 @pytest.mark.parametrize("p", sorted(CASES))
-def test_base_tables_match_their_definitions(p, monkeypatch):
+def test_base_tables_match_their_definitions(p):
     J, size = CASES[p]
     last = _last(J)
     zero = PExp(p, 0)
@@ -307,35 +302,38 @@ def test_base_tables_match_their_definitions(p, monkeypatch):
     want = []
     for cfg in _rings(p):
         want.append((ideal_m(cfg), lambda j: (None,),
-                     lambda j: PExp(p, p - 1, j + 1)))
+                     lambda j: (PExp(p, p - 1, j + 1),)))
         want.append((residue(cfg), lambda j: (PExp(p, 1, j),),
-                     lambda j: zero))
+                     lambda j: (zero,)))
     for M in monomial_corpus(p, size, primes=(p,)):
         line = tuple(M.decompose_exponents()) + (None,) * M.free_rank()
         want.append((const_tower(M), lambda j, line=line: line,
-                     lambda j: zero))
-    shrieks = _shriek_towers(p, monkeypatch)
-    assert len(shrieks) == 8
-    for t in shrieks:
-        base = t.lines(0)
-        want.append((t, lambda j, base=base: tuple(e.scale_pow(-j)
-                                                   for e in base),
-                     lambda j: PExp(p, p - 1, j + 1)))
-    # a base with fractional exponents
-    base = (PExp(p, 1, 2), PExp(p, 2 * p + 1, 1), PExp(p, 3))
-    want.append((alg._shriek_tower(RingConfig.perfect(p), base, "shriek"),
-                 lambda j: tuple(e.scale_pow(-j) for e in base),
-                 lambda j: PExp(p, p - 1, j + 1)))
+                     lambda j, line=line: (zero,) * len(line)))
+    # B_!!: V's line bounded by B's line 0 plus 1/p^j (the truncation
+    # caps both), no transitions; B's other lines along m's
+    for B, t in _shriek_towers(p):
+        cap = B.cfg.trunc
+        line = tuple(B.decompose_exponents()) + (cap,) * B.free_rank()
+
+        def first(j, a=line[0], cap=cap):
+            if a is None:
+                return None
+            a = a + PExp(p, 1, j)
+            return a if cap is None or a < cap else cap
+
+        want.append((t, lambda j, line=line, first=first:
+                     (first(j),) + line[1:],
+                     lambda j, rest=len(line) - 1:
+                     (zero,) + (PExp(p, p - 1, j + 1),) * rest))
     for tower, lines, trans in want:
         for j in range(last + 1):
             assert tower.lines(j) == lines(j), (tower, j)
             if j < last:
-                assert tower.trans_exp(j) == (trans(j),) * len(lines(j)), \
-                    (tower, j)
+                assert tower.trans_exp(j) == trans(j), (tower, j)
 
 
 @pytest.mark.parametrize("p", sorted(CASES))
-def test_a_longer_table_extends_a_shorter_one(p, monkeypatch):
+def test_a_longer_table_extends_a_shorter_one(p):
     """A reference table built to stage 10 extends the one built to stage
     3, and both agree with the closed form on every stage they hold,
     whatever the order the stages are read in."""
@@ -346,8 +344,9 @@ def test_a_longer_table_extends_a_shorter_one(p, monkeypatch):
         towers.append((residue(cfg), residue_table(cfg)))
     for M in monomial_corpus(p, size, primes=(p,)):
         towers.append((const_tower(M), const_table(M)))
-    for t in _shriek_towers(p, monkeypatch):
-        towers.append((t, firm_table(pattern_table(t.lines(0)), p)))
+    for B, t in _shriek_towers(p):
+        towers.append((t, diagonal_table(firm_table(const_table(B), p), None,
+                                         B.cfg)))
     for tower, table in towers:
         short = table_stages(table, p, 3)
         lines, steps = table_stages(table, p, 10)
@@ -411,7 +410,7 @@ def test_closed_forms_match_the_reference_tables(run, monkeypatch):
     assert kinds >= {"const_tower", "firmify", "kernel_tower",
                      "cokernel_tower"}, kinds
     if run != "deep-level":
-        assert kinds >= {"ideal_m", "residue", "_shriek_tower"}, kinds
+        assert kinds >= {"ideal_m", "residue", "diagonal_cokernel"}, kinds
 
 
 def test_each_closed_form_is_built_once_per_tower(monkeypatch):

@@ -13,7 +13,7 @@ map, for the tests that compare towers with explicit modules.
 """
 import sys
 
-from almostalg import almost, algebra
+from almostalg import almost
 from almostalg.base_ring import CHAR_P_TRUNCATED
 from almostalg.exponents import PExp
 from almostalg.linalg import PolyMatrix
@@ -75,16 +75,6 @@ def const_table(M):
                       [[0] * n] * len(line))
 
 
-def pattern_table(base):
-    """One line e/p^j per base exponent e, identity transitions, at
-    K = n + the largest level of base."""
-    def table(n):
-        K = max([0] + [e.k for e in base]) + n
-        return (K, [[e.to_int_at_level(K - j) for j in range(n + 1)]
-                    for e in base], [[0] * n] * len(base))
-    return table
-
-
 def firm_table(src, p):
     """firmify: the source's bounds, and every transition gains
     (p - 1)/p^(j+1), at K = max(the source's K, n)."""
@@ -98,38 +88,79 @@ def firm_table(src, p):
     return table
 
 
-def kernel_table(src, cfg):
-    """ker(mu): bounds min(a, 1/p^j), transitions c_j + off(j) - off(j+1)
-    with off = a - min(a, 1/p^j); a line without a bound has kernel 0."""
+def _exponents(f, K, n):
+    """f's exponent u_j per line at stages 0..n, ints at level K >= n; f.u
+    is a form (a, g), a + g/p^j at stage j."""
+    p = f.source.cfg.p
+    return [[(a * p ** j + g) * p ** (K - j) for j in range(n + 1)]
+            for a, g in f.u]
+
+
+def kernel_table(src, tgt, f):
+    """ker(t^u: R/t^a -> R/t^b) per line: bound a - off with offset
+    off = max(0, b - u), transitions c_j + off(j) - off(j+1); a line free
+    over the domain has kernel 0 into a free line, and is free with offset
+    off into a bounded one."""
+    cfg = f.source.cfg
     p = cfg.p
 
     def table(n):
         Ks, bounds, trans = src(n)
-        K = max(Ks, n, _floor(cfg))
+        Kt, tbounds, _ = tgt(n)
+        K = max(Ks, Kt, n, _floor(cfg))
         s = p ** (K - Ks)
-        u = [p ** (K - j) for j in range(n + 1)]
         out, shifted = [], []
-        for A, C in zip(_bounded(bounds, s, cfg, K), trans):
-            out.append([0 if a is None else min(a, uj) for a, uj in zip(A, u)])
-            off = [0 if a is None else a - k for a, k in zip(A, out[-1])]
+        for A, B, C, U in zip(_bounded(bounds, s, cfg, K),
+                              _bounded(tbounds, p ** (K - Kt), cfg, K),
+                              trans, _exponents(f, K, n)):
+            off = [0 if b is None else max(0, b - u) for b, u in zip(B, U)]
+            out.append([0 if b is None else None if a is None else a - o
+                        for a, b, o in zip(A, B, off)])
             shifted.append([c * s + off[j] - off[j + 1]
                             for j, c in enumerate(C)])
         return K, out, shifted
     return table
 
 
-def cokernel_table(tgt, cfg):
-    """coker(mu): bounds min(a, 1/p^j), 1/p^j on a free line; the
-    target's transitions."""
+def cokernel_table(tgt, f):
+    """coker(t^u: R/t^a -> R/t^b) per line: bound min(b, u), u on a free
+    line; the target's transitions."""
+    cfg = f.target.cfg
     p = cfg.p
 
     def table(n):
         Kt, bounds, trans = tgt(n)
         K = max(Kt, n, _floor(cfg))
         s = p ** (K - Kt)
-        u = [p ** (K - j) for j in range(n + 1)]
-        return K, [[uj if a is None else min(a, uj) for a, uj in zip(A, u)]
-                   for A in _bounded(bounds, s, cfg, K)], _scaled(trans, s)
+        return K, [[u if b is None else min(b, u) for b, u in zip(B, U)]
+                   for B, U in zip(_bounded(bounds, s, cfg, K),
+                                   _exponents(f, K, n))], _scaled(trans, s)
+    return table
+
+
+def diagonal_table(src, leg, cfg):
+    """coker(m-tilde -> V/(t^leg) + X): line 0 has bound min(leg, X's
+    line-0 bound + 1/p^j), V itself for leg None (free over the domain,
+    the truncation over a truncated ring), and no transitions; X's other
+    lines as they are."""
+    p = cfg.p
+
+    def table(n):
+        Kx, bounds, trans = src(n)
+        leg_k = 0 if leg is None else PExp.from_fraction(p, leg).k
+        K = max(Kx, n, leg_k, _floor(cfg))
+        s = p ** (K - Kx)
+        lines = _bounded(bounds, s, cfg, K)
+        if leg is not None:
+            cap = PExp.from_fraction(p, leg).to_int_at_level(K)
+        else:
+            cap = cfg.trunc.to_int_at_level(K) \
+                if cfg.mode == CHAR_P_TRUNCATED else None
+        first = [None if a is None else a + p ** (K - j)
+                 for j, a in enumerate(lines[0])]
+        if cap is not None:
+            first = [cap if a is None else min(a, cap) for a in first]
+        return K, [first] + lines[1:], [[0] * n] + _scaled(trans[1:], s)
     return table
 
 
@@ -162,12 +193,16 @@ def record_towers(monkeypatch):
         return src and firm_table(src, x.cfg.p)
 
     def kernel(f):
-        src = tables.get(id(f.source))
-        return src and kernel_table(src, f.source.cfg)
+        src, tgt = tables.get(id(f.source)), tables.get(id(f.target))
+        return src and tgt and kernel_table(src, tgt, f)
 
     def cokernel(f):
         tgt = tables.get(id(f.target))
-        return tgt and cokernel_table(tgt, f.target.cfg)
+        return tgt and cokernel_table(tgt, f)
+
+    def diagonal(X, leg=None):
+        src = tables.get(id(X))
+        return src and diagonal_table(src, leg, X.cfg)
 
     references = {
         almost.ideal_m: ideal_m_table,
@@ -176,8 +211,7 @@ def record_towers(monkeypatch):
         almost.firmify: firmify,
         almost.kernel_tower: kernel,
         almost.cokernel_tower: cokernel,
-        algebra._shriek_tower: lambda cfg, base, name: firm_table(
-            pattern_table(base), cfg.p),
+        almost.diagonal_cokernel: diagonal,
     }
 
     def catching(build, reference):
