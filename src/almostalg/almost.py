@@ -30,15 +30,16 @@ and component() evaluate the pieces at one stage.
 A query is also answered once per tower: firmify(x) returns the tower it
 built for the same x while that tower is alive (a weak reference on x, so
 the memo neither keeps a tower alive nor forms a reference cycle), and
-is_firm keeps its certificate on the tower, one per working level.
+is_firm keeps its certificate on the tower.
 
-Every verdict is exact.  A finitely presented module is almost zero only
+Every verdict is exact and holds for every stage at once, so no test here
+takes a working level.  A finitely presented module is almost zero only
 when it is zero, and colocal_ext_vanishing reads Hom and Ext^1 off the
-firm tower's closed form.  The tests here keep their working level J
-and record it on each certificate, but no verdict depends on it.
+firm tower's closed form.
 """
 from __future__ import annotations
 
+import warnings
 import weakref
 from bisect import bisect_left
 
@@ -67,16 +68,13 @@ class AlmostCertificate:
       "fails"                -- the claim is false, decided the same ways;
                                 the witness says why
     so holds is True exactly when verdict is "certified-structural".
-
-    level is the working level J the test was asked at.
     """
 
-    __slots__ = ("verdict", "holds", "level", "witness")
+    __slots__ = ("verdict", "holds", "witness")
 
-    def __init__(self, verdict, holds, level, witness=None):
+    def __init__(self, verdict, holds, witness=None):
         self.verdict = verdict
         self.holds = holds
-        self.level = level
         self.witness = witness or {}
 
     def __bool__(self):
@@ -84,11 +82,10 @@ class AlmostCertificate:
 
     def __repr__(self):
         tag = "ok" if self.holds else "NO"
-        return f"<cert {tag} {self.verdict} J={self.level} {self.witness}>"
+        return f"<cert {tag} {self.verdict} {self.witness}>"
 
     def to_json(self):
         return {"verdict": self.verdict, "holds": self.holds,
-                "level": self.level,
                 "witness": {k: str(v) for k, v in self.witness.items()}}
 
 
@@ -174,12 +171,12 @@ class MonomialTower:
     _residuals); pieces that give a negative one are refused.
 
     A tower also keeps what was asked of it: _firm is a weak reference to
-    firmify(self) (see firmify), and _firm_certs maps a working level J to
-    is_firm(self, J).
+    firmify(self) (see firmify), and _firm_cert is is_firm(self) once it
+    has been asked.
     """
 
     __slots__ = ("cfg", "K", "forms", "tag", "name", "closed_form",
-                 "_components", "_firm", "_firm_certs", "__weakref__")
+                 "_components", "_firm", "_firm_cert", "__weakref__")
 
     def __init__(self, cfg, K, forms, tag=None, name="", closed_form=None):
         p = cfg.p
@@ -202,7 +199,7 @@ class MonomialTower:
         self.closed_form = closed_form
         self._components = {}
         self._firm = None
-        self._firm_certs = {}
+        self._firm_cert = None
 
     def lines(self, j):
         """Annihilator exponents of stage j as PExp values, None for a free
@@ -584,7 +581,7 @@ def colim_is_zero(tower: MonomialTower) -> bool:
     return all(r is not None and r.dies for r in _residuals(tower))
 
 
-def is_almost_zero(x, J: int) -> AlmostCertificate:
+def is_almost_zero(x) -> AlmostCertificate:
     """Does t^e kill x for every e > 0?  Exact on a tower: every residual
     must have infimum 0 (see _residuals); a failure names the first stage
     with a positive residual, its first such line and the residual.
@@ -593,50 +590,58 @@ def is_almost_zero(x, J: int) -> AlmostCertificate:
     over either ring: a summand V/(t^a), a > 0, is not killed by t^(a/2),
     a free R over V/(t^c) not by t^(c/2), and a free R over the domain by
     no power of t."""
-    if J < 1:
-        raise ValueError("working level J must be at least 1")
     if isinstance(x, PresentedModule):
         if x.is_zero_module():
-            return AlmostCertificate("certified-structural", True, J,
+            return AlmostCertificate("certified-structural", True,
                                      {"reason": "zero module"})
         return AlmostCertificate(
-            "fails", False, J,
+            "fails", False,
             {"reason": "nonzero finitely presented module",
              "decomposition": x.decompose()})
     res = _residuals(as_tower(x))
     free = [i for i, r in enumerate(res) if r is None]
     if free:
         return AlmostCertificate(
-            "fails", False, J,
+            "fails", False,
             {"stage": 0, "line": free[0], "reason": "free line survives"})
     bad = [(r.first_positive(), i) for i, r in enumerate(res) if r.limit > 0]
     if not bad:
-        return AlmostCertificate("certified-structural", True, J,
+        return AlmostCertificate("certified-structural", True,
                                  {"reason": "every residual has infimum 0"})
     j, i = min(bad)
-    return AlmostCertificate("fails", False, J,
+    return AlmostCertificate("fails", False,
                              {"stage": j, "line": i,
                               "residual": res[i].at(j)[0].as_fraction()})
 
 
-def is_almost_iso(f, J: int) -> AlmostCertificate:
+def _no_level(J):
+    """is_almost_iso and is_firm accept an optional second argument, a
+    working level that perfbench/workloads.py still passes positionally;
+    it decides nothing, and passing one is deprecated."""
+    if J is not None:
+        warnings.warn("the working level decides no almost verdict",
+                      DeprecationWarning, stacklevel=3)
+
+
+def is_almost_iso(f, J=None) -> AlmostCertificate:
     """Kernel and cokernel both almost zero."""
+    _no_level(J)
     if isinstance(f, ModuleMap):
-        ck = is_almost_zero(kernel_map(f)[0], J)
-        cc = is_almost_zero(cokernel_map(f)[0], J)
+        ck = is_almost_zero(kernel_map(f)[0])
+        cc = is_almost_zero(cokernel_map(f)[0])
     elif isinstance(f, IndMap):
         if not f.check_commutes():
-            return AlmostCertificate("fails", False, J,
+            return AlmostCertificate("fails", False,
                                      {"reason": "map family not natural"})
-        ck = is_almost_zero(kernel_tower(f), J)
-        cc = is_almost_zero(cokernel_tower(f), J)
+        ck = is_almost_zero(kernel_tower(f))
+        cc = is_almost_zero(cokernel_tower(f))
     else:
         raise TypeError(f"expected map, got {type(f).__name__}")
     if ck.holds and cc.holds:
-        return AlmostCertificate("certified-structural", True, J,
+        return AlmostCertificate("certified-structural", True,
                                  {"kernel": ck.verdict,
                                   "cokernel": cc.verdict})
-    return AlmostCertificate("fails", False, J,
+    return AlmostCertificate("fails", False,
                              {"kernel": ck.verdict, "cokernel": cc.verdict,
                               "kernel_witness": ck.witness,
                               "cokernel_witness": cc.witness})
@@ -649,59 +654,57 @@ def is_exact_iso_levelwise(f: IndMap) -> bool:
             and colim_is_zero(cokernel_tower(f)))
 
 
-def is_firm(x, J: int) -> AlmostCertificate:
+def is_firm(x, J=None) -> AlmostCertificate:
     """Is mu: m tensor x -> x an isomorphism?
 
-    A tower keeps the certificate of each working level J it was asked at
-    (x._firm_certs), so asking again, for instance of shriek(M) while
-    firmify(M) is alive, builds no tower."""
+    A tower keeps its certificate (x._firm_cert), so asking again, for
+    instance of shriek(M) while firmify(M) is alive, builds no tower."""
+    _no_level(J)
     if isinstance(x, PresentedModule):
         if x.is_zero_module():
-            return AlmostCertificate("certified-structural", True, J, {})
+            return AlmostCertificate("certified-structural", True, {})
         # coker(mu) at stage j is x/t^(1/p^j)x, nonzero for all j
         return AlmostCertificate(
-            "fails", False, J,
+            "fails", False,
             {"reason": "nonzero finitely presented module is never firm",
-             "cokernel_stage_J": f"x/t^(1/p^{J})x"})
+             "cokernel_stage_j": "x/t^(1/p^j)x"})
     t = as_tower(x)
-    cert = t._firm_certs.get(J)
-    if cert is None:
+    if t._firm_cert is None:
         if is_exact_iso_levelwise(mu_map(t)):
-            cert = AlmostCertificate(
-                "certified-structural", True, J,
+            t._firm_cert = AlmostCertificate(
+                "certified-structural", True,
                 {"reason": "mu kernel and cokernel die exactly"})
         else:
-            cert = AlmostCertificate(
-                "fails", False, J,
+            t._firm_cert = AlmostCertificate(
+                "fails", False,
                 {"reason": "mu is not an isomorphism in the colimit"})
-        t._firm_certs[J] = cert
-    return cert
+    return t._firm_cert
 
 
-def is_closed(x, J: int) -> AlmostCertificate:
+def is_closed(x) -> AlmostCertificate:
     """Is mu': x -> Hom(m, x) an isomorphism?"""
     if isinstance(x, PresentedModule):
         x.decompose_exponents()  # monomial class only
         # compatible sequences (y_j) with y_j = t^(eps_j) y_{j+1} in a
         # monomial module are exactly the multiples of t^(1/p^j); the limit
         # is x itself and mu' is the identity on it
-        return AlmostCertificate("certified-structural", True, J,
+        return AlmostCertificate("certified-structural", True,
                                  {"reason": "monomial modules are closed"})
     t = as_tower(x)
     if t.tag == RESIDUE:
         # Hom(m, V/m) = 0 since m has positive transition exponents and V/m
         # is killed by every positive power; mu' has kernel V/m
-        return AlmostCertificate("fails", False, J,
+        return AlmostCertificate("fails", False,
                                  {"reason": "Hom(m, V/m) = 0 but V/m != 0"})
     if t.closed_form is not None and t.tag != IDEAL_M:
-        if not is_almost_zero(t, J).holds \
+        if not is_almost_zero(t).holds \
                 and all(c.is_zero() for c in t.trans_exp(0)):
             # constant tower of a module: same verdict as the module
-            return is_closed(t.closed_form, J)
+            return is_closed(t.closed_form)
     raise ValueError(f"is_closed is not decidable for {t!r}")
 
 
-def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
+def colocal_ext_vanishing(M, N) -> AlmostCertificate:
     """Hom(M, N) = Ext^1(M, N) = 0 for M firm and N almost zero, read off
     M's closed form:
       - Hom: every transition of M is positive and N is killed by every
@@ -711,16 +714,16 @@ def colocal_ext_vanishing(M, N, J: int) -> AlmostCertificate:
         free and its Ext^1 is 0 at every j.
     Any other firm M raises ValueError."""
     Mt = as_tower(M)
-    if not is_firm(Mt, J):
+    if not is_firm(Mt):
         raise ValueError("M is not firm")
-    if not is_almost_zero(N, J):
+    if not is_almost_zero(N):
         raise ValueError("N is not almost zero")
     p = Mt.cfg.p
     if not all(min(_transition_signs(line, p)) > 0
                and all(A is None for _, A, _ in line) for line in Mt.forms):
         raise ValueError(f"colocal_ext_vanishing is not decidable for {Mt!r}")
     return AlmostCertificate(
-        "certified-structural", True, J,
+        "certified-structural", True,
         {"ext0": "positive transitions into an almost-zero target",
          "ext1": "every stage is free"})
 

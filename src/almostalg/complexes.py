@@ -251,20 +251,20 @@ def is_qis(f: ChainMap) -> bool:
     return is_acyclic(C)
 
 
-def is_almost_qis(f, J: int) -> AlmostCertificate:
+def is_almost_qis(f) -> AlmostCertificate:
     """Almost quasi-isomorphism: the firmified cone is acyclic, i.e. every
     cone homology is almost zero."""
     if isinstance(f, (IndMap, ModuleMap)):
-        return is_almost_iso(f, J)
+        return is_almost_iso(f)
     C, _, _ = cone(f)
     for i in range(C.min_deg, C.max_deg + 1):
         H = homology(C, i)
-        cert = is_almost_zero(firmify(H), J)
+        cert = is_almost_zero(firmify(H))
         if not cert.holds:
-            return AlmostCertificate("fails", False, J,
+            return AlmostCertificate("fails", False,
                                      {"degree": i, "homology": H.decompose(),
                                       **cert.witness})
-    return AlmostCertificate("certified-structural", True, J, {})
+    return AlmostCertificate("certified-structural", True, {})
 
 
 # -- Perf+ ----------------------------------------------------------------

@@ -10,6 +10,7 @@ the tests check the constructions against.
 """
 from __future__ import annotations
 
+from .almost import mu_exponent
 from .base_ring import RingConfig
 from .complexes import (
     ChainComplex,
@@ -225,9 +226,11 @@ def k_ideal_check(cfg: RingConfig) -> bool:
     """
     p = cfg.p
     # [(m-tilde)_B] tensor_B V = m-tilde / m-tilde^2: at stage j this is
-    # coker(t^(1/p^j): V -> V) = V/t^(1/p^j) -- torsion, class 0 in K0+
+    # coker(t^(u_j): V -> V) with mu's exponent u_j, compared below with
+    # the paper's V/t^(1/p^j) -- torsion, class 0 in K0+
     for j in (7, 8):
-        sc = ModuleMap.scalar(PresentedModule.free(cfg, j, 1), PExp(p, 1, j))
+        sc = ModuleMap.scalar(PresentedModule.free(cfg, j, 1),
+                              mu_exponent(p, j))
         Q, _ = cokernel_map(sc)
         if Q.free_rank() != 0:
             return False

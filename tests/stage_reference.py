@@ -8,7 +8,6 @@ Smith form, and ask whether t^(1/p^j) kills them.  The tests compare them
 stage by stage with the towers' closed forms, and their verdicts with the
 tower verdicts.
 """
-from almostalg.algebra import b_shriek_shriek
 from almostalg.complexes import firmify_perf, homology
 from almostalg.exponents import PExp
 from almostalg.k0 import phi_object
@@ -17,11 +16,35 @@ from almostalg.modules import (
     ModuleMap,
     PresentedModule,
     cokernel_map,
+    direct_sum,
     iso_test,
     kernel_map,
     ring_modulus,
 )
 from almostalg.tower import _unit_generator_check, a_n_plus
+
+
+def b_shriek_shriek(B, j):
+    """coker of the diagonal m-tilde -> V + B_! at stage j.
+
+    B_! = m-tilde tensor Hom(m-tilde, B) is B itself at stage j on the
+    monomial class (the t^(1/p^j) twist lives in the maps).  The left leg
+    is the inclusion t^(1/p^j) into V, the right leg sends the stage
+    generator to the unit of B, generator 0.  Returns (module, diag,
+    proj)."""
+    cfg = B.cfg
+    p = cfg.p
+    Bj = B.at_level(max(B.level, j))
+    V = PresentedModule.free(cfg, Bj.level, 1)
+    tgt = direct_sum(V, Bj)
+    L = tgt.level
+    mat = PolyMatrix(tgt.rank, 1, p, modulus=ring_modulus(cfg, L))
+    k = PExp(p, 1, j).to_int_at_level(L)
+    mat.set(0, 0, [0] * k + [1])  # 0 once k reaches mod
+    mat.set(1, 0, [p - 1])
+    diag = ModuleMap(V.at_level(L), tgt, mat, check=False)
+    Q, proj = cokernel_map(diag)
+    return Q, diag, proj
 
 
 def killed_by(M, e):

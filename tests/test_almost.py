@@ -37,22 +37,22 @@ J = 8
 
 def test_residue_is_almost_zero_but_nonzero():
     r = residue(V2)
-    cert = is_almost_zero(r, J)
+    cert = is_almost_zero(r)
     assert cert.holds and cert.verdict == "certified-structural"
     assert not r.component(3).is_zero_module()
 
 
 def test_fp_module_almost_zero_only_when_zero_over_domain():
     M = PresentedModule.cyclic(V2, Fraction(1, 2 ** J))
-    assert not is_almost_zero(M, J).holds
-    assert is_almost_zero(PresentedModule.zero(V2), J).holds
+    assert not is_almost_zero(M).holds
+    assert is_almost_zero(PresentedModule.zero(V2)).holds
 
 
 def test_tiny_torsion_almost_zero_at_level_over_truncation():
     # V/(t^(1/2^J)) over V/(t) is not killed by t^(1/2^(J+1)): not almost
     # zero at any level, exactly
     M = PresentedModule.cyclic(W21, Fraction(1, 2 ** J))
-    cert = is_almost_zero(M, J)
+    cert = is_almost_zero(M)
     assert not cert.holds and cert.verdict == "fails"
     assert cert.witness["decomposition"] == M.decompose()
 
@@ -72,10 +72,10 @@ def _grid_modules(p, c, J):
 def test_a_module_its_constant_tower_and_its_firmification_agree(p, c):
     """is_almost_zero gives a module, const_tower(M) and firmify(M) one
     verdict: holds exactly for the zero module, as certified-structural,
-    and fails exactly otherwise, past the working level included."""
+    and fails exactly otherwise, however small M's torsion."""
     J = 3
     for M in _grid_modules(p, c, J):
-        certs = [is_almost_zero(x, J)
+        certs = [is_almost_zero(x)
                  for x in (M, const_tower(M), firmify(M))]
         want = M.is_zero_module()
         assert [(x.holds, x.verdict) for x in certs] == [
@@ -91,7 +91,7 @@ def test_a_tiny_scalar_on_v_mod_t_is_not_almost_iso():
                   PresentedModule.cyclic(RingConfig.perfect(p), 1)):
             for level in (1, J):
                 f = ModuleMap.scalar(M, PExp(p, 1, level))
-                cert = is_almost_iso(f, level)
+                cert = is_almost_iso(f)
                 assert not cert.holds and cert.verdict == "fails", (M, level)
                 assert cert.witness["cokernel"] == "fails"
 
@@ -101,9 +101,9 @@ def test_mu_and_mu_prime_almost_iso():
         for M in (PresentedModule.free(cfg, 0, 1),
                   PresentedModule.cyclic(cfg, Fraction(1, cfg.p)),
                   PresentedModule.from_factors(cfg, 1, [], 2)):
-            assert is_almost_iso(mu_map(M), J).holds
+            assert is_almost_iso(mu_map(M)).holds
             # mu': M -> Hom(m, M) is an isomorphism: M is closed
-            assert is_closed(M, J).holds
+            assert is_closed(M).holds
 
 
 def test_mu_on_ideal_is_levelwise_iso():
@@ -113,9 +113,9 @@ def test_mu_on_ideal_is_levelwise_iso():
 
 
 def test_ideal_m_is_firm_and_modules_are_not():
-    assert is_firm(ideal_m(V2), J).holds
+    assert is_firm(ideal_m(V2)).holds
     # a structural no is a failure like every other no
-    cert = is_firm(PresentedModule.free(V2, 0, 1), J)
+    cert = is_firm(PresentedModule.free(V2, 0, 1))
     assert not cert.holds and cert.verdict == "fails"
 
 
@@ -126,25 +126,24 @@ def test_constant_towers_are_not_firm_through_their_tower():
     mixed = PresentedModule.from_factors(
         V2, 2, [PExp(2, 1, 2), PExp(2, 1, 1)])
     for M in (PresentedModule.cyclic(V2, Fraction(1)), mixed):
-        for level in (1, J):
-            cert = is_firm(const_tower(M), level)
-            assert not cert.holds and cert.verdict == "fails", (M, level)
-            assert cert.witness == {
-                "reason": "mu is not an isomorphism in the colimit"}
+        cert = is_firm(const_tower(M))
+        assert not cert.holds and cert.verdict == "fails", M
+        assert cert.witness == {
+            "reason": "mu is not an isomorphism in the colimit"}
 
 
 def test_check_commutes_refuses_families_that_are_not_mu():
     # identity towers under t^(1/p^j): the squares do not commute
     f = IndMap(ideal_m(V2), ideal_m(V2))
     assert not f.check_commutes()
-    cert = is_almost_iso(f, J)
+    cert = is_almost_iso(f)
     assert not cert.holds and cert.witness == {
         "reason": "map family not natural"}
     # two lines against one: no line-by-line square to compare
     two = firmify(PresentedModule.from_factors(V2, 1, [PExp(2, 1, 1)], 1))
     one = const_tower(PresentedModule.cyclic(V2, Fraction(1)))
     assert not IndMap(two, one).check_commutes()
-    assert not is_almost_iso(IndMap(two, one), J).holds
+    assert not is_almost_iso(IndMap(two, one)).holds
     # mu itself is natural
     assert mu_map(two.closed_form).check_commutes()
 
@@ -153,7 +152,7 @@ def test_firmify_produces_firm_idempotently():
     M = PresentedModule.cyclic(V2, Fraction(1, 2))
     T = firmify(M)
     TT = firmify(T)
-    assert is_firm(T, J).holds and is_firm(TT, J).holds
+    assert is_firm(T).holds and is_firm(TT).holds
     for j in (J - 1, J):
         assert iso_test(T.component(j), TT.component(j))
 
@@ -178,11 +177,11 @@ def test_the_firmify_memo_keeps_no_tower_alive():
     try:
         T = firmify(M)
         TT = firmify(T)
-        assert is_firm(T, 2).holds and is_firm(TT, 2).holds
+        assert is_firm(T).holds and is_firm(TT).holds
         refs = [weakref.ref(T), weakref.ref(TT)]
         del T, TT
         assert [r() for r in refs] == [None, None]
-        assert is_firm(firmify(M), 2).holds
+        assert is_firm(firmify(M)).holds
     finally:
         gc.enable()
 
@@ -192,17 +191,27 @@ def test_firmify_refuses_what_is_neither_module_nor_tower():
         firmify(3)
 
 
-def test_is_firm_keeps_one_certificate_per_level():
+def test_is_firm_keeps_its_certificate():
     T = firmify(PresentedModule.cyclic(V2, PExp(2, 1)))
-    a, b = is_firm(T, J), is_firm(T, J + 1)
-    assert a.holds and b.holds
-    assert (a.level, b.level) == (J, J + 1)
-    assert is_firm(T, J) is a and is_firm(T, J + 1) is b
+    a = is_firm(T)
+    assert a.holds and T._firm_cert is a
+    assert is_firm(T) is a
+
+
+def test_a_positional_working_level_is_accepted_and_decides_nothing():
+    # the deep-level benchmark still passes J positionally
+    M = PresentedModule.cyclic(V3, PExp(3, 1, 1))
+    T = firmify(M)
+    with pytest.warns(DeprecationWarning, match="working level"):
+        assert is_firm(T, 10) is is_firm(T)
+    with pytest.warns(DeprecationWarning, match="working level"):
+        cert = is_almost_iso(mu_map(M), 10)
+    assert cert.holds and cert.witness == is_almost_iso(mu_map(M)).witness
 
 
 def test_closedify_identity_on_monomial_modules():
     M = PresentedModule.from_factors(V2, 1, [], 1)
-    assert is_closed(M, J).holds
+    assert is_closed(M).holds
     assert iso_test(closedify(closedify(M)), M)
 
 
@@ -212,14 +221,14 @@ def test_constant_towers_are_closed_like_their_module():
     for cfg in (V2, W21):
         for M in (PresentedModule.cyclic(cfg, Fraction(1, 2)),
                   PresentedModule.free(cfg, 0, 1)):
-            cert = is_closed(const_tower(M), J)
+            cert = is_closed(const_tower(M))
             assert cert.holds and cert.verdict == "certified-structural"
         with pytest.raises(ValueError):
-            is_closed(firmify(PresentedModule.free(cfg, 0, 1)), J)
+            is_closed(firmify(PresentedModule.free(cfg, 0, 1)))
 
 
 def test_residue_is_not_closed():
-    cert = is_closed(residue(V2), J)
+    cert = is_closed(residue(V2))
     assert not cert.holds and cert.verdict == "fails"
 
 
@@ -227,13 +236,13 @@ def test_shriek_roundtrip():
     for M in (PresentedModule.free(V2, 0, 1),
               PresentedModule.cyclic(V3, Fraction(1, 3))):
         S = shriek(M)
-        assert is_firm(S, J).holds
+        assert is_firm(S).holds
         assert iso_test(closedify(S), M)
 
 
 def test_colocal_ext_vanishing():
     for cfg in (V2, V3, W21):
-        cert = colocal_ext_vanishing(ideal_m(cfg), residue(cfg), J)
+        cert = colocal_ext_vanishing(ideal_m(cfg), residue(cfg))
         assert cert.holds and cert.verdict == "certified-structural"
 
 
@@ -241,15 +250,15 @@ def test_colocal_refuses_a_firm_tower_with_torsion_stages():
     # firmify(V/(t)) is firm, but its stages are not free, so Ext^1 is
     # not read off its closed form
     M = firmify(PresentedModule.cyclic(V2, 1))
-    assert is_firm(M, J).holds
+    assert is_firm(M).holds
     with pytest.raises(ValueError, match="not decidable"):
-        colocal_ext_vanishing(M, residue(V2), J)
+        colocal_ext_vanishing(M, residue(V2))
 
 
 def test_colocal_precondition_enforced():
     with pytest.raises(ValueError):
         colocal_ext_vanishing(const_tower(PresentedModule.free(V2, 0, 1)),
-                              residue(V2), J)
+                              residue(V2))
 
 
 def test_every_certificate_of_a_gate_run_is_exact(monkeypatch):
@@ -262,8 +271,8 @@ def test_every_certificate_of_a_gate_run_is_exact(monkeypatch):
     verdicts = []
     init = AlmostCertificate.__init__
 
-    def recording_init(self, verdict, holds, *args, **kwargs):
-        init(self, verdict, holds, *args, **kwargs)
+    def recording_init(self, verdict, holds, witness=None):
+        init(self, verdict, holds, witness)
         verdicts.append((verdict, holds))
 
     monkeypatch.setattr(AlmostCertificate, "__init__", recording_init)
@@ -292,7 +301,7 @@ def test_scalar_map_is_not_almost_iso():
     from almostalg.modules import ModuleMap
     M = PresentedModule.free(V2, 0, 1)
     f = ModuleMap.scalar(M, Fraction(1))
-    assert not is_almost_iso(f, J).holds
+    assert not is_almost_iso(f).holds
 
 
 def test_residuals_of_a_closed_form_tower_match_raw_loop():
@@ -316,8 +325,8 @@ def test_residuals_of_a_closed_form_tower_match_raw_loop():
         assert T.trans_exp(j) == tuple(
             PExp.from_fraction(3, raw_trans(i, j)) for i in range(3))
     assert not colim_is_zero(T)
-    assert not is_almost_zero(T, J).holds  # the free line survives
-    is_almost_iso(mu_map(T), J)            # kernel and cokernel towers of T
+    assert not is_almost_zero(T).holds  # the free line survives
+    is_almost_iso(mu_map(T))  # kernel and cokernel towers of T
 
     # perfect ring: every annihilator bound is the line's own exponent; a
     # residual the raw loop reaches within 40 stages is the exact one (a
@@ -342,11 +351,12 @@ def test_residuals_of_a_closed_form_tower_match_raw_loop():
 
 
 def test_a_bound_below_the_working_level_is_not_almost_zero():
-    # one line of constant bound 1/3^5 and no transitions, at p = 3, J = 4:
-    # its colimit V/(t^(1/3^5)) is not almost zero although the bound is
-    # below 1/p^J, so the line is the witness
+    # one line of constant bound 1/3^5 and no transitions, at p = 3: its
+    # colimit V/(t^(1/3^5)) is not almost zero although the bound is below
+    # 1/p^4, the bound of a stage test at J = 4, so the line is the
+    # witness
     T = MonomialTower(V3, 5, [((0, (1, 0), (0, 0)),)])
-    cert = is_almost_zero(T, 4)
+    cert = is_almost_zero(T)
     assert not cert.holds and cert.verdict == "fails"
     assert cert.witness == {"stage": 0, "line": 0,
                             "residual": Fraction(1, 243)}
@@ -361,7 +371,7 @@ def test_a_generator_that_dies_past_any_window_has_residual_zero():
     assert res.at(0) == (PExp(3, 0), True)
     assert res.at(1) == (PExp(3, 2 * 3 ** 19 - 1, 20), False)
     assert not colim_is_zero(T)
-    cert = is_almost_zero(T, 4)
+    cert = is_almost_zero(T)
     assert not cert.holds and cert.witness["stage"] == 1
 
 
@@ -374,7 +384,7 @@ def test_residuals_are_read_off_every_piece():
     assert res.at(0) == (PExp(3, 1, 2), True)
     assert res.at(2) == (PExp(3, 1, 2), True)
     assert res.at(3) == (PExp(3, 5), True)
-    cert = is_almost_zero(T, J)
+    cert = is_almost_zero(T)
     assert cert.witness == {"stage": 0, "line": 0,
                             "residual": Fraction(1, 9)}
     # a line that is 0 at every stage dies, with or without transitions
@@ -400,4 +410,4 @@ def test_closed_forms_live_at_a_fractional_truncation_level():
     assert m.closed_form.level == r.closed_form.level == 1
     assert iso_test(closedify(m), m.component(3))
     assert r.closed_form.rank == 0 and closedify(r).is_zero_module()
-    assert is_almost_zero(r, J).holds
+    assert is_almost_zero(r).holds

@@ -142,14 +142,14 @@ def test_qis_and_almost_qis():
     E = two_term(V2, [[[0, 1], [1]], [[], [0, 1]]])
     idm = ChainMap.identity(E)
     assert is_qis(idm)
-    assert is_almost_qis(idm, 8).holds
+    assert is_almost_qis(idm).holds
     # mu on a free module is an almost qis but not a qis
     V = PresentedModule.free(V2, 0, 1)
-    assert is_almost_qis(mu_map(const_tower(V)), 8).holds
+    assert is_almost_qis(mu_map(const_tower(V))).holds
     F = ChainComplex.from_module(V)
     sc = ChainMap(F, F, {0: ModuleMap.scalar(V, Fraction(1))})
     assert not is_qis(sc)
-    assert not is_almost_qis(sc, 8).holds
+    assert not is_almost_qis(sc).holds
 
 
 def test_perf_plus_bookkeeping():

@@ -125,3 +125,19 @@ def test_quillen_suite_catches_a_closedify_that_returns_zero(monkeypatch):
     assert verdicts["closedify-idempotent"] == "fail"
     assert verdicts["shriek-roundtrip"] == "fail"
     assert not rep.ok
+
+
+def test_the_working_level_decides_no_verdict():
+    """Every verdict holds for all stages at once, so the gate's reports
+    at working levels 1 and 8 differ only in the level they record."""
+    def masked(J):
+        docs = [rep.to_json() for rep in suites.run_suite(
+            "all", suites.SuiteOptions(seed=0, corpus_size=50,
+                                       working_level=J, depth=4))]
+        for doc in docs:
+            assert doc["config"].pop("working_level") == J
+            for check in doc["checks"]:
+                assert check.pop("working_level") == J
+        return docs
+
+    assert masked(1) == masked(8)

@@ -6,7 +6,6 @@ import stage_reference
 from almostalg import tower
 from almostalg.almost import (
     MonomialTower, cokernel_tower, firmify, mu_map)
-from almostalg.algebra import b_shriek_shriek
 from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
 from almostalg.linalg import PolyMatrix
@@ -76,7 +75,7 @@ def test_lemma_a_pipelines():
     for p in (2, 3):
         cfg = RingConfig.perfect(p)
         for n in (1, 2):
-            assert verify_lemmaA(n, cfg, J=5)
+            assert verify_lemmaA(n, cfg)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -94,7 +93,8 @@ def test_rank_r_lemma_a_sides_are_rank_one_plus_copies_of_v_mod_t_n(p):
             def sides(r):
                 An = direct_sum(*[PresentedModule.cyclic(cfg, n, level=j)
                                   for _ in range(r)])
-                return (b_shriek_shriek(An, j)[:2], a_n_plus(r, n, j, cfg)[:2])
+                return (stage_reference.b_shriek_shriek(An, j)[:2],
+                        a_n_plus(r, n, j, cfg)[:2])
             ones = sides(1)
             for r in {2, p}:
                 for (Q1, diag1), (Qr, diagr) in zip(ones, sides(r)):
@@ -132,7 +132,7 @@ def test_lemma_a_refuses_a_diagonal_without_its_unit_leg(monkeypatch):
                         _a_n_plus_without_unit_leg)
     for p in (2, 3):
         cfg = RingConfig.perfect(p)
-        assert not verify_lemmaA(1, cfg, J=5), p
+        assert not verify_lemmaA(1, cfg), p
         assert not stage_reference.verify_lemmaA(1, cfg, J=5), p
 
 

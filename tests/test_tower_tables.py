@@ -210,7 +210,7 @@ def test_kernel_towers_of_mixed_offsets_are_exact():
     almost isomorphism, proved for every stage."""
     M, N = _mixed_offsets(2)
     assert not colim_is_zero(kernel_tower(mu_map(M)))
-    cert = is_almost_iso(mu_map(M), 1)
+    cert = is_almost_iso(mu_map(M))
     assert cert.holds and cert.witness["kernel"] == "certified-structural"
     assert not colim_is_zero(kernel_tower(mu_map(N)))
 
@@ -415,10 +415,10 @@ def test_closed_forms_match_the_reference_tables(run, monkeypatch):
 
 def test_each_closed_form_is_built_once_per_tower(monkeypatch):
     """A query builds each tower it needs once, and with it the tower's
-    closed form: no two towers built in is_firm(firmify(M), J) or in
-    is_almost_iso(mu_map(M), J) have the same name and pieces.  A query
+    closed form: no two towers built in is_firm(firmify(M)) or in
+    is_almost_iso(mu_map(M)) have the same name and pieces.  A query
     already answered builds none: holding T = firmify(M),
-    is_firm(shriek(M), J) after is_firm(T, J), as the deep-level benchmark
+    is_firm(shriek(M)) after is_firm(T), as the deep-level benchmark
     asks."""
     built = []
     init = MonomialTower.__init__
@@ -429,15 +429,15 @@ def test_each_closed_form_is_built_once_per_tower(monkeypatch):
 
     monkeypatch.setattr(MonomialTower, "__init__", recording_init)
     for p in sorted(CASES):
-        J, size = CASES[p]
+        _, size = CASES[p]
         for M in monomial_corpus(p, size, primes=(p,)):
-            for query in (lambda: is_firm(firmify(M), J),
-                          lambda: is_almost_iso(mu_map(M), J)):
+            for query in (lambda: is_firm(firmify(M)),
+                          lambda: is_almost_iso(mu_map(M))):
                 built.clear()
                 query()
                 assert built and len(set(built)) == len(built), (M, built)
             T = firmify(M)
-            is_firm(T, J)
+            is_firm(T)
             built.clear()
-            assert is_firm(shriek(M), J) is is_firm(T, J)
+            assert is_firm(shriek(M)) is is_firm(T)
             assert not built, (M, built)
