@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .base_ring import CHAR_P_TRUNCATED, RingConfig
 from .exponents import PExp
 from .linalg import PolyMatrix, snf
-from .modules import PresentedModule
+from .modules import PresentedModule, ring_modulus
 from .almost import firmify
 from .complexes import PerfPlus
 from .k0 import k0_class
@@ -32,10 +32,11 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 # the primes --p and a payload's "p" may name
 PRIMES = (2, 3, 5, 7, 11, 13)
-# tilt_basis_iso builds p^n basis entries and checks p^(2n) products of
-# coefficient lists up to 2p^n long: in-process, 7^3 = 343 entries take
-# about 1.7 s at c = 1 and 2.0 s at c = 100, 2^9 = 512 about 5 s and
-# 3^6 = 729 about 14 s (CPython 3.11, 2-vCPU host)
+# tilt_basis_iso builds p^n basis entries and checks 2p^n - 1 products of
+# coefficient lists up to 2p^n long, one per degree: in-process, 7^3 = 343
+# entries take about 0.01 s at c = 1 and at c = 100, 2^9 = 512 about 0.02 s
+# and 3^6 = 729 about 0.04 s (CPython 3.11, 2-vCPU host); the answer to
+# 7^3 is about 20 kB of JSON
 TILT_MAX_ENTRIES = 343
 # each of those products is taken mod p^c and folded through x^(p^n) = p;
 # at c <= 100 that costs little more than at c = 1
@@ -223,7 +224,6 @@ def _module_from_payload(payload, args):
         rel = _parse_entries(payload["relations"], cfg.p,
                              None) if payload["relations"] else \
             PolyMatrix(rank, 0, cfg.p)
-        from .modules import ring_modulus
         rel = rel.with_modulus(ring_modulus(cfg, level))
         return PresentedModule(cfg, level, rank, rel)
     free_rank = _count(payload, "free_rank", 0)
@@ -263,14 +263,7 @@ def _op_k0_class(payload, args):
         raise UsageError("payload mults must map degrees to pairs [a, b] of "
                          f"non-negative integers, got {mults!r}")
     mults = {int(d): tuple(ab) for d, ab in mults.items()}
-
-    def realize(j):
-        from .complexes import ChainComplex
-        terms = {d: PresentedModule.free(cfg, j, a + b)
-                 for d, (a, b) in mults.items()}
-        return ChainComplex(cfg, terms, {})
-
-    E = PerfPlus(cfg, mults, realize, aperf=payload.get("aperf", False))
+    E = PerfPlus(cfg, mults, aperf=payload.get("aperf", False))
     return k0_class(E).to_json()
 
 

@@ -2,9 +2,9 @@
 homology, (almost) quasi-isomorphism tests, and the Perf+ object class.
 
 Homological convention: d_n : E_n -> E_{n-1}.  Missing degrees are zero
-modules.  Perf+ objects carry per-degree multiplicities of the two
-generator types (A-free and m-tilde tensor A-free) plus a realization
-recipe producing an honest complex at each tower stage j.
+modules.  A Perf+ object is its class bookkeeping: per-degree
+multiplicities of the two generator types (A-free and m-tilde tensor
+A-free), which is all its K0 class reads.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .almost import (
     firmify,
     is_almost_iso,
     is_almost_zero,
-    mu_exponent,
 )
 from .linalg import PolyMatrix
 from .modules import ModuleMap, PresentedModule, direct_sum, homology_at
@@ -82,16 +81,10 @@ def complex_at_level(E: ChainComplex, L: int) -> ChainComplex:
     return ChainComplex(E.cfg, terms, diffs, check=False)
 
 
-def _align(*objs):
-    """Common level of a mix of complexes and chain maps."""
-    L = 0
-    for x in objs:
-        if isinstance(x, ChainComplex):
-            L = max(L, x.level())
-        else:
-            L = max(L, x.source.level(), x.target.level(),
-                    *[f.level for f in x.comps.values()] or [0])
-    return L
+def _align(f: "ChainMap"):
+    """Common level of a chain map's complexes and components."""
+    return max(f.source.level(), f.target.level(),
+               *[g.level for g in f.comps.values()] or [0])
 
 
 def chain_map_at_level(f: "ChainMap", L: int) -> "ChainMap":
@@ -108,22 +101,6 @@ def shift(E: ChainComplex, k: int) -> ChainComplex:
     for d, f in E.diffs.items():
         g = f if k % 2 == 0 else f.neg()
         diffs[d + k] = ModuleMap(g.source, g.target, g.matrix, check=False)
-    return ChainComplex(E.cfg, terms, diffs, check=False)
-
-
-def direct_sum_complex(E: ChainComplex, F: ChainComplex) -> ChainComplex:
-    L = _align(E, F)
-    E, F = complex_at_level(E, L), complex_at_level(F, L)
-    terms = {d: direct_sum(E.term(d), F.term(d))
-             for d in set(E.terms) | set(F.terms)}
-    diffs = {}
-    for d in sorted(terms):
-        if d - 1 in terms:
-            A, B = E.diff(d).matrix, F.diff(d).matrix
-            mat = PolyMatrix.block(A.rows + B.rows, A.cols + B.cols, E.cfg.p,
-                                   terms[d].modulus,
-                                   [(0, 0, A), (A.rows, A.cols, B)])
-            diffs[d] = ModuleMap(terms[d], terms[d - 1], mat, check=False)
     return ChainComplex(E.cfg, terms, diffs, check=False)
 
 
@@ -209,10 +186,9 @@ def cylinder(f: ChainMap):
     read one degree down: cone(f)[-1]_d = cone(f)_{d+1} = E_d + F_{d+1}, and
     the shift keeps the module objects, so g's components are proj's.
 
-    Returns (cyl, iota: E -> cyl, pi: cyl -> F, homotopy), where iota is
-    the inclusion cone(g) returns and pi(e', b, e) = f(e) - b on
-    cyl_d = E_{d-1} + F_d + E_d, so that pi o iota = f exactly (the
-    homotopy witness is the zero homotopy)."""
+    Returns (cyl, iota: E -> cyl, pi: cyl -> F), where iota is the
+    inclusion cone(g) returns and pi(e', b, e) = f(e) - b on
+    cyl_d = E_{d-1} + F_d + E_d, so that pi o iota = f exactly."""
     f = chain_map_at_level(f, _align(f))
     E, F = f.source, f.target
     p = E.cfg.p
@@ -227,10 +203,7 @@ def cylinder(f: ChainMap):
                 rf, Cd.rank, p, mod,
                 [(0, re1, PolyMatrix.identity(rf, p, mod).neg()),
                  (0, re1 + rf, f.comp(d).matrix)]), check=False)
-    pi = ChainMap(cyl, F, pi, check=False)
-    homotopy = {d: ModuleMap.zero(E.term(d), F.term(d + 1))
-                for d in E.terms}
-    return cyl, iota, pi, homotopy
+    return cyl, iota, ChainMap(cyl, F, pi, check=False)
 
 
 def homology(E: ChainComplex, i: int) -> PresentedModule:
@@ -271,32 +244,19 @@ def is_almost_qis(f) -> AlmostCertificate:
 
 class PerfPlus:
     """Complex generated degreewise by A-free and (m-tilde tensor A)-free
-    summands, with multiplicity bookkeeping and stage realizations.
+    summands, kept as its multiplicity bookkeeping.
 
     mults[d] = (a, b): a copies of the free generator, b copies of the
-    firm generator in degree d.  realize(j) produces the stage-j complex,
-    where the firm generator is the free module twisted by t^(1/p^j) --
-    the twist shows up in maps mixing the two types, not in the terms.
+    firm generator in degree d.  Cones, shifts and sums act on these
+    tables; the K0 class is their alternating sum.
     """
 
-    __slots__ = ("cfg", "mults", "_realize_fn", "aperf", "_cache")
+    __slots__ = ("cfg", "mults", "aperf")
 
-    def __init__(self, cfg, mults, realize_fn, aperf):
+    def __init__(self, cfg, mults, aperf):
         self.cfg = cfg
         self.mults = {d: (a, b) for d, (a, b) in mults.items() if a or b}
-        self._realize_fn = realize_fn
         self.aperf = aperf
-        self._cache = {}
-
-    def realize(self, j) -> ChainComplex:
-        if j not in self._cache:
-            E = self._realize_fn(j)
-            for d, (a, b) in self.mults.items():
-                if E.term(d).rank != a + b:
-                    raise AssertionError(
-                        f"realization rank mismatch at degree {d}")
-            self._cache[j] = E
-        return self._cache[j]
 
     def __repr__(self):
         body = ", ".join(f"{d}:{self.mults[d]}" for d in sorted(self.mults))
@@ -304,20 +264,13 @@ class PerfPlus:
 
 
 class PerfPlusMap:
-    """Map of Perf+ objects given by stage realizations."""
+    """Map of Perf+ objects, known by its source and target."""
 
-    __slots__ = ("source", "target", "_realize_fn", "_cache")
+    __slots__ = ("source", "target")
 
-    def __init__(self, source, target, realize_fn):
+    def __init__(self, source, target):
         self.source = source
         self.target = target
-        self._realize_fn = realize_fn
-        self._cache = {}
-
-    def realize(self, j) -> ChainMap:
-        if j not in self._cache:
-            self._cache[j] = self._realize_fn(j)
-        return self._cache[j]
 
 
 def perf_from_complex(E: ChainComplex) -> PerfPlus:
@@ -326,33 +279,18 @@ def perf_from_complex(E: ChainComplex) -> PerfPlus:
         if m.invariant_factors():
             raise ValueError("perfect complexes need free terms")
     mults = {d: (m.rank, 0) for d, m in E.terms.items()}
-    return PerfPlus(E.cfg, mults, lambda j: E, aperf=False)
+    return PerfPlus(E.cfg, mults, aperf=False)
 
 
 def firmify_perf(P: PerfPlus) -> PerfPlus:
-    """m-tilde tensor P: every generator becomes the firm type; stage
-    realizations keep the same matrices (the twist is a unit on uniform
-    blocks)."""
+    """m-tilde tensor P: every generator becomes the firm type."""
     mults = {d: (0, a + b) for d, (a, b) in P.mults.items()}
-    return PerfPlus(P.cfg, mults, P.realize, aperf=True)
+    return PerfPlus(P.cfg, mults, aperf=True)
 
 
 def mu_perf_map(P: PerfPlus) -> PerfPlusMap:
-    """mu_P : m-tilde tensor P -> P, stage j is t^(1/p^j) (mu_exponent) in
-    every degree.
-
-    firmify_perf realizes m-tilde tensor P with P's own stage complexes, so
-    each component is the scalar on P's stage-j term itself."""
-    FP = firmify_perf(P)
-    p = P.cfg.p
-
-    def realize(j):
-        E = FP.realize(j)
-        e = mu_exponent(p, j)
-        comps = {d: ModuleMap.scalar(M, e) for d, M in E.terms.items()}
-        return ChainMap(E, P.realize(j), comps, check=False)
-
-    return PerfPlusMap(FP, P, realize)
+    """mu_P : m-tilde tensor P -> P."""
+    return PerfPlusMap(firmify_perf(P), P)
 
 
 def _sum_mults(M, N):
@@ -367,17 +305,14 @@ def _sum_mults(M, N):
 def cone_perf(f: PerfPlusMap) -> PerfPlus:
     S, T = f.source, f.target
     mults = _sum_mults({d + 1: ab for d, ab in S.mults.items()}, T.mults)
-    return PerfPlus(S.cfg, mults, lambda j: cone(f.realize(j))[0],
-                    aperf=S.aperf and T.aperf)
+    return PerfPlus(S.cfg, mults, aperf=S.aperf and T.aperf)
 
 
 def shift_perf(P: PerfPlus, k: int) -> PerfPlus:
     mults = {d + k: ab for d, ab in P.mults.items()}
-    return PerfPlus(P.cfg, mults, lambda j: shift(P.realize(j), k),
-                    aperf=P.aperf)
+    return PerfPlus(P.cfg, mults, aperf=P.aperf)
 
 
 def sum_perf(P: PerfPlus, Q: PerfPlus) -> PerfPlus:
     return PerfPlus(P.cfg, _sum_mults(P.mults, Q.mults),
-                    lambda j: direct_sum_complex(P.realize(j), Q.realize(j)),
                     aperf=P.aperf and Q.aperf)

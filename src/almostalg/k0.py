@@ -3,10 +3,10 @@
 Classes live in the free abelian group on the two generator types of a
 Perf+ object, [A] and [m-tilde tensor A], recorded as integer pairs
 (a, b).  The group is cut down by a ledger of harvested triangle
-relations [cone(f)] = [target] - [source], each re-verifiable from its
-construction witness.  The two projectors are computed from honest cone
-constructions, not from the coordinate formulas; the formulas are what
-the tests check the constructions against.
+relations [cone(f)] = [target] - [source], each re-derivable from its
+map.  The two projectors are read off the multiplicity tables of the
+firmified object and of cone(mu), not from the coordinate formulas; the
+formulas are what the tests check them against.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .almost import mu_exponent
 from .base_ring import RingConfig
 from .complexes import (
     ChainComplex,
-    ChainMap,
     PerfPlus,
     PerfPlusMap,
     cone_perf,
@@ -94,7 +93,7 @@ def projector_phi(E: PerfPlus) -> K0Class:
 def split_check(E: PerfPlus) -> bool:
     """Class-group splitting: the two projectors sum to the identity and
     phi is idempotent on classes.  m-tilde tensor phi(E) is acyclic as mu
-    is an almost isomorphism, checked on towers (mu_perf_map's exponent)."""
+    is an almost isomorphism, which mu-almost-iso checks on towers."""
     c = k0_class(E)
     firm = projector_firm(E)
     phi = projector_phi(E)
@@ -155,8 +154,7 @@ def class_preserves_moves(E: PerfPlus) -> bool:
     """k0_class is blind to cone(id) summands and to even shifts, and
     negates under odd shifts."""
     c = k0_class(E)
-    idmap = PerfPlusMap(E, E, lambda j: ChainMap.identity(E.realize(j)))
-    padded = sum_perf(E, cone_perf(idmap))
+    padded = sum_perf(E, cone_perf(PerfPlusMap(E, E)))
     if k0_class(padded) != c:
         return False
     if k0_class(shift_perf(E, 2)) != c:

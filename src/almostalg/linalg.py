@@ -10,15 +10,15 @@ step subtracts a quotient times the pivot row or column; a remainder left
 behind becomes the next pivot.  The inverse transforms are replayed from
 its operation log only when a caller reads them.  Kernels, solving and
 cokernel invariants are all derived from it; solve() takes an SNF the
-caller already has.  modules.py answers its kernels, homology and Tor/Ext
+caller already has.  modules.py answers its kernels and homology
 through one kernel-modulo step on kernel_basis, and its span tests
 through solve.
 
 Every stored entry is canonical: a nonzero trimmed coefficient list, of
 degree below the modulus when the matrix has one.  This module is the only
 one that writes entries.  The constructor, from_columns and set() reduce
-what they are given through reduce_mod; copies (copy, lift, transpose,
-hstack, top_rows, block, lift_matrix, and with_modulus to a modulus that
+what they are given through reduce_mod; copies (copy, lift, hstack,
+top_rows, block, lift_matrix, and with_modulus to a modulus that
 is not smaller) take entries as they are.  A matrix is mutable (set()
 and snf() change rows in place), so it has no hash.
 """
@@ -205,13 +205,6 @@ class PolyMatrix:
             self.rows, self.cols, self.p,
             [{j: poly_neg(e, self.p) for j, e in row.items()}
              for row in self.nonzero], self.modulus)
-
-    def transpose(self):
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzero):
-            for j, e in row.items():
-                out[j][i] = list(e)
-        return PolyMatrix._of(self.cols, self.rows, self.p, out, self.modulus)
 
     def _same_modulus(self, other):
         if self.modulus != other.modulus:

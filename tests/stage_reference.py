@@ -1,16 +1,14 @@
 """Reference for the almost checks that are decided on towers.
 
 The stage pipelines below are how verify_lemmaA, shriek_almost_iso_check,
-shriek_split_check, firmify-idempotent and the k0 split check decided
-their almost statements before towers had per-line maps: they build the
-stage-j modules and maps at ring level j, take kernels and cokernels by
-Smith form, and ask whether t^(1/p^j) kills them.  The tests compare them
+shriek_split_check and firmify-idempotent decided their almost
+statements before towers had per-line maps: they build the stage-j
+modules and maps at ring level j, take kernels and cokernels by Smith
+form, and ask whether t^(1/p^j) kills them.  The tests compare them
 stage by stage with the towers' closed forms, and their verdicts with the
 tower verdicts.
 """
-from almostalg.complexes import firmify_perf, homology
 from almostalg.exponents import PExp
-from almostalg.k0 import phi_object
 from almostalg.linalg import PolyMatrix
 from almostalg.modules import (
     ModuleMap,
@@ -156,12 +154,3 @@ def firm_idem_stages(T, TT, J):
     """firmify(M) and firmify(firmify(M)) agree at stages J - 1 and J."""
     return all(iso_test(T.component(j), TT.component(j)) for j in (J - 1, J))
 
-
-def firm_phi_acyclic(E, J):
-    """m-tilde tensor cone(mu_E) at stage J: every homology is free-rank
-    zero with annihilator exponents <= 1/p^J."""
-    C = firmify_perf(phi_object(E))
-    R = C.realize(J)
-    bound = PExp(E.cfg.p, 1, J)
-    return all(killed_by(homology(R, i), bound)
-               for i in range(R.min_deg, R.max_deg + 1))

@@ -123,6 +123,17 @@ def test_product_of_two_one_term_operands(args):
     assert poly_mul(long_, short, p) == want
 
 
+@pytest.mark.parametrize("q", PRIMES + (4, 9, 49))
+def test_every_split_of_a_one_term_product(q):
+    # tilt_basis_iso takes one basis product x^a * x^b per degree a + b;
+    # every split of a degree up to 2 * 7^2 is checked here
+    top = 2 * 7 ** 2
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
+            want = [0] * (a + b) + [1]
+            assert poly_mul([0] * a + [1], [0] * b + [1], q) == want, (a, b)
+
+
 @st.composite
 def dividend_and_long_one_term(draw):
     p = draw(st.sampled_from(PRIMES))

@@ -119,13 +119,6 @@ def test_firmify_idempotent_compares_what_the_components_compared():
             assert ref.firm_idem_stages(T, TT, DEPTH[p]), M
 
 
-def test_firm_phi_acyclic_stays_a_regression_at_a_small_level():
-    # the stage homology the k0 split check no longer builds: every
-    # m-tilde tensor cone(mu_E) of the corpus is killed by t^(1/p^3)
-    for P in perf_corpus(0, 20, (2, 3)):
-        assert ref.firm_phi_acyclic(P, 3), P
-
-
 # -- negative controls -----------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -206,8 +199,7 @@ def _failing_checks(name):
 
 def test_a_wrong_mu_exponent_at_its_owner_fails_the_gate(monkeypatch):
     """mu's exponent t^(2/p^j) at almost.MU: mu is then not natural, so
-    mu-almost-iso fails at the gate; the k0 stage homology, which reads
-    it through mu_perf_map, fails too.  The stage checks left in the
+    mu-almost-iso fails at the gate.  The stage checks left in the
     library read it through almost.mu_exponent and compare with the
     paper's literal 1/p^j, so a-n-plus-squares and k-ideal fail."""
     monkeypatch.setattr(almost, "MU", (0, 2))
@@ -215,8 +207,6 @@ def test_a_wrong_mu_exponent_at_its_owner_fails_the_gate(monkeypatch):
         <= _failing_checks("quillen")
     assert "a-n-plus-squares" in _failing_checks("tilting")
     assert "k-ideal" in _failing_checks("k0")
-    assert not all(ref.firm_phi_acyclic(P, 3)
-                   for P in perf_corpus(0, 20, (2, 3)))
 
 
 def test_colocal_check_fails_when_a_torsion_tower_is_accepted(monkeypatch):

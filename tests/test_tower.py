@@ -8,7 +8,7 @@ from almostalg.almost import (
     MonomialTower, cokernel_tower, firmify, mu_map)
 from almostalg.base_ring import RingConfig
 from almostalg.exponents import PExp
-from almostalg.linalg import PolyMatrix
+from almostalg.linalg import PolyMatrix, reduce_mod
 from almostalg.modules import (
     ModuleMap,
     PresentedModule,
@@ -25,6 +25,7 @@ from almostalg.tower import (
     tower_roundtrip,
     verify_lemmaA,
 )
+from almostalg.polys import poly_add, poly_mul, poly_scale, poly_trim
 
 V2 = RingConfig.perfect(2)
 V3 = RingConfig.perfect(3)
@@ -54,6 +55,51 @@ def test_tilt_basis_tables():
 def test_tilt_basis_truncation_two():
     table = tilt_basis_iso(2, 2, c=2)
     assert len(table) == 4
+
+
+def tilt_basis_iso_all_pairs(p, n, c=1):
+    """Reference: tilt_basis_iso checking all p^(2n) basis products."""
+    N, q = p ** n, p ** c
+    basis = [[0] * k + [1] for k in range(N)]
+    for a, xa in enumerate(basis):
+        for b, xb in enumerate(basis):
+            prod_m = tower.mixed_mock_reduce(poly_mul(xa, xb, q), p, n, c)
+            prod_m = poly_scale(prod_m, 1, p)
+            prod_f = reduce_mod(poly_mul(xa, xb, p), N)
+            if a + b < N:
+                if prod_m != basis[a + b] or prod_f != basis[a + b]:
+                    raise AssertionError(f"product mismatch at ({a},{b})")
+            elif prod_m or prod_f:
+                raise AssertionError(f"carry products must vanish ({a},{b})")
+    return {k: (PExp(p, k, n), PExp(p, k, n)) for k in range(N)}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except AssertionError:
+        return "raises"
+
+
+def _fold_to_p_plus_one(f, p, n, c):
+    """A wrong mixed mock: x^(p^n) folds to p + 1, a unit mod p."""
+    N, q = p ** n, p ** c
+    while len(f) > N:
+        f = poly_add(poly_trim(f[:N]), poly_scale(f[N:], p + 1, q), q)
+    return f
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_tilt_basis_iso_agrees_with_all_pairs(faulty, monkeypatch):
+    if faulty:
+        monkeypatch.setattr(tower, "mixed_mock_reduce", _fold_to_p_plus_one)
+    for p in (2, 3, 5):
+        for n in (0, 1, 2):
+            for c in (1, 2):
+                want = _outcome(tilt_basis_iso_all_pairs, p, n, c)
+                assert _outcome(tilt_basis_iso, p, n, c) == want, (p, n, c)
+                # every table past x^0 has a carry, which the fault keeps
+                assert (want == "raises") == (faulty and n > 0)
 
 
 def test_a_n_plus_shape():
